@@ -185,8 +185,9 @@ RunResult RunFleet(const FleetSetup& setup, FleetBackend* server) {
   }
   server->Drain();
   result.wall_seconds = timer.ElapsedSeconds();
-  result.calibrations = server->metrics().calibration_batches();
-  result.inferences = server->metrics().inference_requests();
+  const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+  result.calibrations = totals.calibration_batches;
+  result.inferences = totals.inference_requests;
   result.mean_batch_occupancy = server->metrics().batch_occupancy().mean();
   result.p99_inference_seconds =
       server->metrics().inference_latency().QuantileSeconds(0.99);

@@ -8,8 +8,8 @@
 // point of the API. Each device streams its own shifted domain,
 // interleaving inference traffic with continual calibration (Algorithms
 // 3+4); the servers snapshot calibrated models into copy-on-write
-// registries and aggregate fleet-wide metrics (per-shard + rollup for the
-// sharded cohort).
+// registries, and per-shard and fleet-wide counter totals are derived
+// from the whiteboard's device rows.
 //
 // Observability: after each phase (registration, serving, kill-and-restart)
 // the fleet whiteboard is dumped — one row per shard and per device,
@@ -305,7 +305,8 @@ int RunOverloadDrill(const Deployment& har, const HarSpec& har_spec,
   const double drill_seconds = wall.ElapsedSeconds();
 
   // --- Drill report. -----------------------------------------------------
-  const ServingMetrics& m = server.metrics();
+  const WhiteboardImage board = server.whiteboard().Read();
+  const ServingCounters totals = board.FleetTotals();
   const uint64_t submitted =
       static_cast<uint64_t>(kSubmitters) * static_cast<uint64_t>(kRounds);
   std::printf("\nflooded %llu inference submissions (plus retries and "
@@ -318,9 +319,9 @@ int RunOverloadDrill(const Deployment& har, const HarSpec& har_spec,
               static_cast<unsigned long long>(abandoned.load()), 4);
   std::printf("server view (every retry attempt counts): shed-by-reason "
               "queue-full=%llu limiter=%llu deadline=%llu\n",
-              static_cast<unsigned long long>(m.shed_queue_full()),
-              static_cast<unsigned long long>(m.shed_limiter()),
-              static_cast<unsigned long long>(m.shed_deadline()));
+              static_cast<unsigned long long>(totals.shed_queue_full),
+              static_cast<unsigned long long>(totals.shed_limiter),
+              static_cast<unsigned long long>(totals.shed_deadline));
   std::printf("migration: ov-0 shard %d -> %d (snapshot v%llu) with %llu "
               "bystander probes delivered during the drain\n",
               source_shard, target_shard,
@@ -334,10 +335,10 @@ int RunOverloadDrill(const Deployment& har, const HarSpec& har_spec,
                     injector->fired(FaultPoint::kDeviceRttSpike)));
     FaultInjector::Uninstall();
   }
-  std::printf("\n-- serving metrics (2-shard rollup) --\n%s\n",
-              m.Report().c_str());
+  std::printf("\n-- serving histograms (2 shards) --\n%s\n",
+              server.metrics().Report().c_str());
   std::printf("-- whiteboard (per-reason shed columns) --\n%s\n",
-              server.whiteboard().Read().ToTable(kDevices).c_str());
+              board.ToTable(kDevices).c_str());
 
   // --- Verdict: nobody starves. The whole point of priority aging + -------
   // hierarchical admission is that a flood of kHigh inference cannot
@@ -478,9 +479,10 @@ int RunWideBatchDrill(const Deployment& har, const HarSpec& har_spec,
     std::vector<std::vector<int>> preds;
     for (auto& f : futures) preds.push_back(f.get().predictions);
     server.Drain();
-    *wide_dispatches = server.metrics().panel_wide_dispatches();
-    *panel_tasks = server.metrics().panel_tasks();
-    if (board != nullptr) *board = server.whiteboard().Read().ToTable();
+    const WhiteboardImage image = server.whiteboard().Read();
+    *wide_dispatches = image.FleetTotals().panel_wide_dispatches;
+    *panel_tasks = image.FleetTotals().panel_tasks;
+    if (board != nullptr) *board = image.ToTable();
     return preds;
   };
 
@@ -752,27 +754,32 @@ int main(int argc, char** argv) {
   std::printf("served %zu calibration batches + inference traffic for %zu "
               "devices in %.2fs\n\n",
               stats.size(), fleet.size(), serve_seconds);
-  std::printf("-- HAR cohort (rollup of %d shards) --\n%s\n",
-              har_server.num_shards(),
+  const WhiteboardImage har_board = har_server.whiteboard().Read();
+  const WhiteboardImage img_board = img_server.whiteboard().Read();
+  std::printf("-- HAR cohort (%d shards) --\n%s\n", har_server.num_shards(),
               har_server.metrics().Report().c_str());
   for (int s = 0; s < har_server.num_shards(); ++s) {
+    const ServingCounters shard = har_board.ShardTotals(s);
     std::printf("   shard %d: %d sessions, %llu inferences, %llu "
                 "calibrations\n",
                 s, har_server.SessionCountOnShard(s),
-                static_cast<unsigned long long>(
-                    har_server.shard_metrics(s).inference_requests()),
-                static_cast<unsigned long long>(
-                    har_server.shard_metrics(s).calibration_batches()));
+                static_cast<unsigned long long>(shard.inference_requests),
+                static_cast<unsigned long long>(shard.calibration_batches));
   }
   std::printf("\n-- image cohort --\n%s\n",
               img_server.metrics().Report().c_str());
-  // Cross-cohort rollup: the two backends are independent (different base
-  // models), so their metrics merge offline into one fleet-wide view.
-  ServingMetrics fleet_total;
-  fleet_total.MergeFrom(har_server.metrics());
-  fleet_total.MergeFrom(img_server.metrics());
-  std::printf("-- fleet total (both cohorts) --\n%s\n",
-              fleet_total.Report().c_str());
+  // Cross-cohort total: the two backends are independent (different base
+  // models), so the fleet-wide view adds their two images' totals.
+  ServingCounters fleet_total = har_board.FleetTotals();
+  fleet_total += img_board.FleetTotals();
+  std::printf("-- fleet total (both cohorts) --\n"
+              "inferences=%llu examples=%llu calibrations=%llu "
+              "snapshots=%llu mean_batch_accuracy=%.4f\n\n",
+              static_cast<unsigned long long>(fleet_total.inference_requests),
+              static_cast<unsigned long long>(fleet_total.inference_examples),
+              static_cast<unsigned long long>(fleet_total.calibration_batches),
+              static_cast<unsigned long long>(fleet_total.snapshots_published),
+              fleet_total.mean_accuracy());
   std::printf("fleet mean accuracy, first stream batch: %.4f\n",
               first_batch_acc / static_cast<float>(n));
   std::printf("fleet mean accuracy, last stream batch:  %.4f\n",
@@ -782,7 +789,7 @@ int main(int argc, char** argv) {
               har_server.snapshots().size(), img_server.snapshots().size());
   std::printf("\n-- whiteboard after serving (HAR cohort; the shard added "
               "by the rebalance has its own row) --\n%s\n",
-              har_server.whiteboard().Read().ToTable(8).c_str());
+              har_board.ToTable(8).c_str());
 
   // --- Chaos report: the fleet survived the injected shard crash. --------
   // The crashed migration lost its session's continuation but NOT its

@@ -31,6 +31,9 @@ enum class StatusCode {
   kDeadlineExceeded,
 };
 
+// The highest StatusCode; decoders reject anything above it.
+constexpr StatusCode kMaxStatusCode = StatusCode::kDeadlineExceeded;
+
 // Human-readable name of a status code, e.g. "InvalidArgument".
 const char* StatusCodeName(StatusCode code);
 

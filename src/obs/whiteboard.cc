@@ -1,6 +1,8 @@
 #include "obs/whiteboard.h"
 
 #include <chrono>
+#include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -15,14 +17,55 @@ constexpr uint32_t kWhiteboardMagic = 0x44425751;  // "QWBD"
 // v2: WAL row gained torn_tails. v3: per-reason shed breakdown
 // (queue-full / deadline / limiter) on shard and device rows. v4: shard
 // rows gained the kernel panel-parallelism pair (panel_wide_dispatches,
-// panel_tasks).
-constexpr uint32_t kWhiteboardVersion = 4;
+// panel_tasks). v5: every counter moved onto the device row; shard rows
+// carry no counters (their totals are derived when read).
+constexpr uint32_t kWhiteboardVersion = 5;
+
+// Every ServingCounters field, in serialization order. +=, == and the
+// codec all walk this one list; the static_assert catches a field added
+// to the struct but not here.
+constexpr uint64_t ServingCounters::*kCounterFields[] = {
+    &ServingCounters::accepted_inference,
+    &ServingCounters::accepted_calibration,
+    &ServingCounters::shed_inference,
+    &ServingCounters::shed_calibration,
+    &ServingCounters::shed_queue_full,
+    &ServingCounters::shed_deadline,
+    &ServingCounters::shed_limiter,
+    &ServingCounters::inference_requests,
+    &ServingCounters::inference_examples,
+    &ServingCounters::calibration_batches,
+    &ServingCounters::calibration_examples,
+    &ServingCounters::snapshots_published,
+    &ServingCounters::barrier_flushes,
+    &ServingCounters::panel_wide_dispatches,
+    &ServingCounters::panel_narrow_dispatches,
+    &ServingCounters::panel_tasks,
+    &ServingCounters::accuracy_micro_sum,
+    &ServingCounters::accuracy_samples,
+};
+static_assert(sizeof(ServingCounters) ==
+                  std::size(kCounterFields) * sizeof(uint64_t),
+              "every ServingCounters field must be listed in kCounterFields");
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// Decodes a u32 enum field, rejecting values past `last` as corruption
+// rather than casting them into an out-of-range enum.
+template <typename Enum>
+Status ReadEnum(BinaryReader* r, Enum last, Enum* out) {
+  auto v = r->ReadU32();
+  if (!v.ok()) return v.status();
+  if (v.value() > static_cast<uint32_t>(last)) {
+    return Status::Corruption("whiteboard dump: enum value out of range");
+  }
+  *out = static_cast<Enum>(v.value());
+  return Status::OK();
 }
 
 void WriteStatus(BinaryWriter* w, const Status& status) {
@@ -33,12 +76,18 @@ void WriteStatus(BinaryWriter* w, const Status& status) {
 // Result<Status> cannot instantiate (ambiguous constructors), so the
 // decoded status comes back through `out`.
 Status ReadStatus(BinaryReader* r, Status* out) {
-  auto code = r->ReadU32();
-  if (!code.ok()) return code.status();
+  StatusCode code = StatusCode::kOk;
+  QCORE_RETURN_NOT_OK(ReadEnum(r, kMaxStatusCode, &code));
   auto message = r->ReadString();
   if (!message.ok()) return message.status();
-  *out = Status(static_cast<StatusCode>(code.value()),
-                std::move(message).value());
+  *out = Status(code, std::move(message).value());
+  return Status::OK();
+}
+
+Status ReadU64(BinaryReader* r, uint64_t* out) {
+  auto v = r->ReadU64();
+  if (!v.ok()) return v.status();
+  *out = v.value();
   return Status::OK();
 }
 
@@ -47,19 +96,6 @@ std::vector<uint8_t> EncodeShardRow(const ShardRow& row) {
   w.WriteU32(static_cast<uint32_t>(row.shard));
   w.WriteU32(row.retired ? 1 : 0);
   w.WriteU64(row.sessions);
-  w.WriteU64(row.inference_requests);
-  w.WriteU64(row.calibration_batches);
-  w.WriteU64(row.snapshots_published);
-  w.WriteU64(row.accepted_inference);
-  w.WriteU64(row.accepted_calibration);
-  w.WriteU64(row.shed_inference);
-  w.WriteU64(row.shed_calibration);
-  w.WriteU64(row.shed_queue_full);
-  w.WriteU64(row.shed_deadline);
-  w.WriteU64(row.shed_limiter);
-  w.WriteU64(row.barrier_flushes);
-  w.WriteU64(row.panel_wide_dispatches);
-  w.WriteU64(row.panel_tasks);
   WriteStatus(&w, row.last_error);
   w.WriteU64(row.last_error_ns);
   return w.TakeBuffer();
@@ -68,34 +104,15 @@ std::vector<uint8_t> EncodeShardRow(const ShardRow& row) {
 Result<ShardRow> DecodeShardRow(std::vector<uint8_t> payload) {
   BinaryReader r(std::move(payload));
   ShardRow row;
-#define QCORE_WB_READ(field, reader)                      \
-  do {                                                    \
-    auto v = r.reader();                                  \
-    if (!v.ok()) return v.status();                       \
-    row.field = std::move(v).value();                     \
-  } while (0)
   auto shard = r.ReadU32();
   if (!shard.ok()) return shard.status();
   row.shard = static_cast<int>(shard.value());
   auto retired = r.ReadU32();
   if (!retired.ok()) return retired.status();
   row.retired = retired.value() != 0;
-  QCORE_WB_READ(sessions, ReadU64);
-  QCORE_WB_READ(inference_requests, ReadU64);
-  QCORE_WB_READ(calibration_batches, ReadU64);
-  QCORE_WB_READ(snapshots_published, ReadU64);
-  QCORE_WB_READ(accepted_inference, ReadU64);
-  QCORE_WB_READ(accepted_calibration, ReadU64);
-  QCORE_WB_READ(shed_inference, ReadU64);
-  QCORE_WB_READ(shed_calibration, ReadU64);
-  QCORE_WB_READ(shed_queue_full, ReadU64);
-  QCORE_WB_READ(shed_deadline, ReadU64);
-  QCORE_WB_READ(shed_limiter, ReadU64);
-  QCORE_WB_READ(barrier_flushes, ReadU64);
-  QCORE_WB_READ(panel_wide_dispatches, ReadU64);
-  QCORE_WB_READ(panel_tasks, ReadU64);
+  QCORE_RETURN_NOT_OK(ReadU64(&r, &row.sessions));
   QCORE_RETURN_NOT_OK(ReadStatus(&r, &row.last_error));
-  QCORE_WB_READ(last_error_ns, ReadU64);
+  QCORE_RETURN_NOT_OK(ReadU64(&r, &row.last_error_ns));
   if (!r.AtEnd()) return Status::Corruption("shard row: trailing bytes");
   return row;
 }
@@ -106,17 +123,8 @@ std::vector<uint8_t> EncodeDeviceRow(const DeviceRow& row) {
   w.WriteU32(static_cast<uint32_t>(row.shard));
   w.WriteU32(static_cast<uint32_t>(row.activity));
   w.WriteU32(static_cast<uint32_t>(row.warm_start));
-  w.WriteU64(row.queue_inference);
-  w.WriteU64(row.queue_calibration);
-  w.WriteU64(row.accepted_inference);
-  w.WriteU64(row.accepted_calibration);
-  w.WriteU64(row.shed_inference);
-  w.WriteU64(row.shed_calibration);
-  w.WriteU64(row.shed_queue_full);
-  w.WriteU64(row.shed_deadline);
-  w.WriteU64(row.shed_limiter);
+  for (auto field : kCounterFields) w.WriteU64(row.counters.*field);
   w.WriteU64(row.last_batch_occupancy);
-  w.WriteU64(row.batches_processed);
   w.WriteU64(row.snapshot_version);
   WriteStatus(&w, row.last_error);
   w.WriteU64(row.last_error_ns);
@@ -132,27 +140,17 @@ Result<DeviceRow> DecodeDeviceRow(std::vector<uint8_t> payload) {
   auto shard = r.ReadU32();
   if (!shard.ok()) return shard.status();
   row.shard = static_cast<int>(shard.value());
-  auto activity = r.ReadU32();
-  if (!activity.ok()) return activity.status();
-  row.activity = static_cast<SessionActivity>(activity.value());
-  auto warm = r.ReadU32();
-  if (!warm.ok()) return warm.status();
-  row.warm_start = static_cast<WarmStartOrigin>(warm.value());
-  QCORE_WB_READ(queue_inference, ReadU64);
-  QCORE_WB_READ(queue_calibration, ReadU64);
-  QCORE_WB_READ(accepted_inference, ReadU64);
-  QCORE_WB_READ(accepted_calibration, ReadU64);
-  QCORE_WB_READ(shed_inference, ReadU64);
-  QCORE_WB_READ(shed_calibration, ReadU64);
-  QCORE_WB_READ(shed_queue_full, ReadU64);
-  QCORE_WB_READ(shed_deadline, ReadU64);
-  QCORE_WB_READ(shed_limiter, ReadU64);
-  QCORE_WB_READ(last_batch_occupancy, ReadU64);
-  QCORE_WB_READ(batches_processed, ReadU64);
-  QCORE_WB_READ(snapshot_version, ReadU64);
+  QCORE_RETURN_NOT_OK(
+      ReadEnum(&r, SessionActivity::kMigrating, &row.activity));
+  QCORE_RETURN_NOT_OK(
+      ReadEnum(&r, WarmStartOrigin::kCohortSnapshot, &row.warm_start));
+  for (auto field : kCounterFields) {
+    QCORE_RETURN_NOT_OK(ReadU64(&r, &(row.counters.*field)));
+  }
+  QCORE_RETURN_NOT_OK(ReadU64(&r, &row.last_batch_occupancy));
+  QCORE_RETURN_NOT_OK(ReadU64(&r, &row.snapshot_version));
   QCORE_RETURN_NOT_OK(ReadStatus(&r, &row.last_error));
-  QCORE_WB_READ(last_error_ns, ReadU64);
-#undef QCORE_WB_READ
+  QCORE_RETURN_NOT_OK(ReadU64(&r, &row.last_error_ns));
   if (!r.AtEnd()) return Status::Corruption("device row: trailing bytes");
   return row;
 }
@@ -184,11 +182,48 @@ const char* SessionActivityName(SessionActivity activity) {
   return "unknown";
 }
 
+// ------------------------------------------------------------ ServingCounters
+
+void ServingCounters::AddAccuracySample(float accuracy) {
+  // Rounded, not truncated, so the stored sum is exact to the half-unit.
+  accuracy_micro_sum += static_cast<uint64_t>(std::llround(accuracy * 1e6f));
+  ++accuracy_samples;
+}
+
+float ServingCounters::mean_accuracy() const {
+  if (accuracy_samples == 0) return 0.0f;
+  return static_cast<float>(static_cast<double>(accuracy_micro_sum) / 1e6 /
+                            static_cast<double>(accuracy_samples));
+}
+
+uint64_t ServingCounters::queued_inference() const {
+  const uint64_t done = inference_requests + shed_deadline;
+  return accepted_inference > done ? accepted_inference - done : 0;
+}
+
+uint64_t ServingCounters::queued_calibration() const {
+  return accepted_calibration > calibration_batches
+             ? accepted_calibration - calibration_batches
+             : 0;
+}
+
+ServingCounters& ServingCounters::operator+=(const ServingCounters& other) {
+  for (auto field : kCounterFields) this->*field += other.*field;
+  return *this;
+}
+
+bool ServingCounters::operator==(const ServingCounters& other) const {
+  for (auto field : kCounterFields) {
+    if (this->*field != other.*field) return false;
+  }
+  return true;
+}
+
 // ------------------------------------------------------------ Device / Shard
 
 void Whiteboard::Device::RecordError(const Status& status) {
   if (status.ok()) return;
-  MutexLock lock(error_mu_);
+  MutexLock lock(row_mu_);
   last_error_ = status;
   last_error_ns_ = NowNs();
 }
@@ -198,29 +233,24 @@ DeviceRow Whiteboard::Device::Snapshot() const {
   row.device_id = device_id_;
   row.shard = shard_.load(kRelaxed);
   row.warm_start = static_cast<WarmStartOrigin>(warm_start_.load(kRelaxed));
-  row.queue_inference = queue_inference_.load(kRelaxed);
-  row.queue_calibration = queue_calibration_.load(kRelaxed);
-  row.accepted_inference = accepted_inference_.load(kRelaxed);
-  row.accepted_calibration = accepted_calibration_.load(kRelaxed);
-  row.shed_inference = shed_inference_.load(kRelaxed);
-  row.shed_calibration = shed_calibration_.load(kRelaxed);
-  row.shed_queue_full = shed_queue_full_.load(kRelaxed);
-  row.shed_deadline = shed_deadline_.load(kRelaxed);
-  row.shed_limiter = shed_limiter_.load(kRelaxed);
   row.last_batch_occupancy = last_batch_occupancy_.load(kRelaxed);
-  row.batches_processed = batches_processed_.load(kRelaxed);
   row.snapshot_version = snapshot_version_.load(kRelaxed);
+  {
+    MutexLock lock(row_mu_);
+    row.counters = counters_;
+    row.last_error = last_error_;
+    row.last_error_ns = last_error_ns_;
+  }
+  // Activity is derived from the counters just copied, so an idle row
+  // reads idle no matter which thread recorded its last completion.
   if (migrating_.load(kRelaxed)) {
     row.activity = SessionActivity::kMigrating;
-  } else if (row.queue_inference + row.queue_calibration > 0) {
+  } else if (row.counters.queued_inference() +
+                 row.counters.queued_calibration() >
+             0) {
     row.activity = SessionActivity::kActive;
   } else {
     row.activity = SessionActivity::kIdle;
-  }
-  {
-    MutexLock lock(error_mu_);
-    row.last_error = last_error_;
-    row.last_error_ns = last_error_ns_;
   }
   return row;
 }
@@ -237,19 +267,6 @@ ShardRow Whiteboard::Shard::Snapshot() const {
   row.shard = index_;
   row.retired = retired_.load(kRelaxed);
   row.sessions = sessions_.load(kRelaxed);
-  row.inference_requests = inference_requests_.load(kRelaxed);
-  row.calibration_batches = calibration_batches_.load(kRelaxed);
-  row.snapshots_published = snapshots_.load(kRelaxed);
-  row.accepted_inference = accepted_inference_.load(kRelaxed);
-  row.accepted_calibration = accepted_calibration_.load(kRelaxed);
-  row.shed_inference = shed_inference_.load(kRelaxed);
-  row.shed_calibration = shed_calibration_.load(kRelaxed);
-  row.shed_queue_full = shed_queue_full_.load(kRelaxed);
-  row.shed_deadline = shed_deadline_.load(kRelaxed);
-  row.shed_limiter = shed_limiter_.load(kRelaxed);
-  row.barrier_flushes = barrier_flushes_.load(kRelaxed);
-  row.panel_wide_dispatches = panel_wide_dispatches_.load(kRelaxed);
-  row.panel_tasks = panel_tasks_.load(kRelaxed);
   {
     MutexLock lock(error_mu_);
     row.last_error = last_error_;
@@ -320,25 +337,40 @@ WhiteboardImage Whiteboard::Read() const {
 
 // ----------------------------------------------------------- WhiteboardImage
 
+ServingCounters WhiteboardImage::ShardTotals(int shard) const {
+  ServingCounters total;
+  for (const DeviceRow& row : devices) {
+    if (row.shard == shard) total += row.counters;
+  }
+  return total;
+}
+
+ServingCounters WhiteboardImage::FleetTotals() const {
+  ServingCounters total;
+  for (const DeviceRow& row : devices) total += row.counters;
+  return total;
+}
+
 std::string WhiteboardImage::ToTable(size_t max_devices) const {
   std::ostringstream out;
   TablePrinter shard_table({"shard", "state", "sessions", "inf_req",
                             "cal_batches", "snapshots", "shed_q", "shed_dl",
                             "shed_lim", "barrier", "panels", "last_error"});
   for (const ShardRow& row : shards) {
+    const ServingCounters c = ShardTotals(row.shard);
     // panels column: wide dispatches / chunk tasks they fanned out.
     shard_table.AddRow({std::to_string(row.shard),
                         row.retired ? "retired" : "live",
                         std::to_string(row.sessions),
-                        std::to_string(row.inference_requests),
-                        std::to_string(row.calibration_batches),
-                        std::to_string(row.snapshots_published),
-                        std::to_string(row.shed_queue_full),
-                        std::to_string(row.shed_deadline),
-                        std::to_string(row.shed_limiter),
-                        std::to_string(row.barrier_flushes),
-                        std::to_string(row.panel_wide_dispatches) + "/" +
-                            std::to_string(row.panel_tasks),
+                        std::to_string(c.inference_requests),
+                        std::to_string(c.calibration_batches),
+                        std::to_string(c.snapshots_published),
+                        std::to_string(c.shed_queue_full),
+                        std::to_string(c.shed_deadline),
+                        std::to_string(c.shed_limiter),
+                        std::to_string(c.barrier_flushes),
+                        std::to_string(c.panel_wide_dispatches) + "/" +
+                            std::to_string(c.panel_tasks),
                         ErrorCell(row.last_error)});
   }
   out << shard_table.ToString();
@@ -351,19 +383,20 @@ std::string WhiteboardImage::ToTable(size_t max_devices) const {
   for (const DeviceRow& row : devices) {
     if (max_devices > 0 && shown == max_devices) break;
     ++shown;
+    const ServingCounters& c = row.counters;
     device_table.AddRow(
         {row.device_id, std::to_string(row.shard),
          SessionActivityName(row.activity),
          WarmStartOriginName(row.warm_start),
-         std::to_string(row.queue_inference),
-         std::to_string(row.queue_calibration),
-         std::to_string(row.accepted_inference),
-         std::to_string(row.accepted_calibration),
-         std::to_string(row.shed_queue_full),
-         std::to_string(row.shed_deadline),
-         std::to_string(row.shed_limiter),
+         std::to_string(c.queued_inference()),
+         std::to_string(c.queued_calibration()),
+         std::to_string(c.accepted_inference),
+         std::to_string(c.accepted_calibration),
+         std::to_string(c.shed_queue_full),
+         std::to_string(c.shed_deadline),
+         std::to_string(c.shed_limiter),
          std::to_string(row.last_batch_occupancy),
-         std::to_string(row.batches_processed),
+         std::to_string(c.calibration_batches),
          std::to_string(row.snapshot_version), ErrorCell(row.last_error)});
   }
   out << device_table.ToString();
@@ -420,17 +453,11 @@ Result<WhiteboardImage> WhiteboardImage::Deserialize(
   if (!num_devices.ok()) return num_devices.status();
 
   WhiteboardImage image;
-  auto read_u64 = [&header](uint64_t* out_field) -> Status {
-    auto v = header.ReadU64();
-    if (!v.ok()) return v.status();
-    *out_field = v.value();
-    return Status::OK();
-  };
-  QCORE_RETURN_NOT_OK(read_u64(&image.wal.appends));
-  QCORE_RETURN_NOT_OK(read_u64(&image.wal.appended_bytes));
-  QCORE_RETURN_NOT_OK(read_u64(&image.wal.fsyncs));
-  QCORE_RETURN_NOT_OK(read_u64(&image.wal.compactions));
-  QCORE_RETURN_NOT_OK(read_u64(&image.wal.torn_tails));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.appends));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.appended_bytes));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.fsyncs));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.compactions));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.torn_tails));
 
   for (uint32_t i = 0; i < num_shards.value(); ++i) {
     auto frame = ReadFramedRecord(raw, &pos);

@@ -1,10 +1,12 @@
 // Fleet whiteboard: one plain-struct row per shard and per device, kept
 // write-through by the serving layers (the node-whiteboard idiom from YDB's
 // node_whiteboard.cpp — state is PUSHED by the component that owns it the
-// moment it changes, never scraped). Hot-path writers update relaxed
-// atomics through a stable row handle they capture once at registration;
-// readers take the registry lock and copy every row, so a Read() is a
-// snapshot-consistent image of the fleet without stalling admission.
+// moment it changes, never scraped). Every serving counter lives on the
+// device row alone; shard and fleet totals are derived from device rows
+// when an image is read. Hot-path writers update a row through a stable
+// handle they capture once at registration; readers take the registry lock
+// and copy every row, so a Read() is a snapshot-consistent image of the
+// fleet without stalling admission.
 //
 // The image renders two ways: ToTable() for humans (common/table_printer)
 // and Serialize()/Deserialize() for machines (common/serialize framed
@@ -41,52 +43,79 @@ enum class SessionActivity : uint8_t { kIdle = 0, kActive, kMigrating };
 
 const char* SessionActivityName(SessionActivity activity);
 
+// Every serving counter, counted once: a device row is the only store.
+// Shard and fleet totals are sums of device rows, derived when an image is
+// read (WhiteboardImage::ShardTotals / FleetTotals) and never stored, so
+// nothing has to be kept in sync.
+//
+// Ledger invariants (exact once the fleet is drained):
+//   accepted_X + shed_X == submitted_X, per class
+//   shed_inference + shed_calibration == shed_queue_full + shed_limiter
+//   accepted_inference == inference_requests + shed_deadline
+// Deadline sheds happen after admission, so they are disjoint from the
+// admission sheds and never appear in the per-class shed counters.
+struct ServingCounters {
+  uint64_t accepted_inference = 0;
+  uint64_t accepted_calibration = 0;
+  uint64_t shed_inference = 0;
+  uint64_t shed_calibration = 0;
+  // Every shed by reason: queue_full (a session cap) and limiter (a shard
+  // or fleet cap) split the admission sheds; deadline counts admitted
+  // requests abandoned at flush/exec time.
+  uint64_t shed_queue_full = 0;
+  uint64_t shed_deadline = 0;
+  uint64_t shed_limiter = 0;
+  uint64_t inference_requests = 0;  // executed requests
+  uint64_t inference_examples = 0;
+  uint64_t calibration_batches = 0;  // executed calibration steps
+  uint64_t calibration_examples = 0;
+  uint64_t snapshots_published = 0;
+  // Pending batched groups a model-mutating submission forced out before
+  // their size or deadline trigger. High rates mean the mutation cadence
+  // is defeating batching.
+  uint64_t barrier_flushes = 0;
+  // Kernel panel parallelism in this device's forwards: GEMMs that fanned
+  // out across panel workers, GEMMs that stayed single-threaded, and the
+  // output chunks the wide ones submitted.
+  uint64_t panel_wide_dispatches = 0;
+  uint64_t panel_narrow_dispatches = 0;
+  uint64_t panel_tasks = 0;
+  // Measured calibration accuracy as fixed-point micro-units plus a
+  // sample count, so the mean is exact regardless of interleaving.
+  uint64_t accuracy_micro_sum = 0;
+  uint64_t accuracy_samples = 0;
+
+  void AddAccuracySample(float accuracy);
+  // Mean of the recorded accuracy samples; 0 if none.
+  float mean_accuracy() const;
+  // Admitted work not yet executed or deadline-shed, per class (clamped
+  // at 0).
+  uint64_t queued_inference() const;
+  uint64_t queued_calibration() const;
+
+  ServingCounters& operator+=(const ServingCounters& other);
+  bool operator==(const ServingCounters& other) const;
+};
+
 // Copied-out view of one device row (what Read() returns).
 struct DeviceRow {
   std::string device_id;
   int shard = 0;
   SessionActivity activity = SessionActivity::kIdle;
   WarmStartOrigin warm_start = WarmStartOrigin::kCold;
-  uint64_t queue_inference = 0;    // tasks admitted, not yet executed
-  uint64_t queue_calibration = 0;
-  uint64_t accepted_inference = 0;
-  uint64_t accepted_calibration = 0;
-  uint64_t shed_inference = 0;
-  uint64_t shed_calibration = 0;
-  // Shed breakdown by reason (v3). queue_full + limiter covers every
-  // admission shed (shed_inference + shed_calibration); deadline counts
-  // admitted requests abandoned at flush/exec time, a disjoint population.
-  uint64_t shed_queue_full = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t shed_limiter = 0;
+  ServingCounters counters;
   uint64_t last_batch_occupancy = 0;  // size of the last inference group
-  uint64_t batches_processed = 0;     // calibration batches consumed
   uint64_t snapshot_version = 0;      // latest version this device published
   Status last_error;                  // most recent non-OK status, or OK
   uint64_t last_error_ns = 0;         // steady-clock ns of that status
 };
 
-// Copied-out view of one shard row.
+// Copied-out view of one shard row. Its counter totals are derived from
+// the device rows (WhiteboardImage::ShardTotals).
 struct ShardRow {
   int shard = 0;
   bool retired = false;  // the shard's server has been torn down
   uint64_t sessions = 0;
-  uint64_t inference_requests = 0;
-  uint64_t calibration_batches = 0;
-  uint64_t snapshots_published = 0;
-  uint64_t accepted_inference = 0;
-  uint64_t accepted_calibration = 0;
-  uint64_t shed_inference = 0;
-  uint64_t shed_calibration = 0;
-  // Per-reason shed breakdown, same semantics as the device row's (v3).
-  uint64_t shed_queue_full = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t shed_limiter = 0;
-  uint64_t barrier_flushes = 0;  // batches forced out by a barrier
-  // Kernel panel parallelism on this shard's forwards (v4): GEMMs that
-  // fanned out across panel workers, and the output chunks they submitted.
-  uint64_t panel_wide_dispatches = 0;
-  uint64_t panel_tasks = 0;
   Status last_error;
   uint64_t last_error_ns = 0;
 };
@@ -106,6 +135,13 @@ struct WhiteboardImage {
   std::vector<DeviceRow> devices;  // device-id order
   WalRow wal;
 
+  // Derived on every call from the device rows: the sum over the devices
+  // now placed on `shard`, and over every device. A device's history
+  // follows it across migrations, so a retired shard totals zero while the
+  // fleet total is unchanged.
+  ServingCounters ShardTotals(int shard) const;
+  ServingCounters FleetTotals() const;
+
   // Human rendering: a shard table, a device table (truncated to
   // `max_devices` rows when non-zero), and a one-line WAL summary.
   std::string ToTable(size_t max_devices = 0) const;
@@ -119,35 +155,24 @@ struct WhiteboardImage {
 class Whiteboard {
  public:
   // Live, internally-synchronized handle to one device's row. Writers are
-  // the owning shard's serving threads; all counters are relaxed atomics
-  // (each is independently meaningful — cross-field consistency is
-  // established by Read() under the registry lock only in the sense that
-  // the row set itself is stable).
+  // the owning shard's serving threads. Counters change under the row's
+  // own lock, so one event's counters (a shed's class and reason) land
+  // together; the placement and gauge fields are relaxed atomics.
   class Device {
    public:
+    // Applies `fn` to the row's counters under the row lock.
+    template <typename Fn>
+    void Count(const Fn& fn) {
+      MutexLock lock(row_mu_);
+      fn(counters_);
+    }
     void set_shard(int shard) { shard_.store(shard, kRelaxed); }
     void set_warm_start(WarmStartOrigin origin) {
       warm_start_.store(static_cast<uint8_t>(origin), kRelaxed);
     }
     void set_migrating(bool migrating) { migrating_.store(migrating, kRelaxed); }
-    void set_queue_depths(uint64_t inference, uint64_t calibration) {
-      queue_inference_.store(inference, kRelaxed);
-      queue_calibration_.store(calibration, kRelaxed);
-    }
-    void add_accepted_inference() { accepted_inference_.fetch_add(1, kRelaxed); }
-    void add_accepted_calibration() {
-      accepted_calibration_.fetch_add(1, kRelaxed);
-    }
-    void add_shed_inference() { shed_inference_.fetch_add(1, kRelaxed); }
-    void add_shed_calibration() { shed_calibration_.fetch_add(1, kRelaxed); }
-    void add_shed_queue_full() { shed_queue_full_.fetch_add(1, kRelaxed); }
-    void add_shed_deadline() { shed_deadline_.fetch_add(1, kRelaxed); }
-    void add_shed_limiter() { shed_limiter_.fetch_add(1, kRelaxed); }
     void set_last_batch_occupancy(uint64_t n) {
       last_batch_occupancy_.store(n, kRelaxed);
-    }
-    void add_batches_processed(uint64_t n) {
-      batches_processed_.fetch_add(n, kRelaxed);
     }
     void set_snapshot_version(uint64_t version) {
       snapshot_version_.store(version, kRelaxed);
@@ -167,44 +192,20 @@ class Whiteboard {
     std::atomic<int> shard_{0};
     std::atomic<uint8_t> warm_start_{0};
     std::atomic<bool> migrating_{false};
-    std::atomic<uint64_t> queue_inference_{0};
-    std::atomic<uint64_t> queue_calibration_{0};
-    std::atomic<uint64_t> accepted_inference_{0};
-    std::atomic<uint64_t> accepted_calibration_{0};
-    std::atomic<uint64_t> shed_inference_{0};
-    std::atomic<uint64_t> shed_calibration_{0};
-    std::atomic<uint64_t> shed_queue_full_{0};
-    std::atomic<uint64_t> shed_deadline_{0};
-    std::atomic<uint64_t> shed_limiter_{0};
     std::atomic<uint64_t> last_batch_occupancy_{0};
-    std::atomic<uint64_t> batches_processed_{0};
     std::atomic<uint64_t> snapshot_version_{0};
-    mutable Mutex error_mu_;
-    Status last_error_ QCORE_GUARDED_BY(error_mu_);
-    uint64_t last_error_ns_ QCORE_GUARDED_BY(error_mu_) = 0;
+    mutable Mutex row_mu_;
+    ServingCounters counters_ QCORE_GUARDED_BY(row_mu_);
+    Status last_error_ QCORE_GUARDED_BY(row_mu_);
+    uint64_t last_error_ns_ QCORE_GUARDED_BY(row_mu_) = 0;
   };
 
-  // Live handle to one shard's row; same write discipline as Device.
+  // Live handle to one shard's row: sessions, the retired flag and the
+  // last error. Its counter totals are derived from its devices' rows
+  // when an image is read.
   class Shard {
    public:
     void set_sessions(uint64_t n) { sessions_.store(n, kRelaxed); }
-    void add_inference_request() { inference_requests_.fetch_add(1, kRelaxed); }
-    void add_calibration_batch() { calibration_batches_.fetch_add(1, kRelaxed); }
-    void add_snapshot_published() { snapshots_.fetch_add(1, kRelaxed); }
-    void add_accepted_inference() { accepted_inference_.fetch_add(1, kRelaxed); }
-    void add_accepted_calibration() {
-      accepted_calibration_.fetch_add(1, kRelaxed);
-    }
-    void add_shed_inference() { shed_inference_.fetch_add(1, kRelaxed); }
-    void add_shed_calibration() { shed_calibration_.fetch_add(1, kRelaxed); }
-    void add_shed_queue_full() { shed_queue_full_.fetch_add(1, kRelaxed); }
-    void add_shed_deadline() { shed_deadline_.fetch_add(1, kRelaxed); }
-    void add_shed_limiter() { shed_limiter_.fetch_add(1, kRelaxed); }
-    void add_barrier_flush() { barrier_flushes_.fetch_add(1, kRelaxed); }
-    void add_panel_dispatches(uint64_t wide, uint64_t tasks) {
-      panel_wide_dispatches_.fetch_add(wide, kRelaxed);
-      panel_tasks_.fetch_add(tasks, kRelaxed);
-    }
     void set_retired() { retired_.store(true, kRelaxed); }
     void RecordError(const Status& status);
 
@@ -218,19 +219,6 @@ class Whiteboard {
     const int index_;
     std::atomic<bool> retired_{false};
     std::atomic<uint64_t> sessions_{0};
-    std::atomic<uint64_t> inference_requests_{0};
-    std::atomic<uint64_t> calibration_batches_{0};
-    std::atomic<uint64_t> snapshots_{0};
-    std::atomic<uint64_t> accepted_inference_{0};
-    std::atomic<uint64_t> accepted_calibration_{0};
-    std::atomic<uint64_t> shed_inference_{0};
-    std::atomic<uint64_t> shed_calibration_{0};
-    std::atomic<uint64_t> shed_queue_full_{0};
-    std::atomic<uint64_t> shed_deadline_{0};
-    std::atomic<uint64_t> shed_limiter_{0};
-    std::atomic<uint64_t> barrier_flushes_{0};
-    std::atomic<uint64_t> panel_wide_dispatches_{0};
-    std::atomic<uint64_t> panel_tasks_{0};
     mutable Mutex error_mu_;
     Status last_error_ QCORE_GUARDED_BY(error_mu_);
     uint64_t last_error_ns_ QCORE_GUARDED_BY(error_mu_) = 0;
@@ -255,8 +243,8 @@ class Whiteboard {
   WhiteboardImage Read() const;
 
  private:
-  // Lock order: mu_ before a row's error_mu_ (Read snapshots rows under
-  // mu_; Snapshot() takes the row's error_mu_). The wal provider runs
+  // Lock order: mu_ before a row's own lock (Read snapshots rows under
+  // mu_; Snapshot() takes the row's row_mu_ / error_mu_). The wal provider runs
   // OUTSIDE mu_ — it reaches back into the snapshot registry's lock.
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Device>> devices_

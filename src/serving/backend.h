@@ -109,16 +109,20 @@ class FleetBackend {
       const std::string& device_id,
       const std::function<void(CalibrationSession&)>& fn) = 0;
 
-  // Fleet-wide observability. For sharded backends, metrics() is the rollup
-  // across shards and snapshots() the federated (shared) registry.
+  // Fleet-wide observability. metrics() holds the latency and occupancy
+  // histograms (one instance shared by every shard of a sharded backend);
+  // snapshots() is the federated (shared) registry.
   virtual ServingMetrics& metrics() = 0;
   virtual const ServingMetrics& metrics() const = 0;
   virtual SnapshotRegistry& snapshots() = 0;
 
   // Per-shard/per-device introspection rows, maintained write-through by
-  // the serving layers (obs/whiteboard.h). For sharded backends this is the
-  // one fleet-wide board every shard writes into; whiteboard().Read() is a
-  // snapshot-consistent image at any moment, including mid-rebalance.
+  // the serving layers (obs/whiteboard.h). Device rows are the only store
+  // of the serving counters (accepted, shed, executed, ...); shard and
+  // fleet totals are derived from them when an image is read. For sharded
+  // backends this is the one fleet-wide board every shard writes into;
+  // whiteboard().Read() is a snapshot-consistent image at any moment,
+  // including mid-rebalance.
   virtual Whiteboard& whiteboard() = 0;
   virtual const Whiteboard& whiteboard() const = 0;
 };

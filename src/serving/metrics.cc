@@ -99,30 +99,6 @@ double LatencyHistogram::QuantileSeconds(double q) const {
   return QuantileFromBuckets(buckets_, count_, q);
 }
 
-void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
-  if (&other == this) return;  // self-merge would double every bucket
-  uint64_t buckets[kNumBuckets];
-  uint64_t count;
-  double sum;
-  {
-    MutexLock lock(other.mu_);
-    std::memcpy(buckets, other.buckets_, sizeof(buckets));
-    count = other.count_;
-    sum = other.sum_;
-  }
-  MutexLock lock(mu_);
-  for (int b = 0; b < kNumBuckets; ++b) buckets_[b] += buckets[b];
-  count_ += count;
-  sum_ += sum;
-}
-
-void LatencyHistogram::Reset() {
-  MutexLock lock(mu_);
-  std::memset(buckets_, 0, sizeof(buckets_));
-  count_ = 0;
-  sum_ = 0.0;
-}
-
 std::string LatencyHistogram::Summary() const {
   // One lock acquisition: the printed line must be internally consistent
   // even while pool workers keep recording.
@@ -192,33 +168,6 @@ uint64_t CountHistogram::CountAtLeast(int64_t value) const {
   return total;
 }
 
-void CountHistogram::MergeFrom(const CountHistogram& other) {
-  if (&other == this) return;  // self-merge would double every bucket
-  uint64_t buckets[kMaxTracked + 1];
-  uint64_t count;
-  int64_t sum, max;
-  {
-    MutexLock lock(other.mu_);
-    std::memcpy(buckets, other.buckets_, sizeof(buckets));
-    count = other.count_;
-    sum = other.sum_;
-    max = other.max_;
-  }
-  MutexLock lock(mu_);
-  for (int b = 0; b <= kMaxTracked; ++b) buckets_[b] += buckets[b];
-  count_ += count;
-  sum_ += sum;
-  if (max > max_) max_ = max;
-}
-
-void CountHistogram::Reset() {
-  MutexLock lock(mu_);
-  std::memset(buckets_, 0, sizeof(buckets_));
-  count_ = 0;
-  sum_ = 0;
-  max_ = 0;
-}
-
 std::string CountHistogram::Summary() const {
   uint64_t count;
   int64_t sum, max;
@@ -238,118 +187,11 @@ std::string CountHistogram::Summary() const {
   return buf;
 }
 
-void ServingMetrics::MergeFrom(const ServingMetrics& other) {
-  if (&other == this) return;  // self-merge would double every counter
-  inference_latency_.MergeFrom(other.inference_latency_);
-  calibration_latency_.MergeFrom(other.calibration_latency_);
-  batch_occupancy_.MergeFrom(other.batch_occupancy_);
-  queue_depth_.MergeFrom(other.queue_depth_);
-  const auto add = [](std::atomic<uint64_t>& dst,
-                      const std::atomic<uint64_t>& src) {
-    dst.fetch_add(src.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  };
-  add(inference_requests_, other.inference_requests_);
-  add(inference_examples_, other.inference_examples_);
-  add(calibration_batches_, other.calibration_batches_);
-  add(calibration_examples_, other.calibration_examples_);
-  add(accuracy_micro_sum_, other.accuracy_micro_sum_);
-  add(accuracy_samples_, other.accuracy_samples_);
-  add(snapshots_, other.snapshots_);
-  add(accepted_inference_, other.accepted_inference_);
-  add(accepted_calibration_, other.accepted_calibration_);
-  add(shed_inference_, other.shed_inference_);
-  add(shed_calibration_, other.shed_calibration_);
-  add(shed_queue_full_, other.shed_queue_full_);
-  add(shed_deadline_, other.shed_deadline_);
-  add(shed_limiter_, other.shed_limiter_);
-  add(barrier_flushes_, other.barrier_flushes_);
-  add(panel_wide_dispatches_, other.panel_wide_dispatches_);
-  add(panel_narrow_dispatches_, other.panel_narrow_dispatches_);
-  add(panel_tasks_, other.panel_tasks_);
-}
-
-void ServingMetrics::Reset() {
-  inference_latency_.Reset();
-  calibration_latency_.Reset();
-  batch_occupancy_.Reset();
-  queue_depth_.Reset();
-  inference_requests_.store(0, std::memory_order_relaxed);
-  inference_examples_.store(0, std::memory_order_relaxed);
-  calibration_batches_.store(0, std::memory_order_relaxed);
-  calibration_examples_.store(0, std::memory_order_relaxed);
-  accuracy_micro_sum_.store(0, std::memory_order_relaxed);
-  accuracy_samples_.store(0, std::memory_order_relaxed);
-  snapshots_.store(0, std::memory_order_relaxed);
-  accepted_inference_.store(0, std::memory_order_relaxed);
-  accepted_calibration_.store(0, std::memory_order_relaxed);
-  shed_inference_.store(0, std::memory_order_relaxed);
-  shed_calibration_.store(0, std::memory_order_relaxed);
-  shed_queue_full_.store(0, std::memory_order_relaxed);
-  shed_deadline_.store(0, std::memory_order_relaxed);
-  shed_limiter_.store(0, std::memory_order_relaxed);
-  barrier_flushes_.store(0, std::memory_order_relaxed);
-  panel_wide_dispatches_.store(0, std::memory_order_relaxed);
-  panel_narrow_dispatches_.store(0, std::memory_order_relaxed);
-  panel_tasks_.store(0, std::memory_order_relaxed);
-}
-
-float ServingMetrics::mean_accuracy() const {
-  const uint64_t n = accuracy_samples_.load(std::memory_order_relaxed);
-  if (n == 0) return 0.0f;
-  return static_cast<float>(
-      static_cast<double>(accuracy_micro_sum_.load()) / 1e6 /
-      static_cast<double>(n));
-}
-
 std::string ServingMetrics::Report() const {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "inference:   requests=%llu examples=%llu %s\n",
-                static_cast<unsigned long long>(inference_requests()),
-                static_cast<unsigned long long>(inference_examples()),
-                inference_latency_.Summary().c_str());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "calibration: batches=%llu examples=%llu %s\n",
-                static_cast<unsigned long long>(calibration_batches()),
-                static_cast<unsigned long long>(calibration_examples()),
-                calibration_latency_.Summary().c_str());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "quality:     mean_batch_accuracy=%.4f snapshots=%llu\n",
-                mean_accuracy(),
-                static_cast<unsigned long long>(snapshots()));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "batching:    occupancy[%s] barrier_flushes=%llu\n",
-                batch_occupancy_.Summary().c_str(),
-                static_cast<unsigned long long>(barrier_flushes()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "overload:    queue_depth[%s] shed_inference=%llu "
-      "shed_calibration=%llu\n",
-      queue_depth_.Summary().c_str(),
-      static_cast<unsigned long long>(shed_inference()),
-      static_cast<unsigned long long>(shed_calibration()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "shed-by-reason: queue_full=%llu deadline=%llu limiter=%llu\n",
-      static_cast<unsigned long long>(shed_queue_full()),
-      static_cast<unsigned long long>(shed_deadline()),
-      static_cast<unsigned long long>(shed_limiter()));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "kernels:     panel_wide=%llu panel_narrow=%llu panel_tasks=%llu\n",
-      static_cast<unsigned long long>(panel_wide_dispatches()),
-      static_cast<unsigned long long>(panel_narrow_dispatches()),
-      static_cast<unsigned long long>(panel_tasks()));
-  out += buf;
-  return out;
+  return "inference:   latency[" + inference_latency_.Summary() +
+         "]\ncalibration: latency[" + calibration_latency_.Summary() +
+         "]\nbatching:    occupancy[" + batch_occupancy_.Summary() +
+         "]\noverload:    queue_depth[" + queue_depth_.Summary() + "]\n";
 }
 
 }  // namespace qcore

@@ -1,13 +1,12 @@
-// Serving-side observability: thread-safe counters and latency histograms
-// aggregated across all sessions of a FleetServer. Modeled on the usual
-// production pattern (Prometheus-style fixed-bucket histograms) but
-// dependency-free. All methods are safe to call concurrently from pool
-// workers.
+// Serving-side latency and occupancy histograms, aggregated across all
+// sessions of a fleet. Modeled on the usual production pattern
+// (Prometheus-style fixed-bucket histograms) but dependency-free. All
+// methods are safe to call concurrently from pool workers. Event counters
+// are not kept here: they live once, on the whiteboard's device rows
+// (obs/whiteboard.h).
 #ifndef QCORE_SERVING_METRICS_H_
 #define QCORE_SERVING_METRICS_H_
 
-#include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,13 +32,6 @@ class LatencyHistogram {
 
   // "count=12 mean=3.4ms p50=2.1ms p95=9.0ms p99=12.3ms"
   std::string Summary() const;
-
-  // Bucket-wise accumulation of another histogram (same fixed bounds), used
-  // by the sharded server's fleet rollup. Snapshot-consistent: `other` is
-  // copied under its own lock, then added under this one.
-  void MergeFrom(const LatencyHistogram& other);
-  // Zeroes the histogram (rollup rebuild).
-  void Reset();
 
   static constexpr int kNumBuckets = 48;
 
@@ -78,10 +70,6 @@ class CountHistogram {
   // "count=12 mean=3.4 max=8".
   std::string Summary() const;
 
-  // Same merge/reset contract as LatencyHistogram.
-  void MergeFrom(const CountHistogram& other);
-  void Reset();
-
  private:
   mutable Mutex mu_;
   uint64_t buckets_[kMaxTracked + 1] QCORE_GUARDED_BY(mu_) = {};
@@ -90,8 +78,8 @@ class CountHistogram {
   int64_t max_ QCORE_GUARDED_BY(mu_) = 0;
 };
 
-// Aggregate counters for one FleetServer. Plain atomics; accuracy is kept
-// as a (sum, count) pair so the mean is exact regardless of interleaving.
+// The four serving histograms. One instance serves a whole fleet: a
+// sharded router passes its instance into every shard.
 class ServingMetrics {
  public:
   LatencyHistogram& inference_latency() { return inference_latency_; }
@@ -109,112 +97,6 @@ class ServingMetrics {
   CountHistogram& queue_depth() { return queue_depth_; }
   const CountHistogram& queue_depth() const { return queue_depth_; }
 
-  void AddInference(uint64_t examples) {
-    inference_requests_.fetch_add(1, std::memory_order_relaxed);
-    inference_examples_.fetch_add(examples, std::memory_order_relaxed);
-  }
-  void AddCalibration(uint64_t examples) {
-    calibration_batches_.fetch_add(1, std::memory_order_relaxed);
-    calibration_examples_.fetch_add(examples, std::memory_order_relaxed);
-  }
-  void AddAccuracySample(float accuracy) {
-    // Fixed-point micro-units so a plain atomic works without a CAS loop;
-    // rounded, not truncated, so the stored sum is exact to the half-unit.
-    accuracy_micro_sum_.fetch_add(
-        static_cast<uint64_t>(std::llround(accuracy * 1e6f)),
-        std::memory_order_relaxed);
-    accuracy_samples_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddSnapshot() { snapshots_.fetch_add(1, std::memory_order_relaxed); }
-
-  // Load-shedding accounting: a submission is either accepted (and later
-  // shows up in inference_requests()/calibration_batches() when it runs)
-  // or shed with a Status fast-fail. accepted + shed == submitted is the
-  // invariant the backpressure tests reconcile.
-  void AddAcceptedInference() {
-    accepted_inference_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddAcceptedCalibration() {
-    accepted_calibration_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddShedInference() {
-    shed_inference_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddShedCalibration() {
-    shed_calibration_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Shed-reason breakdown. The per-class counters above split admission
-  // sheds by class; these split every shed by WHY. Invariants the overload
-  // tests reconcile exactly:
-  //   shed_inference + shed_calibration == shed_queue_full + shed_limiter
-  //   accepted_inference == inference_requests + shed_deadline
-  // (deadline sheds happen AFTER admission, so they are disjoint from the
-  // admission sheds and never appear in the per-class counters).
-  void AddShedQueueFull() {
-    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddShedDeadline() {
-    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddShedLimiter() {
-    shed_limiter_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // A model-mutating submission (calibration, snapshot, quiesce) forced a
-  // pending batched inference group out before it hit its size or deadline
-  // trigger. High rates mean the workload's mutation cadence is defeating
-  // batching — occupancy will sit near 1 no matter what max_batch is.
-  void AddBarrierFlush() {
-    barrier_flushes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Kernel-layer panel parallelism attributed to this server's forwards.
-  // The exec path samples the thread-local kernels::GemmDispatchCounters
-  // before and after each forward pass and records the delta here: wide =
-  // GEMMs that fanned out across panel workers, narrow = GEMMs that stayed
-  // single-threaded (below the crossover), tasks = output chunks the wide
-  // ones submitted. How the serving layer sees batched forwards go wide.
-  void AddPanelDispatch(uint64_t wide, uint64_t narrow, uint64_t tasks) {
-    panel_wide_dispatches_.fetch_add(wide, std::memory_order_relaxed);
-    panel_narrow_dispatches_.fetch_add(narrow, std::memory_order_relaxed);
-    panel_tasks_.fetch_add(tasks, std::memory_order_relaxed);
-  }
-
-  uint64_t inference_requests() const { return inference_requests_.load(); }
-  uint64_t inference_examples() const { return inference_examples_.load(); }
-  uint64_t calibration_batches() const { return calibration_batches_.load(); }
-  uint64_t calibration_examples() const {
-    return calibration_examples_.load();
-  }
-  uint64_t snapshots() const { return snapshots_.load(); }
-  uint64_t accepted_inference() const { return accepted_inference_.load(); }
-  uint64_t accepted_calibration() const {
-    return accepted_calibration_.load();
-  }
-  uint64_t shed_inference() const { return shed_inference_.load(); }
-  uint64_t shed_calibration() const { return shed_calibration_.load(); }
-  uint64_t shed_queue_full() const { return shed_queue_full_.load(); }
-  uint64_t shed_deadline() const { return shed_deadline_.load(); }
-  uint64_t shed_limiter() const { return shed_limiter_.load(); }
-  uint64_t barrier_flushes() const { return barrier_flushes_.load(); }
-  uint64_t panel_wide_dispatches() const {
-    return panel_wide_dispatches_.load();
-  }
-  uint64_t panel_narrow_dispatches() const {
-    return panel_narrow_dispatches_.load();
-  }
-  uint64_t panel_tasks() const { return panel_tasks_.load(); }
-
-  // Mean of all recorded per-batch accuracies; 0 if none.
-  float mean_accuracy() const;
-
-  // Accumulates another instance's counters and histograms into this one.
-  // The source keeps recording concurrently; each counter is read once, so
-  // the merged totals are a consistent-enough snapshot for reporting. This
-  // is how ShardedFleetServer builds its fleet rollup from per-shard
-  // metrics.
-  void MergeFrom(const ServingMetrics& other);
-  // Zeroes every counter and histogram (rollup rebuild between merges).
-  void Reset();
-
   // Multi-line human-readable report.
   std::string Report() const;
 
@@ -223,24 +105,6 @@ class ServingMetrics {
   LatencyHistogram calibration_latency_;
   CountHistogram batch_occupancy_;
   CountHistogram queue_depth_;
-  std::atomic<uint64_t> inference_requests_{0};
-  std::atomic<uint64_t> inference_examples_{0};
-  std::atomic<uint64_t> calibration_batches_{0};
-  std::atomic<uint64_t> calibration_examples_{0};
-  std::atomic<uint64_t> accuracy_micro_sum_{0};
-  std::atomic<uint64_t> accuracy_samples_{0};
-  std::atomic<uint64_t> snapshots_{0};
-  std::atomic<uint64_t> accepted_inference_{0};
-  std::atomic<uint64_t> accepted_calibration_{0};
-  std::atomic<uint64_t> shed_inference_{0};
-  std::atomic<uint64_t> shed_calibration_{0};
-  std::atomic<uint64_t> shed_queue_full_{0};
-  std::atomic<uint64_t> shed_deadline_{0};
-  std::atomic<uint64_t> shed_limiter_{0};
-  std::atomic<uint64_t> barrier_flushes_{0};
-  std::atomic<uint64_t> panel_wide_dispatches_{0};
-  std::atomic<uint64_t> panel_narrow_dispatches_{0};
-  std::atomic<uint64_t> panel_tasks_{0};
 };
 
 }  // namespace qcore

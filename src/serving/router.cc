@@ -34,7 +34,7 @@ ShardedFleetServer::~ShardedFleetServer() {
 
 std::unique_ptr<FleetServer> ShardedFleetServer::MakeShard(int index) {
   return std::make_unique<FleetServer>(base_model_, base_bf_, options_.shard,
-                                       snapshots_, &rollup_, &whiteboard_,
+                                       snapshots_, &metrics_, &whiteboard_,
                                        index, &limiter_);
 }
 
@@ -111,12 +111,6 @@ void ShardedFleetServer::WithSessionQuiesced(
     shard.WithSessionQuiesced(device_id, fn);
   });
 }
-
-// The rollup is write-through (shards record into it directly), so both
-// accessors are plain reads — always consistent, no locks, no rebuild.
-ServingMetrics& ShardedFleetServer::metrics() { return rollup_; }
-
-const ServingMetrics& ShardedFleetServer::metrics() const { return rollup_; }
 
 uint64_t ShardedFleetServer::MoveDevice(const std::string& device_id,
                                         int target_shard) {
@@ -273,8 +267,8 @@ void ShardedFleetServer::Rebalance(int new_shard_count) {
     // migrated off, the updated map routes nothing at them, and the
     // exclusive acquisition has flushed any shared-lock caller still
     // touching one. Drain straggling control work, then destroy; their
-    // events already live in the write-through rollup, so fleet totals
-    // never regress.
+    // devices' counters moved with the devices, so fleet totals never
+    // regress.
     WriterLock lock(route_mu_);
     while (static_cast<int>(shards_.size()) > new_shard_count) {
       FleetServer* shard = shards_.back().get();
@@ -302,12 +296,6 @@ int ShardedFleetServer::SessionCountOnShard(int shard) const {
   SharedLock lock(route_mu_);
   QCORE_CHECK(shard >= 0 && shard < static_cast<int>(shards_.size()));
   return shards_[static_cast<size_t>(shard)]->num_sessions();
-}
-
-const ServingMetrics& ShardedFleetServer::shard_metrics(int shard) const {
-  SharedLock lock(route_mu_);
-  QCORE_CHECK(shard >= 0 && shard < static_cast<int>(shards_.size()));
-  return shards_[static_cast<size_t>(shard)]->metrics();
 }
 
 }  // namespace qcore

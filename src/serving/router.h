@@ -13,11 +13,12 @@
 //     so versions are globally monotonic and a snapshot published by any
 //     shard is restorable on any other (which is what makes live
 //     rebalancing possible).
-//   * ServingMetrics — write-through rollup: every shard records each
-//     event into its own metrics AND the router's fleet rollup, so
-//     metrics() is always consistent to read concurrently (no rebuild or
-//     reset anywhere) and totals trivially survive shard retirement.
-//     Per-shard views stay available through shard_metrics().
+//   * ServingMetrics — ONE histogram set, passed into every shard.
+//   * Whiteboard — ONE fleet-wide board. Device rows are the only store of
+//     the serving counters; a device's row follows it across migrations,
+//     and per-shard and fleet totals are derived from the rows when an
+//     image is read, so totals survive shard retirement with nothing to
+//     fold or rebuild.
 //
 // Live rebalancing (MoveDevice / Rebalance): the source shard publishes a
 // barrier snapshot for the device (flushing its pending batched inference
@@ -120,8 +121,8 @@ class ShardedFleetServer : public FleetBackend {
   void WithSessionQuiesced(
       const std::string& device_id,
       const std::function<void(CalibrationSession&)>& fn) override;
-  ServingMetrics& metrics() override;
-  const ServingMetrics& metrics() const override;
+  ServingMetrics& metrics() override { return metrics_; }
+  const ServingMetrics& metrics() const override { return metrics_; }
   SnapshotRegistry& snapshots() override { return *snapshots_; }
   // One fleet-wide board: every shard writes its rows here (shard index =
   // position in shards_), so a single Read() images the whole fleet.
@@ -148,9 +149,9 @@ class ShardedFleetServer : public FleetBackend {
   // shards, migrates exactly the devices whose placement changed — pinned
   // devices stay on their pinned shard; everyone else follows the ring
   // (growth moves devices only onto new shards — the consistent-hash
-  // minimal-movement property) — then drains and retires surplus shards
-  // (folding their metrics into the rollup). Existing futures stay valid;
-  // subsequent submissions route by the new map.
+  // minimal-movement property) — then drains and retires surplus shards.
+  // Existing futures stay valid; subsequent submissions route by the new
+  // map.
   void Rebalance(int new_shard_count);
 
   // --- Introspection (benches, tests, reports) ---------------------------
@@ -159,10 +160,6 @@ class ShardedFleetServer : public FleetBackend {
   // Current shard of a registered device.
   int ShardOf(const std::string& device_id) const;
   int SessionCountOnShard(int shard) const;
-  // Per-shard metrics view (the rollup is metrics()). The reference is
-  // valid only until the next Rebalance() — a retired shard's metrics die
-  // with it (their events remain in the rollup); read, don't retain.
-  const ServingMetrics& shard_metrics(int shard) const;
 
  private:
   // What one barrier-snapshot migration produced. `session_lost` is the
@@ -227,13 +224,11 @@ class ShardedFleetServer : public FleetBackend {
   // registry, which snapshots_ then points at instead.
   SnapshotRegistry owned_snapshots_;
   SnapshotRegistry* snapshots_;
-  // Write-through fleet rollup: every shard records each event here as
-  // well as in its own metrics (see FleetServer's rollup_metrics). Never
-  // reset, so concurrent readers always see consistent, monotone totals.
-  ServingMetrics rollup_;
-  // Fleet whiteboard, same write-through discipline: shards hold row
-  // handles into it, so it must outlive shards_ (declared before it; a
-  // retiring shard's destructor still flags its row retired).
+  // The histograms every shard records into; outlives shards_.
+  ServingMetrics metrics_;
+  // Fleet whiteboard, the only counter store: shards hold row handles into
+  // it, so it must outlive shards_ (declared before it; a retiring shard's
+  // destructor still flags its row retired).
   Whiteboard whiteboard_;
 
   // Serializes the control plane: MoveDevice, Rebalance, RegisterDevice.

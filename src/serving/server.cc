@@ -33,6 +33,12 @@ PanelDelta PanelDeltaSince(const kernels::GemmDispatchCounters& before) {
           now.panel_tasks - before.panel_tasks};
 }
 
+void AddPanels(const PanelDelta& panels, ServingCounters* c) {
+  c->panel_wide_dispatches += panels.wide;
+  c->panel_narrow_dispatches += panels.narrow;
+  c->panel_tasks += panels.tasks;
+}
+
 void SimulateDeviceLink(double rtt_ms) {
   // An injected RTT spike stretches one round trip even when simulation is
   // off (rtt_ms == 0) — a slow device is purely latency, so every result
@@ -52,13 +58,13 @@ FleetServer::FleetServer(const QuantizedModel& base_model,
                          const BitFlipNet& base_bf,
                          FleetServerOptions options,
                          SnapshotRegistry* shared_registry,
-                         ServingMetrics* rollup_metrics,
+                         ServingMetrics* shared_metrics,
                          Whiteboard* shared_whiteboard, int shard_index,
                          AdmissionLimiter* shared_limiter)
     : base_model_(base_model),
       base_bf_(base_bf),
       options_(std::move(options)),
-      rollup_metrics_(rollup_metrics),
+      metrics_(shared_metrics != nullptr ? shared_metrics : &owned_metrics_),
       registry_(shared_registry != nullptr ? shared_registry
                                            : &owned_registry_),
       whiteboard_(shared_whiteboard != nullptr ? shared_whiteboard
@@ -105,8 +111,8 @@ FleetServer::FleetServer(const QuantizedModel& base_model,
 FleetServer::~FleetServer() {
   Drain();
   // On a shared (router) whiteboard the row outlives this server; flag it
-  // so dumps distinguish a retired shard from a quiet one. Counters stay —
-  // history survives retirement like it survives migration.
+  // so dumps distinguish a retired shard from a quiet one. Its devices'
+  // counters moved with them, so fleet totals survive retirement.
   wb_shard_->set_retired();
 }
 
@@ -180,8 +186,7 @@ void FleetServer::BarrierFlush(const std::string& device_id,
   if (batcher_->FlushDevice(device_id)) {
     // A group actually left early because of this barrier — the signal
     // that mutation cadence is cutting batches short.
-    RecordMetrics([](ServingMetrics& m) { m.AddBarrierFlush(); });
-    wb_shard_->add_barrier_flush();
+    state->wb->Count([](ServingCounters& c) { ++c.barrier_flushes; });
     TraceRing::Global().Record(TraceKind::kBarrierFlush, span,
                                state->trace_name);
   }
@@ -220,19 +225,12 @@ Status FleetServer::AdmitTask(SessionState* state,
       limiter_->TryAcquire(state->admission, is_inference);
   if (refused != AdmissionLevel::kNone) {
     const bool session_level = refused == AdmissionLevel::kSession;
-    RecordMetrics([is_inference, session_level](ServingMetrics& m) {
-      if (is_inference) {
-        m.AddShedInference();
-      } else {
-        m.AddShedCalibration();
-      }
-      // Reason split: a session refusal is the historical queue-full shed;
-      // shard/fleet refusals are limiter sheds.
-      if (session_level) {
-        m.AddShedQueueFull();
-      } else {
-        m.AddShedLimiter();
-      }
+    // One shed, two counters: its class and its reason. A session refusal
+    // is the historical queue-full shed; shard/fleet refusals are limiter
+    // sheds.
+    state->wb->Count([is_inference, session_level](ServingCounters& c) {
+      ++(is_inference ? c.shed_inference : c.shed_calibration);
+      ++(session_level ? c.shed_queue_full : c.shed_limiter);
     });
     // The concrete status lands on both whiteboard rows (the last-error
     // plumbing the counters used to swallow) before the caller sees it.
@@ -247,43 +245,14 @@ Status FleetServer::AdmitTask(SessionState* state,
                   AdmissionLevelName(refused) + " level for device " +
                   device_id);
     state->wb->RecordError(status);
-    if (is_inference) {
-      state->wb->add_shed_inference();
-      wb_shard_->add_shed_inference();
-    } else {
-      state->wb->add_shed_calibration();
-      wb_shard_->add_shed_calibration();
-    }
-    if (session_level) {
-      state->wb->add_shed_queue_full();
-      wb_shard_->add_shed_queue_full();
-    } else {
-      state->wb->add_shed_limiter();
-      wb_shard_->add_shed_limiter();
-    }
     wb_shard_->RecordError(status);
     TraceRing::Global().Record(TraceKind::kShed, span, state->trace_name);
     return status;
   }
-  const int depth = state->admission->total_depth();
-  RecordMetrics([is_inference, depth](ServingMetrics& m) {
-    if (is_inference) {
-      m.AddAcceptedInference();
-    } else {
-      m.AddAcceptedCalibration();
-    }
-    m.queue_depth().Record(depth);
+  state->wb->Count([is_inference](ServingCounters& c) {
+    ++(is_inference ? c.accepted_inference : c.accepted_calibration);
   });
-  if (is_inference) {
-    state->wb->add_accepted_inference();
-    wb_shard_->add_accepted_inference();
-  } else {
-    state->wb->add_accepted_calibration();
-    wb_shard_->add_accepted_calibration();
-  }
-  state->wb->set_queue_depths(
-      static_cast<uint64_t>(state->admission->inference_depth()),
-      static_cast<uint64_t>(state->admission->calibration_depth()));
+  metrics_->queue_depth().Record(state->admission->total_depth());
   return Status::OK();
 }
 
@@ -292,9 +261,6 @@ void FleetServer::ReleaseTask(SessionState* state, bool is_inference,
   for (int i = 0; i < count; ++i) {
     limiter_->Release(state->admission, is_inference);
   }
-  state->wb->set_queue_depths(
-      static_cast<uint64_t>(state->admission->inference_depth()),
-      static_cast<uint64_t>(state->admission->calibration_depth()));
 }
 
 void FleetServer::ShedDeadline(
@@ -306,9 +272,7 @@ void FleetServer::ShedDeadline(
   r.trace_span = span;
   r.status = Status::DeadlineExceeded(
       "latency budget expired before execution");
-  RecordMetrics([](ServingMetrics& m) { m.AddShedDeadline(); });
-  state->wb->add_shed_deadline();
-  wb_shard_->add_shed_deadline();
+  state->wb->Count([](ServingCounters& c) { ++c.shed_deadline; });
   state->wb->RecordError(r.status);
   wb_shard_->RecordError(r.status);
   TraceRing::Global().Record(TraceKind::kDeadlineShed, span,
@@ -366,15 +330,14 @@ Result<std::future<InferenceResult>> FleetServer::TrySubmitInference(
         const PanelDelta panels = PanelDeltaSince(kd_before);
         r.latency_seconds = timer.ElapsedSeconds();
         r.trace_span = span;
-        RecordMetrics([&r, &x, &panels](ServingMetrics& m) {
-          m.inference_latency().Record(r.latency_seconds);
-          m.AddInference(static_cast<uint64_t>(x.dim(0)));
-          m.batch_occupancy().Record(1);
-          m.AddPanelDispatch(panels.wide, panels.narrow, panels.tasks);
+        metrics_->inference_latency().Record(r.latency_seconds);
+        metrics_->batch_occupancy().Record(1);
+        state->wb->Count([&x, &panels](ServingCounters& c) {
+          ++c.inference_requests;
+          c.inference_examples += static_cast<uint64_t>(x.dim(0));
+          AddPanels(panels, &c);
         });
         state->wb->set_last_batch_occupancy(1);
-        wb_shard_->add_inference_request();
-        wb_shard_->add_panel_dispatches(panels.wide, panels.tasks);
         TraceRing::Global().Record(TraceKind::kExecEnd, span,
                                    state->trace_name);
         TraceRing::Global().Record(TraceKind::kComplete, span,
@@ -444,22 +407,23 @@ void FleetServer::FlushInferenceGroup(const std::string& device_id,
         // forward is one set of GEMMs, and whether they went wide is a
         // property of the coalesced shape.
         const PanelDelta panels = PanelDeltaSince(kd_before);
-        RecordMetrics([&run, &panels](ServingMetrics& m) {
-          m.batch_occupancy().Record(static_cast<int64_t>(run.size()));
-          m.AddPanelDispatch(panels.wide, panels.narrow, panels.tasks);
+        metrics_->batch_occupancy().Record(static_cast<int64_t>(run.size()));
+        // Counted before any member's future resolves, so a caller holding
+        // a result always finds its request on the row.
+        state->wb->Count([&run, &panels](ServingCounters& c) {
+          c.inference_requests += run.size();
+          for (const PendingInference& p : run) {
+            c.inference_examples += static_cast<uint64_t>(p.input.dim(0));
+          }
+          AddPanels(panels, &c);
         });
         state->wb->set_last_batch_occupancy(run.size());
-        wb_shard_->add_panel_dispatches(panels.wide, panels.tasks);
         for (size_t i = 0; i < run.size(); ++i) {
           InferenceResult r;
           r.predictions = std::move(labels[i]);
           r.latency_seconds = run[i].timer.ElapsedSeconds();
           r.trace_span = run[i].span;
-          RecordMetrics([&r, &run, i](ServingMetrics& m) {
-            m.inference_latency().Record(r.latency_seconds);
-            m.AddInference(static_cast<uint64_t>(run[i].input.dim(0)));
-          });
-          wb_shard_->add_inference_request();
+          metrics_->inference_latency().Record(r.latency_seconds);
           TraceRing::Global().Record(TraceKind::kComplete, run[i].span,
                                      state->trace_name, group_span);
           run[i].promise->set_value(std::move(r));
@@ -497,14 +461,14 @@ Result<std::future<BatchStats>> FleetServer::TrySubmitCalibration(
                                    state->trace_name);
         SimulateDeviceLink(options_.simulated_device_rtt_ms);
         BatchStats stats = state->session.Calibrate(batch, test_slice);
-        const double latency = timer.ElapsedSeconds();
-        RecordMetrics([&stats, &batch, latency](ServingMetrics& m) {
-          m.calibration_latency().Record(latency);
-          m.AddCalibration(static_cast<uint64_t>(batch.size()));
-          m.AddAccuracySample(stats.accuracy);
+        metrics_->calibration_latency().Record(timer.ElapsedSeconds());
+        state->wb->Count([&](ServingCounters& c) {
+          ++c.calibration_batches;
+          c.calibration_examples += static_cast<uint64_t>(batch.size());
+          // An empty test slice is never evaluated (its accuracy stays at
+          // the 0.0 default), so it must not drag the mean down.
+          if (!test_slice.empty()) c.AddAccuracySample(stats.accuracy);
         });
-        state->wb->add_batches_processed(1);
-        wb_shard_->add_calibration_batch();
         if (options_.snapshot_every > 0 &&
             state->session.batches_processed() %
                     static_cast<uint64_t>(options_.snapshot_every) ==
@@ -514,9 +478,8 @@ Result<std::future<BatchStats>> FleetServer::TrySubmitCalibration(
           const uint64_t version =
               registry_->Publish(*state->session.model(), device_id,
                                  state->session.batches_processed());
-          RecordMetrics([](ServingMetrics& m) { m.AddSnapshot(); });
+          state->wb->Count([](ServingCounters& c) { ++c.snapshots_published; });
           state->wb->set_snapshot_version(version);
-          wb_shard_->add_snapshot_published();
         }
         TraceRing::Global().Record(TraceKind::kExecEnd, span,
                                    state->trace_name);
@@ -549,9 +512,8 @@ std::future<uint64_t> FleetServer::PublishSnapshot(
         const uint64_t version =
             registry_->Publish(*state->session.model(), device_id,
                                state->session.batches_processed());
-        RecordMetrics([](ServingMetrics& m) { m.AddSnapshot(); });
+        state->wb->Count([](ServingCounters& c) { ++c.snapshots_published; });
         state->wb->set_snapshot_version(version);
-        wb_shard_->add_snapshot_published();
         TraceRing::Global().Record(TraceKind::kComplete, span,
                                    state->trace_name, version);
         promise->set_value(version);

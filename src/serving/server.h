@@ -36,25 +36,27 @@
 //     with kResourceExhausted once an admission cap is hit. Bounds compose
 //     down an AdmissionLimiter tree (serving/overload.h): per-session caps
 //     (the legacy shared bound plus per-class forms), a per-shard cap, and
-//     — behind a router — a fleet-wide cap; shed/accepted counts, a
-//     per-reason shed breakdown, and queue-depth samples land in
-//     ServingMetrics. Orthogonally, a submission may carry a latency
-//     budget (InferenceSubmitOptions); once admitted, its deadline is
-//     re-checked at batch flush and at exec start, and expired requests
-//     resolve with kDeadlineExceeded instead of burning a forward pass.
+//     — behind a router — a fleet-wide cap; shed/accepted counts and a
+//     per-reason shed breakdown land on the device's whiteboard row,
+//     queue-depth samples in ServingMetrics. Orthogonally, a submission
+//     may carry a latency budget (InferenceSubmitOptions); once admitted,
+//     its deadline is re-checked at batch flush and at exec start, and
+//     expired requests resolve with kDeadlineExceeded instead of burning
+//     a forward pass.
 //
-// Results come back through std::future; the ServingMetrics instance
-// aggregates latency histograms and counters across all sessions, and
-// calibrated models can be published into the SnapshotRegistry (owned, or
-// shared with sibling shards) as immutable copy-on-write versions.
+// Results come back through std::future; event counters land on each
+// device's whiteboard row, the ServingMetrics histograms aggregate latency
+// and occupancy across all sessions, and calibrated models can be
+// published into the SnapshotRegistry (owned, or shared with sibling
+// shards) as immutable copy-on-write versions.
 //
 // Session migration: DetachSession publishes a barrier snapshot (flushing
 // any pending batched group first), waits for the session to quiesce,
 // serializes its continuation state (Rng position, resampled QCore, batch
 // counter), and removes it; AttachSession reconstructs the session from the
 // registry version plus that continuation — bit-identical to never having
-// moved. The sharded router drives these two under its routing lock to
-// rebalance devices across shards live.
+// moved. The sharded router drives these two to rebalance devices across
+// shards live.
 #ifndef QCORE_SERVING_SERVER_H_
 #define QCORE_SERVING_SERVER_H_
 
@@ -168,14 +170,13 @@ class FleetServer : public FleetBackend {
   // they must outlive the server. `shared_registry` (optional) makes this
   // server publish into an external registry instead of its own — the
   // sharded router passes its federated registry so versions are globally
-  // monotonic across shards. `rollup_metrics` (optional) is a second
-  // ServingMetrics every event is recorded into besides this server's own
-  // — the router's write-through fleet rollup, which therefore needs no
-  // locked rebuild and survives shard retirement by construction. Both
-  // must outlive the server. `shared_whiteboard` (optional) follows the
-  // same pattern for introspection rows: the router passes its fleet-wide
-  // board (and this server's `shard_index` on it) so every shard writes
-  // into one place; standalone servers own their board as shard 0.
+  // monotonic across shards. `shared_metrics` (optional) follows the
+  // same pattern for the histograms: the router passes one instance into
+  // every shard. `shared_whiteboard` (optional) does so for introspection
+  // rows, the only store of the serving counters: the router passes its
+  // fleet-wide board (and this server's `shard_index` on it) so every
+  // shard writes into one place; standalone servers own their board as
+  // shard 0. All of them must outlive the server.
   // `shared_limiter` (optional) plugs this server into an external
   // admission tree — the sharded router's, whose fleet-level caps then
   // bound all shards together. When null the server owns a private limiter
@@ -184,7 +185,7 @@ class FleetServer : public FleetBackend {
   FleetServer(const QuantizedModel& base_model, const BitFlipNet& base_bf,
               FleetServerOptions options,
               SnapshotRegistry* shared_registry = nullptr,
-              ServingMetrics* rollup_metrics = nullptr,
+              ServingMetrics* shared_metrics = nullptr,
               Whiteboard* shared_whiteboard = nullptr, int shard_index = 0,
               AdmissionLimiter* shared_limiter = nullptr);
 
@@ -222,15 +223,16 @@ class FleetServer : public FleetBackend {
 
   // Session migration (the sharded router's rebalancing primitives; see the
   // file comment). The caller must guarantee no concurrent submissions for
-  // the device — the router holds its routing lock in exclusive mode.
+  // the device — the router runs the handoff under its SHARED routing lock
+  // while the device's migration pin parks its submissions (router.h).
   // DetachSession publishes the barrier snapshot, quiesces, serializes, and
   // removes the session; AttachSession re-creates it from the handoff
   // (whose barrier_version must resolve in this server's snapshots()).
   SessionHandoff DetachSession(const std::string& device_id);
   void AttachSession(const SessionHandoff& handoff);
 
-  ServingMetrics& metrics() override { return metrics_; }
-  const ServingMetrics& metrics() const override { return metrics_; }
+  ServingMetrics& metrics() override { return *metrics_; }
+  const ServingMetrics& metrics() const override { return *metrics_; }
   SnapshotRegistry& snapshots() override { return *registry_; }
   Whiteboard& whiteboard() override { return *whiteboard_; }
   const Whiteboard& whiteboard() const override { return *whiteboard_; }
@@ -272,9 +274,10 @@ class FleetServer : public FleetBackend {
                            std::vector<PendingInference> group);
 
   // Admission control: reserves a slot on every level of the admission
-  // tree (session -> shard -> fleet), or sheds — recording per-class and
-  // per-reason metrics, the whiteboard last-error, and a kShed trace event
-  // — and returns the concrete kResourceExhausted status.
+  // tree (session -> shard -> fleet), or sheds — counting the shed's class
+  // and reason on the device row, recording the whiteboard last-error and
+  // a kShed trace event — and returns the concrete kResourceExhausted
+  // status.
   Status AdmitTask(SessionState* state, const std::string& device_id,
                    bool is_inference, uint64_t span);
   // Releases `count` slots of the given class (task completion).
@@ -282,7 +285,7 @@ class FleetServer : public FleetBackend {
 
   // Deadline shedding: resolves an admitted-but-expired inference request
   // with a kDeadlineExceeded result (empty predictions), accounts the shed
-  // (metrics, whiteboard, kDeadlineShed trace), and releases its admission
+  // (whiteboard row, kDeadlineShed trace), and releases its admission
   // slot. Called wherever expiry is detected — the flush sink or the exec
   // prologue — so an expired request never reaches a forward pass.
   void ShedDeadline(SessionState* state, uint64_t span,
@@ -292,8 +295,7 @@ class FleetServer : public FleetBackend {
 
   // Flushes the device's pending batched group ahead of model-mutating work
   // (calibration, snapshot, quiesce) and accounts the flush when one was
-  // actually forced (metrics counter, shard row, trace event). No-op
-  // without a batcher.
+  // actually forced (device row, trace event). No-op without a batcher.
   void BarrierFlush(const std::string& device_id, SessionState* state,
                     uint64_t span);
 
@@ -313,21 +315,11 @@ class FleetServer : public FleetBackend {
   // pump being handed to the pool.
   void TaskFinished();
 
-  // Applies a recording closure to this server's metrics and, when the
-  // router provided one, to the shared fleet rollup. Double recording per
-  // event is the price of a rollup that is always consistent to read
-  // concurrently (no rebuild, no reset).
-  template <typename Fn>
-  void RecordMetrics(const Fn& fn) {
-    fn(metrics_);
-    if (rollup_metrics_ != nullptr) fn(*rollup_metrics_);
-  }
-
   const QuantizedModel& base_model_;
   const BitFlipNet& base_bf_;
   FleetServerOptions options_;
-  ServingMetrics metrics_;
-  ServingMetrics* rollup_metrics_;  // null unless owned by a router
+  ServingMetrics owned_metrics_;  // used unless a shared one was passed
+  ServingMetrics* metrics_;
   SnapshotRegistry owned_registry_;  // used unless a shared one was passed
   SnapshotRegistry* registry_;
   Whiteboard owned_whiteboard_;  // used unless a shared one was passed

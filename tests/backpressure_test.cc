@@ -189,9 +189,10 @@ TEST(BackpressureTest, ShedsWithResourceExhaustedWhenQueueFull) {
     EXPECT_TRUE(fourth.ok());
     server->Drain();
 
-    EXPECT_EQ(server->metrics().shed_inference(), 1u);
-    EXPECT_EQ(server->metrics().shed_calibration(), 1u);
-    EXPECT_EQ(server->metrics().accepted_inference(), 2u);
+    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+    EXPECT_EQ(totals.shed_inference, 1u);
+    EXPECT_EQ(totals.shed_calibration, 1u);
+    EXPECT_EQ(totals.accepted_inference, 2u);
     EXPECT_EQ(server->metrics().queue_depth().max(), 1);
   }
 }
@@ -228,13 +229,14 @@ TEST(BackpressureTest, PerClassBoundsShedIndependently) {
   EXPECT_EQ(cal3.status().code(), StatusCode::kResourceExhausted);
 
   server.Drain();
-  EXPECT_EQ(server.metrics().shed_inference(), 1u);
-  EXPECT_EQ(server.metrics().shed_calibration(), 1u);
-  EXPECT_EQ(server.metrics().accepted_inference(), 1u);
-  EXPECT_EQ(server.metrics().accepted_calibration(), 2u);
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.shed_inference, 1u);
+  EXPECT_EQ(totals.shed_calibration, 1u);
+  EXPECT_EQ(totals.accepted_inference, 1u);
+  EXPECT_EQ(totals.accepted_calibration, 2u);
   // Completion counters reconcile with admission.
-  EXPECT_EQ(server.metrics().inference_requests(), 1u);
-  EXPECT_EQ(server.metrics().calibration_batches(), 2u);
+  EXPECT_EQ(totals.inference_requests, 1u);
+  EXPECT_EQ(totals.calibration_batches, 2u);
 }
 
 // The legacy shared bound composes with per-class caps: admission requires
@@ -342,24 +344,24 @@ TEST(BackpressureTest, FloodReconcilesAcceptedPlusShed) {
   }
   server.Drain();
 
-  const ServingMetrics& m = server.metrics();
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
   const uint64_t inf_submissions =
       static_cast<uint64_t>(kSubmitters) * kPerSubmitter * 4 / 5;
   const uint64_t cal_submissions =
       static_cast<uint64_t>(kSubmitters) * kPerSubmitter / 5;
-  EXPECT_EQ(m.accepted_inference(), accepted_inf.load());
-  EXPECT_EQ(m.shed_inference(), shed_inf.load());
-  EXPECT_EQ(m.accepted_calibration(), accepted_cal.load());
-  EXPECT_EQ(m.shed_calibration(), shed_cal.load());
-  EXPECT_EQ(m.accepted_inference() + m.shed_inference(), inf_submissions);
-  EXPECT_EQ(m.accepted_calibration() + m.shed_calibration(),
+  EXPECT_EQ(totals.accepted_inference, accepted_inf.load());
+  EXPECT_EQ(totals.shed_inference, shed_inf.load());
+  EXPECT_EQ(totals.accepted_calibration, accepted_cal.load());
+  EXPECT_EQ(totals.shed_calibration, shed_cal.load());
+  EXPECT_EQ(totals.accepted_inference + totals.shed_inference, inf_submissions);
+  EXPECT_EQ(totals.accepted_calibration + totals.shed_calibration,
             cal_submissions);
   // Completion counters reconcile with admission.
-  EXPECT_EQ(m.inference_requests(), m.accepted_inference());
-  EXPECT_EQ(m.calibration_batches(), m.accepted_calibration());
+  EXPECT_EQ(totals.inference_requests, totals.accepted_inference);
+  EXPECT_EQ(totals.calibration_batches, totals.accepted_calibration);
   // The bound was actually exercised and never exceeded.
-  EXPECT_LE(m.queue_depth().max(), 3);
-  EXPECT_FALSE(m.Report().empty());
+  EXPECT_LE(server.metrics().queue_depth().max(), 3);
+  EXPECT_FALSE(server.metrics().Report().empty());
   }
 }
 
@@ -393,11 +395,11 @@ TEST(BackpressureTest, CalibrationYieldsToInferenceUnderOverload) {
   ASSERT_TRUE(inference.ok());
   std::move(inference).value().get();
   const uint64_t done_at_inference =
-      server.metrics().calibration_batches();
+      server.whiteboard().Read().FleetTotals().calibration_batches;
   server.Drain();
 
   EXPECT_LT(done_at_inference, static_cast<uint64_t>(calibs.size()));
-  EXPECT_EQ(server.metrics().calibration_batches(),
+  EXPECT_EQ(server.whiteboard().Read().FleetTotals().calibration_batches,
             static_cast<uint64_t>(calibs.size()));
   for (auto& fu : calibs) fu.get();  // the backlog still completes
 }
@@ -492,21 +494,21 @@ TEST(BackpressureChaosTest, LatencyChaosFloodShedsLoudAndDeliversExactBits) {
   server.Drain();
   FaultInjector::Uninstall();
 
-  const ServingMetrics& m = server.metrics();
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
   const uint64_t submissions =
       static_cast<uint64_t>(kSubmitters) * kPerSubmitter;
-  EXPECT_EQ(m.accepted_inference() + m.shed_inference(), submissions);
-  EXPECT_EQ(m.shed_inference(), admission_sheds.load());
-  EXPECT_EQ(m.shed_deadline(), deadline_shed);
+  EXPECT_EQ(totals.accepted_inference + totals.shed_inference, submissions);
+  EXPECT_EQ(totals.shed_inference, admission_sheds.load());
+  EXPECT_EQ(totals.shed_deadline, deadline_shed);
   // The acceptance split: executed == delivered, and an admitted request
   // either executed or deadline-shed — nothing leaks.
-  EXPECT_EQ(m.inference_requests(), delivered);
-  EXPECT_EQ(m.accepted_inference(), delivered + deadline_shed);
+  EXPECT_EQ(totals.inference_requests, delivered);
+  EXPECT_EQ(totals.accepted_inference, delivered + deadline_shed);
   // The per-reason breakdown partitions the admission sheds exactly,
   // chaos or no chaos.
-  EXPECT_EQ(m.shed_inference() + m.shed_calibration(),
-            m.shed_queue_full() + m.shed_limiter());
-  EXPECT_LE(m.queue_depth().max(), 3);
+  EXPECT_EQ(totals.shed_inference + totals.shed_calibration,
+            totals.shed_queue_full + totals.shed_limiter);
+  EXPECT_LE(server.metrics().queue_depth().max(), 3);
 }
 
 }  // namespace

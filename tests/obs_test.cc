@@ -1,7 +1,8 @@
-// Tests for the observability layer (src/obs/): whiteboard rows staying
-// write-through-consistent with ServingMetrics under concurrent load,
-// surviving migration / rebalance / shard retirement, last-error and
-// barrier-flush plumbing, the serialize/table renderings, and TraceRing
+// Tests for the observability layer (src/obs/): whiteboard rows and their
+// derived shard/fleet totals reconciling with known submission counts
+// under concurrent load, surviving migration / rebalance / shard
+// retirement, last-error and barrier-flush plumbing, queue depths reading
+// zero after Drain, the serialize/table renderings, and TraceRing
 // request-lifecycle reconstruction (batched and unbatched chains, snapshot
 // publish -> WAL append, ring wraparound, chrome://tracing export).
 #include <gtest/gtest.h>
@@ -122,9 +123,9 @@ int IndexOf(const std::vector<TraceEvent>& events, TraceKind kind) {
 // ------------------------------------------------------ whiteboard dumps
 
 // The acceptance scenario: a 4-shard fleet under concurrent client load;
-// after Drain the whiteboard image must reconcile exactly with the metrics
-// rollup, the router's placement, and the snapshot registry.
-TEST(WhiteboardTest, FourShardDumpConsistentWithMetricsUnderLoad) {
+// after Drain the whiteboard image must reconcile exactly with what was
+// submitted, the router's placement, and the snapshot registry.
+TEST(WhiteboardTest, FourShardDumpReconcilesWithSubmissionsUnderLoad) {
   FleetFixture* f = GetFixture();
   ShardedFleetServerOptions sopts;
   sopts.num_shards = 4;
@@ -170,34 +171,38 @@ TEST(WhiteboardTest, FourShardDumpConsistentWithMetricsUnderLoad) {
   }
   EXPECT_EQ(sessions_total, static_cast<uint64_t>(kDevices));
 
-  // Device rows sum to the fleet rollup, per counter class.
-  uint64_t acc_inf = 0, acc_cal = 0, batches = 0, q_inf = 0, q_cal = 0;
+  // Every device row holds exactly what was submitted for it: two
+  // inferences, one calibration, one snapshot — all admitted, all run,
+  // nothing outstanding after Drain.
   for (const auto& row : image.devices) {
-    acc_inf += row.accepted_inference;
-    acc_cal += row.accepted_calibration;
-    batches += row.batches_processed;
-    q_inf += row.queue_inference;
-    q_cal += row.queue_calibration;
+    EXPECT_EQ(row.counters.accepted_inference, 2u) << row.device_id;
+    EXPECT_EQ(row.counters.inference_requests, 2u) << row.device_id;
+    EXPECT_EQ(row.counters.accepted_calibration, 1u) << row.device_id;
+    EXPECT_EQ(row.counters.calibration_batches, 1u) << row.device_id;
+    EXPECT_EQ(row.counters.snapshots_published, 1u) << row.device_id;
+    EXPECT_EQ(row.counters.shed_inference + row.counters.shed_calibration +
+                  row.counters.shed_deadline,
+              0u);
+    EXPECT_EQ(row.counters.queued_inference(), 0u);
+    EXPECT_EQ(row.counters.queued_calibration(), 0u);
     EXPECT_TRUE(row.last_error.ok());
     EXPECT_EQ(row.activity, SessionActivity::kIdle);  // drained
   }
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(acc_inf, m.accepted_inference());
-  EXPECT_EQ(acc_cal, m.accepted_calibration());
-  EXPECT_EQ(batches, m.calibration_batches());
-  EXPECT_EQ(q_inf, 0u);  // nothing outstanding after Drain
-  EXPECT_EQ(q_cal, 0u);
 
-  // Shard rows sum to the same rollup.
-  uint64_t shard_inf = 0, shard_cal = 0, shard_snaps = 0;
+  // Shard totals derive from the devices placed on each shard and add up
+  // to the fleet total.
+  ServingCounters shard_sum;
   for (const auto& row : image.shards) {
-    shard_inf += row.inference_requests;
-    shard_cal += row.calibration_batches;
-    shard_snaps += row.snapshots_published;
+    const ServingCounters shard = image.ShardTotals(row.shard);
+    EXPECT_EQ(shard.calibration_batches, row.sessions) << row.shard;
+    shard_sum += shard;
   }
-  EXPECT_EQ(shard_inf, m.inference_requests());
-  EXPECT_EQ(shard_cal, m.calibration_batches());
-  EXPECT_EQ(shard_snaps, static_cast<uint64_t>(kDevices));
+  const ServingCounters fleet = image.FleetTotals();
+  EXPECT_TRUE(shard_sum == fleet);
+  EXPECT_EQ(fleet.accepted_inference, static_cast<uint64_t>(2 * kDevices));
+  EXPECT_EQ(fleet.inference_requests, static_cast<uint64_t>(2 * kDevices));
+  EXPECT_EQ(fleet.calibration_batches, static_cast<uint64_t>(kDevices));
+  EXPECT_EQ(fleet.snapshots_published, static_cast<uint64_t>(kDevices));
 
   // Each device row carries the registry's latest version for it.
   for (int d = 0; d < kDevices; ++d) {
@@ -231,8 +236,8 @@ TEST(WhiteboardTest, RowsSurviveMoveRebalanceAndRetirement) {
   server.Drain();
 
   const DeviceRow before = *FindDevice(server.whiteboard().Read(), "mig-0");
-  EXPECT_EQ(before.accepted_calibration, 1u);
-  EXPECT_EQ(before.batches_processed, 1u);
+  EXPECT_EQ(before.counters.accepted_calibration, 1u);
+  EXPECT_EQ(before.counters.calibration_batches, 1u);
 
   // MoveDevice: the row follows the session to the target shard with its
   // history intact.
@@ -244,8 +249,10 @@ TEST(WhiteboardTest, RowsSurviveMoveRebalanceAndRetirement) {
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->shard, target);
     EXPECT_EQ(row->activity, SessionActivity::kIdle);  // move completed
-    EXPECT_EQ(row->accepted_calibration, before.accepted_calibration);
-    EXPECT_EQ(row->batches_processed, before.batches_processed);
+    EXPECT_EQ(row->counters.accepted_calibration,
+              before.counters.accepted_calibration);
+    EXPECT_EQ(row->counters.calibration_batches,
+              before.counters.calibration_batches);
     // The migration barrier published a snapshot; the row tracks it.
     EXPECT_EQ(row->snapshot_version,
               server.snapshots().LatestFor("mig-0")->version);
@@ -265,7 +272,8 @@ TEST(WhiteboardTest, RowsSurviveMoveRebalanceAndRetirement) {
       EXPECT_EQ(row.shard, 0);
     }
     const DeviceRow* row = FindDevice(image, "mig-0");
-    EXPECT_EQ(row->accepted_calibration, before.accepted_calibration);
+    EXPECT_EQ(row->counters.accepted_calibration,
+              before.counters.accepted_calibration);
   }
 
   // Grow again: shard index 1 is reused and its row un-retires.
@@ -278,11 +286,11 @@ TEST(WhiteboardTest, RowsSurviveMoveRebalanceAndRetirement) {
   server.SubmitCalibration("mig-0", f->batches[1], f->slices[1]).get();
   server.Drain();
   EXPECT_EQ(FindDevice(server.whiteboard().Read(), "mig-0")
-                ->accepted_calibration,
-            before.accepted_calibration + 1);
+                ->counters.accepted_calibration,
+            before.counters.accepted_calibration + 1);
 }
 
-TEST(WhiteboardTest, ShedRecordsLastErrorAndCountsMatchMetrics) {
+TEST(WhiteboardTest, ShedRecordsLastErrorAndCountsMatchSubmissions) {
   FleetFixture* f = GetFixture();
   FleetServerOptions opts = ServerOptions(2);
   opts.max_inference_queue_per_session = 1;
@@ -307,21 +315,21 @@ TEST(WhiteboardTest, ShedRecordsLastErrorAndCountsMatchMetrics) {
   const WhiteboardImage image = server.whiteboard().Read();
   const DeviceRow* row = FindDevice(image, "bounded");
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->shed_inference, shed);
-  EXPECT_EQ(row->shed_inference, server.metrics().shed_inference());
-  EXPECT_EQ(row->accepted_inference, accepted.size());
+  EXPECT_EQ(row->counters.shed_inference, shed);
+  EXPECT_EQ(row->counters.shed_queue_full, shed);  // a session-cap shed
+  EXPECT_EQ(row->counters.accepted_inference, accepted.size());
   // The concrete status landed on both the device and its shard row.
   EXPECT_EQ(row->last_error.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(row->last_error.message().find("bounded"), std::string::npos);
   EXPECT_GT(row->last_error_ns, 0u);
-  const ShardRow* shard = FindShard(image, 0);
-  EXPECT_EQ(shard->shed_inference, shed);
-  EXPECT_EQ(shard->last_error.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(image.ShardTotals(0).shed_inference, shed);
+  EXPECT_EQ(FindShard(image, 0)->last_error.code(),
+            StatusCode::kResourceExhausted);
   // And it renders in the dump.
   EXPECT_NE(image.ToTable().find("ResourceExhausted"), std::string::npos);
 }
 
-TEST(WhiteboardTest, BarrierFlushCountedOnShardRowAndMetrics) {
+TEST(WhiteboardTest, BarrierFlushCountedOnDeviceRow) {
   FleetFixture* f = GetFixture();
   FleetServerOptions opts = ServerOptions(2);
   opts.enable_batching = true;
@@ -338,11 +346,11 @@ TEST(WhiteboardTest, BarrierFlushCountedOnShardRowAndMetrics) {
   i2.get();
   server.Drain();
 
-  EXPECT_GE(server.metrics().barrier_flushes(), 1u);
   const WhiteboardImage image = server.whiteboard().Read();
-  EXPECT_EQ(FindShard(image, 0)->barrier_flushes,
-            server.metrics().barrier_flushes());
   const DeviceRow* row = FindDevice(image, "dev");
+  EXPECT_GE(row->counters.barrier_flushes, 1u);
+  EXPECT_EQ(image.ShardTotals(0).barrier_flushes,
+            row->counters.barrier_flushes);
   EXPECT_EQ(row->last_batch_occupancy, 2u);  // the barrier-flushed group
 }
 
@@ -534,9 +542,9 @@ TEST(WhiteboardTest, ImageSerializeRoundTrips) {
   server.PublishSnapshot("a").get();
 
   const WhiteboardImage image = server.whiteboard().Read();
-  // The v3 fields being round-tripped actually carry history here.
-  EXPECT_GT(image.shards[0].shed_queue_full, 0u);
-  EXPECT_GT(image.shards[0].shed_deadline, 0u);
+  // The per-reason counters being round-tripped actually carry history.
+  EXPECT_GT(image.FleetTotals().shed_queue_full, 0u);
+  EXPECT_GT(image.FleetTotals().shed_deadline, 0u);
   const std::vector<uint8_t> bytes = image.Serialize();
   auto round = WhiteboardImage::Deserialize(bytes);
   ASSERT_TRUE(round.ok()) << round.status().ToString();
@@ -549,18 +557,10 @@ TEST(WhiteboardTest, ImageSerializeRoundTrips) {
     EXPECT_EQ(a.shard, b.shard);
     EXPECT_EQ(a.retired, b.retired);
     EXPECT_EQ(a.sessions, b.sessions);
-    EXPECT_EQ(a.inference_requests, b.inference_requests);
-    EXPECT_EQ(a.calibration_batches, b.calibration_batches);
-    EXPECT_EQ(a.snapshots_published, b.snapshots_published);
-    EXPECT_EQ(a.accepted_inference, b.accepted_inference);
-    EXPECT_EQ(a.shed_inference, b.shed_inference);
-    EXPECT_EQ(a.shed_queue_full, b.shed_queue_full);
-    EXPECT_EQ(a.shed_deadline, b.shed_deadline);
-    EXPECT_EQ(a.shed_limiter, b.shed_limiter);
-    EXPECT_EQ(a.barrier_flushes, b.barrier_flushes);
     EXPECT_EQ(a.last_error.code(), b.last_error.code());
     EXPECT_EQ(a.last_error.message(), b.last_error.message());
     EXPECT_EQ(a.last_error_ns, b.last_error_ns);
+    EXPECT_TRUE(image.ShardTotals(a.shard) == got.ShardTotals(b.shard));
   }
   ASSERT_EQ(got.devices.size(), image.devices.size());
   for (size_t i = 0; i < image.devices.size(); ++i) {
@@ -570,26 +570,98 @@ TEST(WhiteboardTest, ImageSerializeRoundTrips) {
     EXPECT_EQ(a.shard, b.shard);
     EXPECT_EQ(a.activity, b.activity);
     EXPECT_EQ(a.warm_start, b.warm_start);
-    EXPECT_EQ(a.accepted_inference, b.accepted_inference);
-    EXPECT_EQ(a.accepted_calibration, b.accepted_calibration);
-    EXPECT_EQ(a.shed_inference, b.shed_inference);
-    EXPECT_EQ(a.shed_queue_full, b.shed_queue_full);
-    EXPECT_EQ(a.shed_deadline, b.shed_deadline);
-    EXPECT_EQ(a.shed_limiter, b.shed_limiter);
+    // Every counter, and with them the derived queue depths.
+    EXPECT_TRUE(a.counters == b.counters) << a.device_id;
     EXPECT_EQ(a.last_batch_occupancy, b.last_batch_occupancy);
-    EXPECT_EQ(a.batches_processed, b.batches_processed);
     EXPECT_EQ(a.snapshot_version, b.snapshot_version);
     EXPECT_EQ(a.last_error.code(), b.last_error.code());
     EXPECT_EQ(a.last_error.message(), b.last_error.message());
     EXPECT_EQ(a.last_error_ns, b.last_error_ns);
   }
+  EXPECT_TRUE(image.FleetTotals() == got.FleetTotals());
   EXPECT_EQ(got.wal.appends, image.wal.appends);
   EXPECT_EQ(got.wal.appended_bytes, image.wal.appended_bytes);
+  EXPECT_EQ(got.wal.fsyncs, image.wal.fsyncs);
+  EXPECT_EQ(got.wal.compactions, image.wal.compactions);
+  EXPECT_EQ(got.wal.torn_tails, image.wal.torn_tails);
 
   // Corruption is a Status, not a crash.
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
   EXPECT_FALSE(WhiteboardImage::Deserialize(truncated).ok());
+  // Out-of-range enum values inside otherwise valid frames (correct CRCs:
+  // the encoder writes whatever the row holds) are Corruption too, not a
+  // cast into an enum the rest of the code cannot name.
+  const auto corrupt_with = [&image](const auto& mutate) {
+    WhiteboardImage bad = image;
+    mutate(&bad);
+    return WhiteboardImage::Deserialize(bad.Serialize()).status().code();
+  };
+  EXPECT_EQ(corrupt_with([](WhiteboardImage* bad) {
+              bad->devices[0].activity = static_cast<SessionActivity>(3);
+            }),
+            StatusCode::kCorruption);
+  EXPECT_EQ(corrupt_with([](WhiteboardImage* bad) {
+              bad->devices[0].warm_start = static_cast<WarmStartOrigin>(3);
+            }),
+            StatusCode::kCorruption);
+  const Status bad_status(
+      static_cast<StatusCode>(static_cast<int>(kMaxStatusCode) + 1), "?");
+  EXPECT_EQ(corrupt_with([&bad_status](WhiteboardImage* bad) {
+              bad->devices[0].last_error = bad_status;
+            }),
+            StatusCode::kCorruption);
+  EXPECT_EQ(corrupt_with([&bad_status](WhiteboardImage* bad) {
+              bad->shards[0].last_error = bad_status;
+            }),
+            StatusCode::kCorruption);
+}
+
+// Queue depths and activity are derived from the row's own counters, so
+// an idle device reads idle however its last completions interleaved: a
+// batched flood with short latency budgets (deadline sheds release from
+// the flusher and from submitters' barrier flushes while the pump
+// completes groups) plus calibration barriers must leave every row at
+// zero depth after Drain.
+TEST(WhiteboardTest, DrainLeavesEveryRowIdleAfterDeadlineFlood) {
+  FleetFixture* f = GetFixture();
+  FleetServerOptions opts = ServerOptions(2);
+  opts.enable_batching = true;
+  opts.batching.max_batch = 4;
+  opts.batching.max_delay_us = 200.0;
+  opts.simulated_device_rtt_ms = 1.0;
+  FleetServer server(*f->base, *f->bf, opts);
+  server.RegisterDevice("hot", f->qcore);
+
+  InferenceSubmitOptions budget;
+  budget.latency_budget_us = 300.0;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 3; ++t) {
+    submitters.emplace_back([&, t]() {
+      for (int i = 0; i < 24; ++i) {
+        auto r = server.TrySubmitInference("hot", f->target.test.x(), budget);
+        ASSERT_TRUE(r.ok());
+        if (i % 8 == 7 && t == 0) {
+          server.SubmitCalibration("hot", f->batches[0], Dataset());
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  server.Drain();
+
+  const WhiteboardImage image = server.whiteboard().Read();
+  const ServingCounters totals = image.FleetTotals();
+  EXPECT_EQ(totals.accepted_inference, 72u);
+  EXPECT_EQ(totals.accepted_inference,
+            totals.inference_requests + totals.shed_deadline);
+  EXPECT_EQ(totals.calibration_batches, 3u);
+  ASSERT_EQ(image.devices.size(), 1u);
+  for (const DeviceRow& row : image.devices) {
+    EXPECT_EQ(row.counters.queued_inference(), 0u);
+    EXPECT_EQ(row.counters.queued_calibration(), 0u);
+    EXPECT_EQ(row.activity, SessionActivity::kIdle);
+  }
 }
 
 // ------------------------------------------------------------- trace ring

@@ -337,18 +337,19 @@ TEST(DeadlineShedTest, ExpiredRequestResolvesWithoutExecuting) {
             f->target.test.size());
   server.Drain();
 
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(m.accepted_inference(), 2u);
-  EXPECT_EQ(m.shed_deadline(), 1u);
-  EXPECT_EQ(m.inference_requests(), 1u);  // the doomed one never executed
-  EXPECT_EQ(m.accepted_inference(), m.inference_requests() + m.shed_deadline());
-  EXPECT_EQ(m.shed_inference(), 0u);  // deadline sheds are post-admission
-
   const WhiteboardImage image = server.whiteboard().Read();
+  const ServingCounters totals = image.FleetTotals();
+  EXPECT_EQ(totals.accepted_inference, 2u);
+  EXPECT_EQ(totals.shed_deadline, 1u);
+  EXPECT_EQ(totals.inference_requests, 1u);  // the doomed one never executed
+  EXPECT_EQ(totals.accepted_inference,
+            totals.inference_requests + totals.shed_deadline);
+  EXPECT_EQ(totals.shed_inference, 0u);  // deadline sheds are post-admission
+
   const DeviceRow* row = FindDevice(image, "dev");
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->shed_deadline, 1u);
-  EXPECT_EQ(image.shards[0].shed_deadline, 1u);
+  EXPECT_EQ(row->counters.shed_deadline, 1u);
+  EXPECT_EQ(image.ShardTotals(0).shed_deadline, 1u);
 }
 
 // Under a batched flood where some requests carry impossible budgets, the
@@ -406,12 +407,12 @@ TEST(DeadlineShedTest, BatchedShedKeepsSurvivorsBitIdentical) {
   }
   server.Drain();
 
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(m.accepted_inference(), 16u);
-  EXPECT_EQ(m.shed_deadline(), 8u);
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.accepted_inference, 16u);
+  EXPECT_EQ(totals.shed_deadline, 8u);
   // The acceptance criterion: no expired request ever reached a forward
   // pass — the executed count is exactly the survivor count.
-  EXPECT_EQ(m.inference_requests(), 8u);
+  EXPECT_EQ(totals.inference_requests, 8u);
 }
 
 // --------------------------------------------- hierarchical fleet bounds
@@ -449,13 +450,13 @@ TEST(HierarchicalAdmissionTest, FleetCapShedsAcrossShards) {
   for (auto& fu : held) fu.get();
   server.Drain();
 
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(m.shed_inference(), 2u);
-  EXPECT_EQ(m.shed_limiter(), 2u);  // fleet refusals are limiter sheds
-  EXPECT_EQ(m.shed_queue_full(), 0u);
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.shed_inference, 2u);
+  EXPECT_EQ(totals.shed_limiter, 2u);  // fleet refusals are limiter sheds
+  EXPECT_EQ(totals.shed_queue_full, 0u);
   // The reason split partitions the admission sheds exactly.
-  EXPECT_EQ(m.shed_inference() + m.shed_calibration(),
-            m.shed_queue_full() + m.shed_limiter());
+  EXPECT_EQ(totals.shed_inference + totals.shed_calibration,
+            totals.shed_queue_full + totals.shed_limiter);
 }
 
 TEST(HierarchicalAdmissionTest, ShardCapComposesWithSessionCap) {
@@ -481,7 +482,7 @@ TEST(HierarchicalAdmissionTest, ShardCapComposesWithSessionCap) {
   std::move(r1).value().get();
   std::move(r2).value().get();
   server.Drain();
-  EXPECT_EQ(server.metrics().shed_limiter(), 1u);
+  EXPECT_EQ(server.whiteboard().Read().FleetTotals().shed_limiter, 1u);
   // Released capacity is reusable at every level.
   auto r4 = server.TrySubmitInference("a", f->target.test.x());
   ASSERT_TRUE(r4.ok());
@@ -526,11 +527,12 @@ TEST(AgingProgressTest, CalibrationCompletesMidFlood) {
   EXPECT_GE(stats.accuracy, 0.0f);
   // Progress: the calibration finished while most of the flood was still
   // queued (without aging it runs strictly last).
-  const uint64_t done_at_calibration = server.metrics().inference_requests();
+  const uint64_t done_at_calibration =
+      server.whiteboard().Read().FleetTotals().inference_requests;
   EXPECT_LT(done_at_calibration, static_cast<uint64_t>(kFlood));
   server.Drain();
   for (auto& fu : flood) fu.get();
-  EXPECT_EQ(server.metrics().inference_requests(),
+  EXPECT_EQ(server.whiteboard().Read().FleetTotals().inference_requests,
             static_cast<uint64_t>(kFlood));
 }
 
@@ -671,11 +673,11 @@ TEST(OverloadChaosTest, PoolSaturationKeepsAccountingExact) {
   FaultInjector::Uninstall();
 
   EXPECT_GT(injector.fired(FaultPoint::kPoolSaturation), 0u);
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(m.accepted_inference(), accepted);
-  EXPECT_EQ(m.shed_inference(), shed);
-  EXPECT_EQ(m.accepted_inference() + m.shed_inference(), 32u);
-  EXPECT_EQ(m.inference_requests(), accepted);
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.accepted_inference, accepted);
+  EXPECT_EQ(totals.shed_inference, shed);
+  EXPECT_EQ(totals.accepted_inference + totals.shed_inference, 32u);
+  EXPECT_EQ(totals.inference_requests, accepted);
 }
 
 // Skew the deadline clock forward (hit 1 = the submission's DeadlineFor is
@@ -726,7 +728,7 @@ TEST(OverloadChaosTest, ClockSkewShedsBudgetedWorkOnly) {
   server.Drain();
   FaultInjector::Uninstall();
   EXPECT_GT(injector.fired(FaultPoint::kDeadlineClockSkew), 0u);
-  EXPECT_EQ(server.metrics().shed_deadline(), 1u);
+  EXPECT_EQ(server.whiteboard().Read().FleetTotals().shed_deadline, 1u);
 }
 
 // A spurious fleet-level refusal (capacity exists, the limiter lies) must
@@ -758,11 +760,11 @@ TEST(OverloadChaosTest, SpuriousLimiterRefusalShedsCleanly) {
   FaultInjector::Uninstall();
 
   EXPECT_EQ(injector.fired(FaultPoint::kLimiterRefuse), 1u);
-  const ServingMetrics& m = server.metrics();
-  EXPECT_EQ(m.shed_inference(), 1u);
-  EXPECT_EQ(m.shed_limiter(), 1u);
-  EXPECT_EQ(m.shed_queue_full(), 0u);
-  EXPECT_EQ(m.accepted_inference(), 1u);
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.shed_inference, 1u);
+  EXPECT_EQ(totals.shed_limiter, 1u);
+  EXPECT_EQ(totals.shed_queue_full, 0u);
+  EXPECT_EQ(totals.accepted_inference, 1u);
 }
 
 }  // namespace

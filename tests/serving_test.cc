@@ -438,12 +438,35 @@ TEST(FleetBackendTest, ConcurrentInferenceAndCalibration) {
     }
     server->Drain();
 
-    const ServingMetrics& m = server->metrics();
-    EXPECT_EQ(m.inference_requests(), static_cast<uint64_t>(2 * kDevices));
-    EXPECT_EQ(m.calibration_batches(), static_cast<uint64_t>(kDevices));
-    EXPECT_EQ(m.inference_latency().count(),
+    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+    EXPECT_EQ(totals.inference_requests, static_cast<uint64_t>(2 * kDevices));
+    EXPECT_EQ(totals.calibration_batches, static_cast<uint64_t>(kDevices));
+    EXPECT_EQ(server->metrics().inference_latency().count(),
               static_cast<uint64_t>(2 * kDevices));
-    EXPECT_GT(m.mean_accuracy(), 0.0f);
+    EXPECT_GT(totals.mean_accuracy(), 0.0f);
+  }
+}
+
+// A calibration whose test slice is empty is never evaluated, so it must
+// not count toward the accuracy mean: one unmeasured step plus one
+// measured step average to exactly the measured accuracy.
+TEST(FleetBackendTest, AccuracyMeanSkipsUnmeasuredCalibrations) {
+  FleetFixture* f = GetFixture();
+  for (BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(KindName(kind));
+    auto server = MakeBackend(kind, f, ServerOptions(2));
+    server->RegisterDevice("dev", f->qcore);
+    server->SubmitCalibration("dev", f->batches[0], Dataset()).get();
+    const BatchStats measured =
+        server->SubmitCalibration("dev", f->batches[1], f->slices[1]).get();
+    server->Drain();
+    ASSERT_GT(measured.accuracy, 0.0f);
+
+    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+    EXPECT_EQ(totals.calibration_batches, 2u);
+    EXPECT_EQ(totals.accuracy_samples, 1u);
+    // Equal up to the counters' fixed-point micro-unit.
+    EXPECT_NEAR(totals.mean_accuracy(), measured.accuracy, 1e-6);
   }
 }
 
@@ -650,45 +673,11 @@ TEST(MetricsTest, CountHistogramExactBucketsAndOverflow) {
 }
 
 TEST(MetricsTest, AccuracyMeanIsExact) {
-  ServingMetrics m;
-  m.AddAccuracySample(0.25f);
-  m.AddAccuracySample(0.75f);
-  EXPECT_FLOAT_EQ(m.mean_accuracy(), 0.5f);
-  EXPECT_FALSE(m.Report().empty());
-}
-
-TEST(MetricsTest, MergeFromAccumulatesCountersAndHistograms) {
-  ServingMetrics a;
-  a.AddInference(3);
-  a.AddAccuracySample(0.5f);
-  a.inference_latency().Record(0.001);
-  a.batch_occupancy().Record(2);
-  a.queue_depth().Record(5);
-  ServingMetrics b;
-  b.AddInference(1);
-  b.AddCalibration(4);
-  b.AddAccuracySample(1.0f);
-  b.inference_latency().Record(0.002);
-  b.queue_depth().Record(3);
-
-  ServingMetrics rollup;
-  rollup.MergeFrom(a);
-  rollup.MergeFrom(b);
-  EXPECT_EQ(rollup.inference_requests(), 2u);
-  EXPECT_EQ(rollup.inference_examples(), 4u);
-  EXPECT_EQ(rollup.calibration_batches(), 1u);
-  EXPECT_EQ(rollup.inference_latency().count(), 2u);
-  EXPECT_EQ(rollup.batch_occupancy().CountAt(2), 1u);
-  EXPECT_EQ(rollup.queue_depth().max(), 5);
-  EXPECT_FLOAT_EQ(rollup.mean_accuracy(), 0.75f);
-
-  // Reset + re-merge (the rollup rebuild pattern) must not double count.
-  rollup.Reset();
-  EXPECT_EQ(rollup.inference_requests(), 0u);
-  EXPECT_EQ(rollup.inference_latency().count(), 0u);
-  rollup.MergeFrom(a);
-  EXPECT_EQ(rollup.inference_requests(), 1u);
-  EXPECT_EQ(rollup.queue_depth().max(), 5);
+  ServingCounters c;
+  c.AddAccuracySample(0.25f);
+  c.AddAccuracySample(0.75f);
+  EXPECT_FLOAT_EQ(c.mean_accuracy(), 0.5f);
+  EXPECT_FALSE(ServingMetrics().Report().empty());
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // a single unsharded FleetServer for any shard count, and remain
 // bit-identical across live rebalancing (MoveDevice / Rebalance) in the
 // middle of a stream, with and without inference batching. Also pins the
-// operational properties of the router: ring-driven placement, metrics
-// rollup across shard retirement, and the barrier-snapshot protocol of a
-// migration.
+// operational properties of the router: ring-driven placement, counter
+// totals surviving shard retirement, and the barrier-snapshot protocol of
+// a migration.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -450,26 +450,35 @@ TEST(ShardedFleetServerTest, RollupSurvivesShardRetirement) {
     server.SubmitCalibration(d, f->batches[0], f->slices[0]);
   }
   server.Drain();
-  const uint64_t inferences = server.metrics().inference_requests();
-  const uint64_t calibrations = server.metrics().calibration_batches();
-  EXPECT_EQ(inferences, devices.size());
-  EXPECT_EQ(calibrations, devices.size());
+  const ServingCounters before = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(before.inference_requests, devices.size());
+  EXPECT_EQ(before.calibration_batches, devices.size());
 
-  // Retiring shards must fold their counters into the rollup, not lose
-  // them; the migrations' barrier snapshots add to the snapshot counter
-  // but never subtract elsewhere.
+  // Shard totals are derived from the devices placed on each shard, so
+  // retiring shards loses nothing: their devices carry their history to
+  // shard 0, the retired rows total zero, and the fleet total is unchanged
+  // (the migrations' barrier snapshots add to the snapshot counter only).
   server.Rebalance(1);
   EXPECT_EQ(server.num_shards(), 1);
-  EXPECT_EQ(server.metrics().inference_requests(), inferences);
-  EXPECT_EQ(server.metrics().calibration_batches(), calibrations);
+  {
+    const WhiteboardImage image = server.whiteboard().Read();
+    const ServingCounters after = image.FleetTotals();
+    EXPECT_EQ(after.inference_requests, before.inference_requests);
+    EXPECT_EQ(after.calibration_batches, before.calibration_batches);
+    EXPECT_EQ(after.accepted_inference, before.accepted_inference);
+    EXPECT_TRUE(image.ShardTotals(0) == after);
+    for (int s = 1; s < 3; ++s) {
+      EXPECT_TRUE(image.ShardTotals(s) == ServingCounters()) << s;
+    }
+  }
   // Every device still serves from the surviving shard.
   for (const auto& d : devices) {
     EXPECT_EQ(server.ShardOf(d), 0);
     server.SubmitInference(d, f->probes[1]);
   }
   server.Drain();
-  EXPECT_EQ(server.metrics().inference_requests(),
-            inferences + devices.size());
+  EXPECT_EQ(server.whiteboard().Read().FleetTotals().inference_requests,
+            before.inference_requests + devices.size());
 }
 
 }  // namespace
