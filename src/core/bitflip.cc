@@ -6,6 +6,7 @@
 
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
+#include "nn/incremental_forward.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "tensor/tensor_ops.h"
@@ -277,41 +278,6 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // Algorithm 3: inference-only calibration
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Cross-entropy of the model on (x, labels), inference only.
-float InferenceLoss(QuantizedModel* qm, const Tensor& x,
-                    const std::vector<int>& labels) {
-  SoftmaxCrossEntropy ce;
-  Tensor logits = qm->model()->Forward(x, /*training=*/false);
-  return ce.Forward(logits, labels);
-}
-
-}  // namespace
-
-namespace {
-
-// Applies one proposal (element -> delta) to tensor t, validates it with an
-// inference pass, and reverts on failure. Returns the (possibly updated)
-// loss.
-float TryProposal(QuantizedModel* qm, int t,
-                  const std::vector<std::pair<int64_t, int>>& proposal,
-                  float current_loss, const Tensor& x,
-                  const std::vector<int>& labels) {
-  if (proposal.empty()) return current_loss;
-  const std::vector<int32_t> saved_codes = qm->quantized(t).codes;
-  for (const auto& [e, delta] : proposal) {
-    qm->ApplyCodeDelta(t, e, delta);
-  }
-  const float trial_loss = InferenceLoss(qm, x, labels);
-  if (trial_loss < current_loss) return trial_loss;
-  qm->quantized(t).codes = saved_codes;
-  qm->SyncParamFromCodes(t);
-  return current_loss;
-}
-
-}  // namespace
-
 float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,
@@ -321,22 +287,56 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
   Rng& explore_rng = *rng;
 
   // Bound the trial-evaluation cost: validate proposals on a per-round
-  // subsample of the calibration rows.
-  Tensor trial_x = x;
-  std::vector<int> trial_labels = labels;
+  // subsample of the calibration rows, or else on the caller's rows.
+  const Tensor* eval_x = &x;
+  const std::vector<int>* eval_labels = &labels;
+  Tensor sample_x;
+  std::vector<int> sample_labels;
   if (options.trial_rows > 0 &&
       x.dim(0) > static_cast<int64_t>(options.trial_rows)) {
     const std::vector<int> pick = explore_rng.SampleWithoutReplacement(
         static_cast<int>(x.dim(0)), options.trial_rows);
-    trial_x = x.GatherRows(pick);
-    trial_labels.resize(pick.size());
-    for (size_t i = 0; i < pick.size(); ++i) {
-      trial_labels[i] = labels[static_cast<size_t>(pick[i])];
+    sample_x = x.GatherRows(pick);
+    sample_labels.reserve(pick.size());
+    for (int row : pick) {
+      sample_labels.push_back(labels[static_cast<size_t>(row)]);
     }
+    eval_x = &sample_x;
+    eval_labels = &sample_labels;
   }
-  const Tensor& eval_x = trial_x;
-  const std::vector<int>& eval_labels = trial_labels;
-  float current_loss = InferenceLoss(qm, eval_x, eval_labels);
+
+  // A proposal edits one tensor's codes, so each trial reruns only the
+  // layers downstream of that tensor's owner (nn/incremental_forward).
+  std::vector<Layer*> owners;
+  for (int t = 0; t < qm->num_quantized(); ++t) {
+    owners.push_back(qm->quantized(t).owner);
+  }
+  IncrementalForward trials(qm->model(), *eval_x, owners);
+  SoftmaxCrossEntropy ce;
+  float current_loss = ce.Forward(trials.Evaluate(), *eval_labels);
+
+  // Applies one proposal (element -> delta) to tensor t and keeps it if it
+  // lowers the loss on the evaluation rows; otherwise reverts it.
+  auto try_proposal =
+      [&](int t, const std::vector<std::pair<int64_t, int>>& proposal) {
+        if (proposal.empty()) return;
+        Layer* owner = qm->quantized(t).owner;
+        const std::vector<int32_t> saved_codes = qm->quantized(t).codes;
+        for (const auto& [e, delta] : proposal) {
+          qm->ApplyCodeDelta(t, e, delta);
+        }
+        trials.MarkDirty(owner);
+        const float trial_loss = ce.Forward(trials.Evaluate(), *eval_labels);
+        if (trial_loss < current_loss) {
+          current_loss = trial_loss;
+          return;
+        }
+        qm->quantized(t).codes = saved_codes;
+        qm->SyncParamFromCodes(t);
+        // The outputs kept on the owner's path are the rejected trial's.
+        trials.MarkDirty(owner);
+      };
+
   for (int t = 0; t < qm->num_quantized(); ++t) {
     const auto& qt = qm->quantized(t);
     const int64_t num_elements = static_cast<int64_t>(qt.codes.size());
@@ -380,8 +380,7 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
               {candidates[i],
                step * deltas[static_cast<size_t>(candidates[i])]});
         }
-        current_loss =
-            TryProposal(qm, t, proposal, current_loss, eval_x, eval_labels);
+        try_proposal(t, proposal);
       }
     }
 
@@ -398,8 +397,7 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
       for (int e : pick) {
         proposal.push_back({e, explore_rng.NextBool(0.5) ? step : -step});
       }
-      current_loss =
-          TryProposal(qm, t, proposal, current_loss, eval_x, eval_labels);
+      try_proposal(t, proposal);
     }
   }
   return current_loss;

@@ -106,7 +106,9 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // are available per Sec. 2.1.3) and reverted if it does not reduce the
 // cross-entropy — "the process undergoes few iterations to ensure model
 // stability" (Sec. 3.3.3). Everything here is inference; no gradients are
-// ever computed.
+// ever computed. A proposal edits one tensor, so its validation pass reruns
+// only the layers downstream of that tensor (nn/incremental_forward); the
+// loss is bit-identical to a full forward's.
 struct BitFlipCalibrateOptions {
   int iterations = 3;                 // E in Algorithm 3 (converges fast)
   float confidence_threshold = 0.5f;  // only act on confident predictions
@@ -138,8 +140,9 @@ struct BitFlipCalibrateOptions {
 
 // Applies one flip round using the activation caches left by the most recent
 // training-mode forward pass of qm->model(). Proposals are validated against
-// (x, labels); returns the cross-entropy after the round. `rng` drives the
-// exploration proposals.
+// (x, labels), or a per-round sample of trial_rows of its rows; returns the
+// cross-entropy of the resulting model on those rows. `rng` drives the
+// sample and the exploration proposals.
 float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,

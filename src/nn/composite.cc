@@ -114,27 +114,22 @@ ParallelConcat::ParallelConcat(std::vector<std::unique_ptr<Layer>> branches)
   for (const auto& b : branches_) QCORE_CHECK(b != nullptr);
 }
 
-Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
-  std::vector<Tensor> outs;
-  outs.reserve(branches_.size());
-  branch_channels_.clear();
+Tensor ConcatChannels(const std::vector<const Tensor*>& parts) {
+  QCORE_CHECK(!parts.empty());
+  const Tensor& first = *parts[0];
+  QCORE_CHECK_GE(first.ndim(), 3);
   int64_t total_channels = 0;
-  for (auto& branch : branches_) {
-    outs.push_back(branch->Forward(x, training));
-    QCORE_CHECK_GE(outs.back().ndim(), 3);
-    branch_channels_.push_back(outs.back().dim(1));
-    total_channels += outs.back().dim(1);
-  }
-  // Validate non-channel axes agree.
-  for (size_t b = 1; b < outs.size(); ++b) {
-    QCORE_CHECK_EQ(outs[b].ndim(), outs[0].ndim());
-    QCORE_CHECK_EQ(outs[b].dim(0), outs[0].dim(0));
-    for (int d = 2; d < outs[0].ndim(); ++d) {
-      QCORE_CHECK_EQ(outs[b].dim(d), outs[0].dim(d));
+  for (const Tensor* part : parts) {
+    // Validate non-channel axes agree.
+    QCORE_CHECK_EQ(part->ndim(), first.ndim());
+    QCORE_CHECK_EQ(part->dim(0), first.dim(0));
+    for (int d = 2; d < first.ndim(); ++d) {
+      QCORE_CHECK_EQ(part->dim(d), first.dim(d));
     }
+    total_channels += part->dim(1);
   }
 
-  std::vector<int64_t> out_shape = outs[0].shape();
+  std::vector<int64_t> out_shape = first.shape();
   out_shape[1] = total_channels;
   Tensor out(out_shape);
   const int64_t n = out_shape[0];
@@ -144,14 +139,28 @@ Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
   float* po = out.data();
   for (int64_t i = 0; i < n; ++i) {
     int64_t ch_off = 0;
-    for (size_t b = 0; b < outs.size(); ++b) {
-      const int64_t bc = branch_channels_[b];
-      const float* src = outs[b].data() + i * bc * spatial;
+    for (const Tensor* part : parts) {
+      const int64_t bc = part->dim(1);
+      const float* src = part->data() + i * bc * spatial;
       float* dst = po + (i * total_channels + ch_off) * spatial;
       std::copy(src, src + bc * spatial, dst);
       ch_off += bc;
     }
   }
+  return out;
+}
+
+Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
+  std::vector<Tensor> outs;
+  outs.reserve(branches_.size());  // keeps the pointers in `parts` valid
+  std::vector<const Tensor*> parts;
+  for (auto& branch : branches_) {
+    outs.push_back(branch->Forward(x, training));
+    parts.push_back(&outs.back());
+  }
+  Tensor out = ConcatChannels(parts);
+  branch_channels_.clear();
+  for (const Tensor* part : parts) branch_channels_.push_back(part->dim(1));
   return out;
 }
 

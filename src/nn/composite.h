@@ -1,6 +1,7 @@
 // Composite layers: Sequential (the model container), Residual (skip
 // connections for ResNet/InceptionTime), and ParallelConcat (multi-branch
 // blocks with channel concatenation, used by InceptionTime/OmniScaleCNN).
+// nn/incremental_forward walks the same three wirings.
 #ifndef QCORE_NN_COMPOSITE_H_
 #define QCORE_NN_COMPOSITE_H_
 
@@ -57,10 +58,17 @@ class Residual : public Layer {
     if (shortcut_) fn(shortcut_.get());
   }
 
+  Layer* body() { return body_.get(); }
+  Layer* shortcut() { return shortcut_.get(); }  // null = identity
+
  private:
   std::unique_ptr<Layer> body_;
   std::unique_ptr<Layer> shortcut_;  // may be null
 };
+
+// Concatenates `parts` in order along the channel axis (axis 1). Every part
+// has rank >= 3, and the parts agree on every axis except channels.
+Tensor ConcatChannels(const std::vector<const Tensor*>& parts);
 
 // Runs each branch on the same input and concatenates branch outputs along
 // the channel axis (axis 1). All branches must produce outputs that agree on

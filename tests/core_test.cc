@@ -237,6 +237,47 @@ TEST(BitFlipTest, CalibrationAdaptsToShiftedDomain) {
   EXPECT_GT(after, before);
 }
 
+// BitFlipIterationFromCaches returns the loss of the model it leaves behind:
+// exactly (==) the cross-entropy of a fresh eval forward over the same rows,
+// whether the rows are the whole pool because trial_rows is 0 or because it
+// exceeds the pool. A missed dirty mark in the per-trial re-evaluation, or a
+// rejected trial whose outputs are reused, breaks the equality.
+TEST(BitFlipTest, IterationReturnsTheModelsLoss) {
+  Rng rng(31);
+  std::vector<std::pair<std::unique_ptr<Sequential>, Tensor>> cases;
+  cases.emplace_back(MakeInceptionTime(4, 6, &rng),
+                     Tensor::Randn({40, 4, 32}, &rng));
+  cases.emplace_back(MakeResNetTiny(3, 6, &rng),
+                     Tensor::Randn({40, 3, 12, 12}, &rng));
+  for (auto& [model, x] : cases) {
+    std::vector<int> labels;
+    for (int64_t i = 0; i < x.dim(0); ++i) labels.push_back(rng.NextInt(0, 5));
+    (void)model->Forward(x, /*training=*/true);  // BN stats off their init
+    for (int trial_rows : {0, 1000}) {
+      SCOPED_TRACE(model->name() + " trial_rows=" +
+                   std::to_string(trial_rows));
+      QuantizedModel qm(*model, 4);
+      BitFlipNet bf(4, &rng);
+      bf.Quantize();
+      BitFlipCalibrateOptions options;
+      options.trial_rows = trial_rows;
+      SoftmaxCrossEntropy ce;
+      const float initial = ce.Forward(qm.model()->Forward(x, false), labels);
+      float returned = initial;
+      SetBatchNormFrozen(qm.model(), true);
+      for (int it = 0; it < 3; ++it) {
+        (void)qm.model()->Forward(x, /*training=*/true);
+        returned = BitFlipIterationFromCaches(&qm, &bf, x, labels, options,
+                                              &rng);
+        EXPECT_EQ(returned,
+                  ce.Forward(qm.model()->Forward(x, false), labels));
+      }
+      SetBatchNormFrozen(qm.model(), false);
+      EXPECT_LT(returned, initial);  // some trials were kept
+    }
+  }
+}
+
 TEST(QCoreUpdateTest, PoolScalesQCoreUpToBatch) {
   Rng rng(10);
   Tensor x = Tensor::FromVector({2, 2}, {1, 2, 3, 4});

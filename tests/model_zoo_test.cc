@@ -1,10 +1,16 @@
 // Tests for models/: every architecture builds, forwards with the right
-// shapes, backprops, clones faithfully, and can be trained a little.
+// shapes, backprops, clones faithfully, can be trained a little, and is
+// re-evaluated exactly by nn/incremental_forward.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/model_zoo.h"
+#include "nn/incremental_forward.h"
 #include "nn/loss.h"
 #include "nn/training.h"
+#include "quant/quantized_model.h"
+#include "tensor/kernels.h"
 
 namespace qcore {
 namespace {
@@ -69,6 +75,78 @@ TEST_P(ModelZooTest, CloneReproducesOutputs) {
   Tensor y1 = model->Forward(x, false);
   Tensor y2 = copy->Forward(x, false);
   for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
+}
+
+// IncrementalForward against the full eval forward, bit for bit, through
+// random bit-flip trials on the 4-bit model: each trial changes a few codes
+// of one tensor and is then kept or undone at random; an undo marks the
+// tensor dirty again, as Alg. 3 does. Trial 0 changes the last tensor (the
+// Dense head), trial 1 the first; after an undo the next trial takes a
+// different tensor.
+TEST_P(ModelZooTest, IncrementalForwardMatchesFullForward) {
+  Rng rng(6);
+  auto model = Build(GetParam(), &rng);
+  const Tensor x = InputFor(GetParam(), &rng, /*n=*/64);
+  (void)model->Forward(x, true);  // move BN running stats off their init
+  QuantizedModel qm(*model, 4);
+  const int num_tensors = qm.num_quantized();
+  ASSERT_GE(num_tensors, 2);
+  std::vector<Layer*> owners;
+  for (int t = 0; t < num_tensors; ++t) {
+    owners.push_back(qm.quantized(t).owner);
+  }
+  IncrementalForward walker(qm.model(), x, owners);
+  auto expect_full_forward = [&](const std::string& what) {
+    const Tensor& got = walker.Evaluate();
+    const Tensor want = qm.model()->Forward(x, /*training=*/false);
+    ASSERT_TRUE(got.SameShape(want)) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<size_t>(want.size())),
+              0)
+        << what;
+  };
+  expect_full_forward("first evaluation");
+
+  int previous = -1;
+  bool undone = false;
+  int switched_after_undo = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    int t = rng.NextInt(0, num_tensors - 1);
+    if (trial == 0) t = num_tensors - 1;
+    if (trial == 1) t = 0;
+    if (trial > 1 && undone) {
+      t = (previous + rng.NextInt(1, num_tensors - 1)) % num_tensors;
+    }
+    if (undone && t != previous) ++switched_after_undo;
+    QuantizedModel::QuantizedTensor& qt = qm.quantized(t);
+    const std::vector<int32_t> saved = qt.codes;
+    for (int k = 0; k < 4; ++k) {
+      const int e = rng.NextInt(0, static_cast<int>(qt.codes.size()) - 1);
+      qm.ApplyCodeDelta(t, e, rng.NextBool(0.5) ? 3 : -3);
+    }
+    walker.MarkDirty(qt.owner);
+    if (trial == 0) {
+      // A change to the Dense head reruns the head alone: one GEMM. The
+      // comparison below then reads the remembered logits.
+      const kernels::GemmDispatchCounters before =
+          kernels::ThreadGemmDispatchCounters();
+      (void)walker.Evaluate();
+      const kernels::GemmDispatchCounters after =
+          kernels::ThreadGemmDispatchCounters();
+      EXPECT_EQ((after.wide + after.narrow) - (before.wide + before.narrow),
+                1u);
+    }
+    expect_full_forward("trial " + std::to_string(trial) + " on tensor " +
+                        std::to_string(t));
+    undone = rng.NextBool(0.5);
+    if (undone) {
+      qt.codes = saved;
+      qm.SyncParamFromCodes(t);
+      walker.MarkDirty(qt.owner);
+    }
+    previous = t;
+  }
+  EXPECT_GT(switched_after_undo, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
