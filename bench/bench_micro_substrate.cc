@@ -199,8 +199,10 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
 BENCHMARK(BM_Conv2dBackwardNaive);
 
 // The im2col pack on its own — the lowering overhead the GEMM win has to
-// amortize.
-void BM_Im2ColPack(benchmark::State& state) {
+// amortize — against the per-element naive loop it replaced. The 2-D shape
+// is a ResNet-tiny 3x3 layer, the 1-D one InceptionTime's k=9 Conv1d.
+void RunIm2Col2d(benchmark::State& state,
+                 decltype(&kernels::Im2Col2d) im2col) {
   Rng rng(23);
   const int64_t c = 8, h = 16, w = 16;
   const int kernel = 3, stride = 1, pad = 1;
@@ -209,14 +211,50 @@ void BM_Im2ColPack(benchmark::State& state) {
   Tensor x = Tensor::Randn({c, h, w}, &rng);
   AlignedFloatVec col(static_cast<size_t>(c * kernel * kernel * ho * wo));
   for (auto _ : state) {
-    kernels::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
-                      col.data());
+    im2col(x.data(), c, h, w, kernel, stride, pad, ho, wo, col.data());
     benchmark::DoNotOptimize(col.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(col.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(col.size()));
   ReportThreads(state, 1);
 }
+
+void RunIm2Col1d(benchmark::State& state,
+                 decltype(&kernels::Im2Col1d) im2col) {
+  Rng rng(24);
+  const int64_t c = 8, l = 64;
+  const int kernel = 9, stride = 1, pad = 4;
+  const int64_t lo = (l + 2 * pad - kernel) / stride + 1;
+  Tensor x = Tensor::Randn({c, l}, &rng);
+  AlignedFloatVec col(static_cast<size_t>(c * kernel * lo));
+  for (auto _ : state) {
+    im2col(x.data(), c, l, kernel, stride, pad, lo, col.data());
+    benchmark::DoNotOptimize(col.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(col.size()));
+  ReportThreads(state, 1);
+}
+
+void BM_Im2ColPack(benchmark::State& state) {
+  RunIm2Col2d(state, kernels::Im2Col2d);
+}
 BENCHMARK(BM_Im2ColPack);
+
+void BM_Im2ColPackNaive(benchmark::State& state) {
+  RunIm2Col2d(state, naive::Im2Col2d);
+}
+BENCHMARK(BM_Im2ColPackNaive);
+
+void BM_Im2Col1dPack(benchmark::State& state) {
+  RunIm2Col1d(state, kernels::Im2Col1d);
+}
+BENCHMARK(BM_Im2Col1dPack);
+
+void BM_Im2Col1dPackNaive(benchmark::State& state) {
+  RunIm2Col1d(state, naive::Im2Col1d);
+}
+BENCHMARK(BM_Im2Col1dPackNaive);
 
 // ------------------- multithreaded GEMM / conv (panel-parallel) -----------
 //

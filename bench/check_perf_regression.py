@@ -82,6 +82,11 @@ SPEEDUP_FLOORS = [
     ("BM_Conv1dBackward", "BM_Conv1dBackwardNaive", 2.0),
     ("BM_Conv2dForward", "BM_Conv2dForwardNaive", 2.0),
     ("BM_Conv2dBackward", "BM_Conv2dBackwardNaive", 2.0),
+    # The lowering alone: the committed BM_Im2ColPack baseline predates the
+    # range-based copy, so only these ratios would catch a return of the
+    # per-element bounds test.
+    ("BM_Im2Col1dPack", "BM_Im2Col1dPackNaive", 2.5),
+    ("BM_Im2ColPack", "BM_Im2ColPackNaive", 1.5),
 ]
 
 REGRESSION_TOLERANCE = 0.15  # fail if >15% slower than baseline

@@ -45,8 +45,9 @@ Tensor Conv1d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 3);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
   const int64_t n = x.dim(0), c = in_channels_, l = x.dim(2);
+  QCORE_CHECK_MSG(l + 2 * pad_ >= kernel_,
+                  "conv1d kernel is longer than the padded input");
   const int64_t lo = (l + 2 * pad_ - kernel_) / stride_ + 1;
-  QCORE_CHECK_MSG(lo > 0, "conv1d output length would be non-positive");
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, lo});
   const float* px = x.data();
@@ -159,9 +160,10 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 4);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
   const int64_t n = x.dim(0), c = in_channels_, h = x.dim(2), w = x.dim(3);
+  QCORE_CHECK_MSG(h + 2 * pad_ >= kernel_ && w + 2 * pad_ >= kernel_,
+                  "conv2d kernel is larger than the padded input");
   const int64_t ho = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const int64_t wo = (w + 2 * pad_ - kernel_) / stride_ + 1;
-  QCORE_CHECK_MSG(ho > 0 && wo > 0, "conv2d output would be non-positive");
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, ho, wo});
   const float* px = x.data();

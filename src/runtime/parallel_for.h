@@ -1,6 +1,5 @@
 // ParallelFor: the work-stealing-free data-parallel primitive under the
-// deterministic multithreaded GEMM (tensor/kernels.cc) and the conv
-// im2col/col2im lowering paths.
+// deterministic multithreaded GEMM (tensor/kernels.cc).
 //
 // Model: ParallelFor(n, t, body) runs body(i) exactly once for every
 // i in [0, n), across at most t threads. The caller always participates;

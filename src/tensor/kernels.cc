@@ -209,31 +209,10 @@ static_assert(kRowChunk % kMR == 0 && kColChunk % kNR == 0,
               "chunk boundaries must align with register tiles or the "
               "parallel tile decomposition diverges from the sequential one");
 
-// Copy-volume threshold for fanning the im2col/col2im channel loops out:
-// these are memory-bound shuffles, so they need more elements than a GEMM
-// needs FLOPs before threads pay for themselves.
-constexpr int64_t kLoweringParallelMinWork = int64_t{1} << 20;
-
 std::atomic<int> g_gemm_threads{0};  // 0 = not resolved yet
 std::atomic<int64_t> g_gemm_parallel_min_work{kDefaultGemmParallelMinWork};
 
 thread_local GemmDispatchCounters tls_gemm_dispatch;
-
-// Runs body(ch) for every channel, fanning out across the kernel thread
-// budget when the total copy volume clears the lowering threshold. Channels
-// own disjoint planes of the output and keep their internal (kx, o) /
-// (ky, kx, oy, ox) iteration order, so this preserves bit-identity for the
-// same reason the GEMM chunk split does.
-template <typename Body>
-void ParallelChannels(int64_t c, int64_t work_per_channel, const Body& body) {
-  const int threads = gemm_threads();
-  if (threads > 1 && c > 1 && !InParallelRegion() &&
-      c * work_per_channel >= kLoweringParallelMinWork) {
-    ParallelFor(c, threads, body);
-  } else {
-    for (int64_t ch = 0; ch < c; ++ch) body(ch);
-  }
-}
 
 }  // namespace
 
@@ -300,87 +279,133 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   GemmImpl(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc);
 }
 
+namespace {
+
+// The output positions of one tap: o in [begin, end) exactly when the
+// source index o*stride + tap - pad lies in [0, n). Positions before begin
+// read the leading pad, positions from end on the trailing pad. Computing
+// this once per (channel, tap) leaves the lowering loops below without a
+// per-element bounds test, so they compile to plain (vectorized) copies.
+struct TapRange {
+  int64_t begin;
+  int64_t end;
+};
+
+TapRange InBoundsRange(int64_t n, int tap, int stride, int pad, int64_t lo) {
+  const int64_t shift = static_cast<int64_t>(tap) - pad;  // source of o = 0
+  // The smallest o with o*stride + shift >= 0 and the smallest with >= n
+  // are the ceilings of these over stride. Stride 1, which every conv in
+  // the model zoo uses, needs no division.
+  int64_t first = std::max<int64_t>(-shift, 0);
+  int64_t past = std::max<int64_t>(n - shift, 0);
+  if (stride > 1) {
+    first = (first + stride - 1) / stride;
+    past = (past + stride - 1) / stride;
+  }
+  const int64_t begin = std::min(first, lo);
+  return {begin, std::clamp(past, begin, lo)};
+}
+
+// One tap's column row: zeros, then x[o*stride + shift] over the range,
+// then zeros. Stride 1 makes the inside one contiguous copy.
+inline void LowerTap(const float* xrow, int64_t shift, int stride, TapRange r,
+                     int64_t lo, float* crow) {
+  std::fill(crow, crow + r.begin, 0.0f);
+  if (stride == 1) {
+    // An empty range may start past the row's end, so skip it outright.
+    if (r.begin < r.end) {
+      std::copy(xrow + (r.begin + shift), xrow + (r.end + shift),
+                crow + r.begin);
+    }
+  } else {
+    for (int64_t o = r.begin; o < r.end; ++o) {
+      crow[o] = xrow[o * stride + shift];
+    }
+  }
+  std::fill(crow + r.end, crow + lo, 0.0f);
+}
+
+// The inverse: x[o*stride + shift] += crow[o] over the range, ascending o.
+// Within one tap every o hits a distinct x element, so vectorizing this
+// loop does not reorder any element's sum.
+inline void FoldTap(const float* crow, int64_t shift, int stride, TapRange r,
+                    float* xrow) {
+  if (stride == 1) {
+    for (int64_t o = r.begin; o < r.end; ++o) xrow[o + shift] += crow[o];
+  } else {
+    for (int64_t o = r.begin; o < r.end; ++o) {
+      xrow[o * stride + shift] += crow[o];
+    }
+  }
+}
+
+}  // namespace
+
+// The lowering keeps the naive loops' (channel, tap, position) order and
+// only drops the positions whose source is padding, so every column entry
+// and every col2im sum is bit-identical to qcore::naive's (kernels_test's
+// LoweringTest compares them with memcmp).
+
 void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* col) {
-  ParallelChannels(c, static_cast<int64_t>(kernel) * lo, [&](int64_t ch) {
+  for (int64_t ch = 0; ch < c; ++ch) {
     const float* xrow = x + ch * l;
     for (int kx = 0; kx < kernel; ++kx) {
-      float* crow = col + (ch * kernel + kx) * lo;
-      for (int64_t o = 0; o < lo; ++o) {
-        const int64_t t = o * stride + kx - pad;
-        crow[o] = (t >= 0 && t < l) ? xrow[t] : 0.0f;
-      }
+      LowerTap(xrow, kx - pad, stride, InBoundsRange(l, kx, stride, pad, lo),
+               lo, col + (ch * kernel + kx) * lo);
     }
-  });
+  }
 }
 
 void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* x) {
-  // Channel ch scatter-adds only into x[ch, :], so channels are disjoint and
-  // the per-tap (kx, o) accumulation order is untouched by the fan-out.
-  ParallelChannels(c, static_cast<int64_t>(kernel) * lo, [&](int64_t ch) {
+  for (int64_t ch = 0; ch < c; ++ch) {
     float* xrow = x + ch * l;
     for (int kx = 0; kx < kernel; ++kx) {
-      const float* crow = col + (ch * kernel + kx) * lo;
-      for (int64_t o = 0; o < lo; ++o) {
-        const int64_t t = o * stride + kx - pad;
-        if (t >= 0 && t < l) xrow[t] += crow[o];
-      }
+      FoldTap(col + (ch * kernel + kx) * lo, kx - pad, stride,
+              InBoundsRange(l, kx, stride, pad, lo), xrow);
     }
-  });
+  }
 }
 
 void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
               int stride, int pad, int64_t ho, int64_t wo, float* col) {
-  const int64_t per_channel =
-      static_cast<int64_t>(kernel) * kernel * ho * wo;
-  ParallelChannels(c, per_channel, [&](int64_t ch) {
+  for (int64_t ch = 0; ch < c; ++ch) {
     const float* xplane = x + ch * h * w;
     for (int ky = 0; ky < kernel; ++ky) {
+      const TapRange rows = InBoundsRange(h, ky, stride, pad, ho);
       for (int kx = 0; kx < kernel; ++kx) {
+        const TapRange cols = InBoundsRange(w, kx, stride, pad, wo);
         float* cplane = col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
-        for (int64_t oy = 0; oy < ho; ++oy) {
+        std::fill(cplane, cplane + rows.begin * wo, 0.0f);
+        for (int64_t oy = rows.begin; oy < rows.end; ++oy) {
           const int64_t sy = oy * stride + ky - pad;
-          float* crow = cplane + oy * wo;
-          if (sy < 0 || sy >= h) {
-            for (int64_t ox = 0; ox < wo; ++ox) crow[ox] = 0.0f;
-            continue;
-          }
-          const float* xrow = xplane + sy * w;
-          for (int64_t ox = 0; ox < wo; ++ox) {
-            const int64_t sx = ox * stride + kx - pad;
-            crow[ox] = (sx >= 0 && sx < w) ? xrow[sx] : 0.0f;
-          }
+          LowerTap(xplane + sy * w, kx - pad, stride, cols, wo,
+                   cplane + oy * wo);
         }
+        std::fill(cplane + rows.end * wo, cplane + ho * wo, 0.0f);
       }
     }
-  });
+  }
 }
 
 void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
               int stride, int pad, int64_t ho, int64_t wo, float* x) {
-  const int64_t per_channel =
-      static_cast<int64_t>(kernel) * kernel * ho * wo;
-  // As in Col2Im1d: per-channel scatter targets are disjoint x planes.
-  ParallelChannels(c, per_channel, [&](int64_t ch) {
+  for (int64_t ch = 0; ch < c; ++ch) {
     float* xplane = x + ch * h * w;
     for (int ky = 0; ky < kernel; ++ky) {
+      const TapRange rows = InBoundsRange(h, ky, stride, pad, ho);
       for (int kx = 0; kx < kernel; ++kx) {
+        const TapRange cols = InBoundsRange(w, kx, stride, pad, wo);
         const float* cplane =
             col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
-        for (int64_t oy = 0; oy < ho; ++oy) {
+        for (int64_t oy = rows.begin; oy < rows.end; ++oy) {
           const int64_t sy = oy * stride + ky - pad;
-          if (sy < 0 || sy >= h) continue;
-          const float* crow = cplane + oy * wo;
-          float* xrow = xplane + sy * w;
-          for (int64_t ox = 0; ox < wo; ++ox) {
-            const int64_t sx = ox * stride + kx - pad;
-            if (sx >= 0 && sx < w) xrow[sx] += crow[ox];
-          }
+          FoldTap(cplane + oy * wo, kx - pad, stride, cols, xplane + sy * w);
         }
       }
     }
-  });
+  }
 }
 
 }  // namespace kernels
@@ -456,6 +481,84 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+// The seed's per-element lowering loops: every column entry and every
+// col2im term is bounds-tested on its own.
+void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
+              int pad, int64_t lo, float* col) {
+  for (int64_t ch = 0; ch < c; ++ch) {
+    const float* xrow = x + ch * l;
+    for (int kx = 0; kx < kernel; ++kx) {
+      float* crow = col + (ch * kernel + kx) * lo;
+      for (int64_t o = 0; o < lo; ++o) {
+        const int64_t t = o * stride + kx - pad;
+        crow[o] = (t >= 0 && t < l) ? xrow[t] : 0.0f;
+      }
+    }
+  }
+}
+
+void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
+              int pad, int64_t lo, float* x) {
+  for (int64_t ch = 0; ch < c; ++ch) {
+    float* xrow = x + ch * l;
+    for (int kx = 0; kx < kernel; ++kx) {
+      const float* crow = col + (ch * kernel + kx) * lo;
+      for (int64_t o = 0; o < lo; ++o) {
+        const int64_t t = o * stride + kx - pad;
+        if (t >= 0 && t < l) xrow[t] += crow[o];
+      }
+    }
+  }
+}
+
+void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
+              int stride, int pad, int64_t ho, int64_t wo, float* col) {
+  for (int64_t ch = 0; ch < c; ++ch) {
+    const float* xplane = x + ch * h * w;
+    for (int ky = 0; ky < kernel; ++ky) {
+      for (int kx = 0; kx < kernel; ++kx) {
+        float* cplane = col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
+        for (int64_t oy = 0; oy < ho; ++oy) {
+          const int64_t sy = oy * stride + ky - pad;
+          float* crow = cplane + oy * wo;
+          if (sy < 0 || sy >= h) {
+            for (int64_t ox = 0; ox < wo; ++ox) crow[ox] = 0.0f;
+            continue;
+          }
+          const float* xrow = xplane + sy * w;
+          for (int64_t ox = 0; ox < wo; ++ox) {
+            const int64_t sx = ox * stride + kx - pad;
+            crow[ox] = (sx >= 0 && sx < w) ? xrow[sx] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
+              int stride, int pad, int64_t ho, int64_t wo, float* x) {
+  for (int64_t ch = 0; ch < c; ++ch) {
+    float* xplane = x + ch * h * w;
+    for (int ky = 0; ky < kernel; ++ky) {
+      for (int kx = 0; kx < kernel; ++kx) {
+        const float* cplane =
+            col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
+        for (int64_t oy = 0; oy < ho; ++oy) {
+          const int64_t sy = oy * stride + ky - pad;
+          if (sy < 0 || sy >= h) continue;
+          const float* crow = cplane + oy * wo;
+          float* xrow = xplane + sy * w;
+          for (int64_t ox = 0; ox < wo; ++ox) {
+            const int64_t sx = ox * stride + kx - pad;
+            if (sx >= 0 && sx < w) xrow[sx] += crow[ox];
+          }
+        }
+      }
+    }
+  }
+}
+
 Tensor Conv1dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
                      int stride, int pad) {
   QCORE_CHECK_EQ(x.ndim(), 3);
@@ -463,8 +566,8 @@ Tensor Conv1dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   const int64_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
   const int64_t f = w.dim(0), kernel = w.dim(2);
   QCORE_CHECK_EQ(w.dim(1), c);
+  QCORE_CHECK_GE(l + 2 * pad, kernel);
   const int64_t lo = (l + 2 * pad - kernel) / stride + 1;
-  QCORE_CHECK_GT(lo, 0);
   Tensor out({n, f, lo});
   const float* px = x.data();
   const float* pw = w.data();
@@ -539,9 +642,10 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& bias,
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
   const int64_t f = w.dim(0), kernel = w.dim(2);
   QCORE_CHECK_EQ(w.dim(1), c);
+  QCORE_CHECK_GE(h + 2 * pad, kernel);
+  QCORE_CHECK_GE(wd + 2 * pad, kernel);
   const int64_t ho = (h + 2 * pad - kernel) / stride + 1;
   const int64_t wo = (wd + 2 * pad - kernel) / stride + 1;
-  QCORE_CHECK(ho > 0 && wo > 0);
   Tensor out({n, f, ho, wo});
   const float* px = x.data();
   const float* pw = w.data();

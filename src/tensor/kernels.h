@@ -75,10 +75,10 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 
 // ------------------------- Deterministic multithreaded dispatch ------------
 //
-// Gemm() and the im2col/col2im lowerings fan out across runtime::ParallelFor
-// when (a) the kernel thread budget is > 1 and (b) the call is big enough to
-// clear the crossover threshold — small kernels stay single-threaded because
-// the fan-out costs more than it saves (tuned by the MatMulWide section of
+// Gemm() fans out across runtime::ParallelFor when (a) the kernel thread
+// budget is > 1 and (b) the call is big enough to clear the crossover
+// threshold — small kernels stay single-threaded because the fan-out costs
+// more than it saves (tuned by the MatMulWide section of
 // bench_micro_substrate). The work split is over output-disjoint chunks whose
 // boundaries are kMR/kNR-aligned, so the parallel kernel runs the exact
 // per-element FMA sequence of the sequential one: results are bit-identical
@@ -117,11 +117,15 @@ GemmDispatchCounters ThreadGemmDispatchCounters();
 
 // Lowers one [c, l] input plane to a column matrix col[c*kernel, lo] with
 // col[(ch*kernel + kx) * lo + o] = x[ch, o*stride + kx - pad] (0 outside).
+// Each tap's in-bounds output range is computed once, so a column row is
+// zeros, a plain copy (contiguous at stride 1), then zeros. Single-threaded;
+// bit-identical to naive::Im2Col1d.
 void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* col);
 
 // Scatter-add inverse of Im2Col1d: x[c, l] += unfolded col. Iteration is
-// (ch, kx, o) ascending, so overlapping taps accumulate in a fixed order.
+// (ch, kx, o) ascending over each tap's in-bounds range, so overlapping taps
+// accumulate in naive::Col2Im1d's order.
 void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* x);
 
@@ -142,6 +146,17 @@ namespace naive {
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
+
+// The seed's im2col/col2im, with a bounds test on every element; same
+// contracts as the kernels:: lowering they are the bit-exact oracle for.
+void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
+              int pad, int64_t lo, float* col);
+void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
+              int pad, int64_t lo, float* x);
+void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
+              int stride, int pad, int64_t ho, int64_t wo, float* col);
+void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
+              int stride, int pad, int64_t ho, int64_t wo, float* x);
 
 // x [n, c, l], w [f, c, kernel], bias [f] -> [n, f, lo].
 Tensor Conv1dForward(const Tensor& x, const Tensor& w, const Tensor& bias,

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <vector>
 
@@ -244,6 +245,102 @@ TEST(Im2ColTest, PaddingProducesZeroColumns) {
   }
 }
 
+// The range-based lowering must reproduce the naive per-element loops bit
+// for bit: every column entry (including each padding zero) and every
+// col2im sum. The column buffers start as NaN, so an entry the kernel
+// leaves unwritten differs; col2im starts from a random x, so a different
+// accumulation order would round differently.
+bool SameBits(const float* a, const float* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(LoweringTest, Lowering1dMatchesNaiveBitForBit) {
+  Rng rng(8);
+  int cases = 0;
+  for (int64_t c : {1, 3}) {
+    for (int64_t l : {1, 2, 5, 16, 64}) {
+      for (int kernel : {1, 2, 3, 5, 9}) {
+        for (int stride : {1, 2, 3}) {
+          for (int pad : {0, 1, 2, 4, 9}) {
+            if (l + 2 * pad < kernel) continue;
+            const int64_t lo = (l + 2 * pad - kernel) / stride + 1;
+            const size_t n = static_cast<size_t>(c * kernel * lo);
+            Tensor x = Tensor::Randn({c, l}, &rng);
+            AlignedFloatVec got(n, NAN), want(n, NAN);
+            kernels::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo,
+                              got.data());
+            naive::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo,
+                            want.data());
+            ASSERT_TRUE(SameBits(got.data(), want.data(), n))
+                << "im2col c=" << c << " l=" << l << " k=" << kernel
+                << " s=" << stride << " p=" << pad;
+
+            Tensor col = Tensor::Randn({c * kernel, lo}, &rng);
+            Tensor x_got = Tensor::Randn({c, l}, &rng);
+            Tensor x_want = x_got;
+            kernels::Col2Im1d(col.data(), c, l, kernel, stride, pad, lo,
+                              x_got.data());
+            naive::Col2Im1d(col.data(), c, l, kernel, stride, pad, lo,
+                            x_want.data());
+            ASSERT_TRUE(SameBits(x_got.data(), x_want.data(),
+                                 static_cast<size_t>(c * l)))
+                << "col2im c=" << c << " l=" << l << " k=" << kernel
+                << " s=" << stride << " p=" << pad;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 660);  // the grid less the shapes the kernel cannot fit
+}
+
+TEST(LoweringTest, Lowering2dMatchesNaiveBitForBit) {
+  Rng rng(9);
+  int cases = 0;
+  for (int64_t c : {1, 3}) {
+    for (int64_t h : {1, 4, 7, 16}) {
+      for (int64_t w : {1, 5, 8, 16}) {
+        for (int kernel = 1; kernel <= 4; ++kernel) {
+          for (int stride : {1, 2, 3}) {
+            for (int pad : {0, 1, 3, 4}) {
+              if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+              const int64_t ho = (h + 2 * pad - kernel) / stride + 1;
+              const int64_t wo = (w + 2 * pad - kernel) / stride + 1;
+              const size_t n =
+                  static_cast<size_t>(c * kernel * kernel * ho * wo);
+              Tensor x = Tensor::Randn({c, h, w}, &rng);
+              AlignedFloatVec got(n, NAN), want(n, NAN);
+              kernels::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
+                                got.data());
+              naive::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
+                              want.data());
+              ASSERT_TRUE(SameBits(got.data(), want.data(), n))
+                  << "im2col c=" << c << " h=" << h << " w=" << w
+                  << " k=" << kernel << " s=" << stride << " p=" << pad;
+
+              Tensor col =
+                  Tensor::Randn({c * kernel * kernel, ho * wo}, &rng);
+              Tensor x_got = Tensor::Randn({c, h, w}, &rng);
+              Tensor x_want = x_got;
+              kernels::Col2Im2d(col.data(), c, h, w, kernel, stride, pad, ho,
+                                wo, x_got.data());
+              naive::Col2Im2d(col.data(), c, h, w, kernel, stride, pad, ho, wo,
+                              x_want.data());
+              ASSERT_TRUE(SameBits(x_got.data(), x_want.data(),
+                                   static_cast<size_t>(c * h * w)))
+                  << "col2im c=" << c << " h=" << h << " w=" << w
+                  << " k=" << kernel << " s=" << stride << " p=" << pad;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 1368);
+}
+
 // ----------------- deterministic multithreaded dispatch ---------------
 //
 // The panel-parallel GEMM path must be BIT-identical to the single-thread
@@ -357,8 +454,8 @@ TEST(ParallelGemmTest, DispatchCountersTrackCrossover) {
   EXPECT_EQ(after.panel_tasks, before.panel_tasks + 4);
 }
 
-// Conv forward/backward bit-identity: the im2col fan-out and the lowered
-// GEMM must both be invisible to the results at any thread count.
+// Conv forward/backward bit-identity: the lowered GEMM's fan-out must be
+// invisible to the results at any thread count.
 TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
   GemmKnobGuard guard;
   Rng rng(4242);

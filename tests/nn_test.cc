@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "nn/batchnorm.h"
 #include "nn/composite.h"
@@ -12,6 +13,7 @@
 #include "nn/model_io.h"
 #include "nn/sgd.h"
 #include "nn/training.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -57,6 +59,35 @@ TEST(Conv1dTest, OutputLengthFormula) {
   Tensor x({2, 1, 11});
   Tensor y = layer.Forward(x, false);
   EXPECT_EQ(y.dim(2), (11 + 2 - 4) / 2 + 1);
+}
+
+// (l + 2*pad - kernel) / stride truncates -1/2 to 0, so without an explicit
+// fit check a kernel longer than the padded input yields one output column
+// whose window runs past the end of the input. The layers and the naive
+// references must refuse such an input instead.
+TEST(Conv1dDeathTest, RejectsInputShorterThanKernel) {
+  Rng rng(3);
+  Conv1d layer(1, 1, /*kernel=*/3, /*stride=*/2, /*pad=*/0, &rng);
+  Tensor x({1, 1, 2});
+  EXPECT_DEATH(layer.Forward(x, false), "kernel is longer than the padded");
+  EXPECT_DEATH(naive::Conv1dForward(x, layer.Params()[0]->value,
+                                    layer.Params()[1]->value, 2, 0),
+               "QCORE_CHECK failed");
+}
+
+TEST(Conv2dDeathTest, RejectsInputSmallerThanKernel) {
+  Rng rng(4);
+  Conv2d layer(1, 1, /*kernel=*/3, /*stride=*/2, /*pad=*/0, &rng);
+  const Tensor& w = layer.Params()[0]->value;
+  const Tensor& b = layer.Params()[1]->value;
+  // Too short in both dimensions, then in only one of them.
+  const std::vector<std::vector<int64_t>> shapes = {
+      {1, 1, 2, 2}, {1, 1, 2, 5}, {1, 1, 5, 2}};
+  for (const std::vector<int64_t>& shape : shapes) {
+    Tensor x(shape);
+    EXPECT_DEATH(layer.Forward(x, false), "kernel is larger than the padded");
+    EXPECT_DEATH(naive::Conv2dForward(x, w, b, 2, 0), "QCORE_CHECK failed");
+  }
 }
 
 TEST(Conv2dTest, AveragingKernel) {
