@@ -137,6 +137,9 @@ struct RunResult {
   uint64_t inferences = 0;
   double mean_batch_occupancy = 0.0;
   double p99_inference_seconds = 0.0;
+  // Share of the fleet's GEMM calls that fanned out across kernel threads
+  // (whiteboard panel dispatch totals).
+  double gemm_wide_share = 0.0;
   std::vector<std::vector<std::vector<int32_t>>> final_codes;  // per device
   // Per device, every inference result in submission order — the delivery-
   // order regression signal for the batched path.
@@ -191,6 +194,12 @@ RunResult RunFleet(const FleetSetup& setup, FleetBackend* server) {
   result.mean_batch_occupancy = server->metrics().batch_occupancy().mean();
   result.p99_inference_seconds =
       server->metrics().inference_latency().QuantileSeconds(0.99);
+  const uint64_t gemm_calls =
+      totals.panel_wide_dispatches + totals.panel_narrow_dispatches;
+  result.gemm_wide_share =
+      gemm_calls == 0 ? 0.0
+                      : static_cast<double>(totals.panel_wide_dispatches) /
+                            static_cast<double>(gemm_calls);
   for (size_t d = 0; d < setup.device_ids.size(); ++d) {
     server->WithSessionQuiesced(
         setup.device_ids[d], [&](CalibrationSession& session) {
@@ -261,7 +270,7 @@ int main() {
   for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Threads", "Wall (s)", "Calib/s", "Infer/s",
-                      "Tasks/s", "Speedup"});
+                      "Tasks/s", "p99 (ms)", "Wide", "Speedup"});
   std::vector<double> throughputs;
   double base_tasks_per_sec = 0.0;
   RunResult first_run;
@@ -285,6 +294,8 @@ int main() {
                   TablePrinter::Num(static_cast<double>(r.inferences) /
                                         r.wall_seconds, 1),
                   TablePrinter::Num(tasks_per_sec, 1),
+                  TablePrinter::Num(r.p99_inference_seconds * 1e3, 1),
+                  TablePrinter::Num(r.gemm_wide_share, 3),
                   TablePrinter::Num(tasks_per_sec / base_tasks_per_sec, 2)});
   }
   table.Print();

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/incremental_forward.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
+#include "runtime/parallel_for.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -159,7 +162,7 @@ void BitFlipNet::Quantize() {
 }
 
 void BitFlipNet::Predict(const Tensor& features, std::vector<int>* deltas,
-                         std::vector<float>* confidences) {
+                         std::vector<float>* confidences) const {
   QCORE_CHECK(deltas != nullptr && confidences != nullptr);
   QCORE_CHECK_EQ(features.ndim(), 2);
   QCORE_CHECK_EQ(features.dim(1), kBitFlipFeatureDim);
@@ -278,7 +281,83 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // Algorithm 3: inference-only calibration
 // ---------------------------------------------------------------------------
 
-float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
+namespace {
+
+// The validation forwards of one Alg. 3 round, on the kernel threads that
+// are free when the round starts. The trial rows are cut into
+// min(FreeParallelThreads(gemm_threads()), rows) contiguous slices, each
+// with its own IncrementalForward, and an evaluation runs the slices
+// through ParallelFor with the caller taking part (GEMMs inside a slice
+// stay narrow; a worker set that became busy runs the slices in turn). A
+// round started while the worker set is busy, or while serving-pool
+// workers hold every CPU, is one slice: splitting it would only take CPUs
+// from other sessions.
+//
+// Exact: eval rows are independent (conv lowers per sample, BatchNorm eval
+// and pooling work per row) and every GEMM element keeps its ascending-k
+// chain whatever the row count, so a slice's logits are those rows of the
+// full forward bit for bit, and their concatenation in row order is the
+// full forward's logits. One slice is the single walker itself.
+class TrialForward {
+ public:
+  TrialForward(Layer* root, const Tensor& x,
+               const std::vector<Layer*>& owners) {
+    const int64_t rows = x.dim(0);
+    const int64_t slices = std::min<int64_t>(
+        FreeParallelThreads(kernels::gemm_threads()), rows);
+    // Reserved, so the walkers' references into slice_x_ stay valid.
+    slice_x_.reserve(static_cast<size_t>(slices));
+    walkers_.reserve(static_cast<size_t>(slices));
+    for (int64_t s = 0; s < slices; ++s) {
+      if (slices > 1) {
+        slice_x_.push_back(
+            x.SliceRows(s * rows / slices, (s + 1) * rows / slices));
+      }
+      walkers_.emplace_back(root, slices > 1 ? slice_x_.back() : x, owners);
+    }
+  }
+  // The walkers hold references into slice_x_.
+  TrialForward(const TrialForward&) = delete;
+  TrialForward& operator=(const TrialForward&) = delete;
+
+  void MarkDirty(Layer* leaf) {
+    for (IncrementalForward& walker : walkers_) walker.MarkDirty(leaf);
+  }
+
+  // The logits of every trial row, in row order. Valid until the next call.
+  const Tensor& Evaluate() {
+    const int64_t slices = static_cast<int64_t>(walkers_.size());
+    std::vector<const Tensor*> parts(walkers_.size());
+    // GEMM counters are per thread: a helper's slice is credited back to
+    // the caller, whose before/after delta then counts the whole trial.
+    std::vector<kernels::GemmDispatchCounters> helper_work(walkers_.size());
+    const auto caller = std::this_thread::get_id();
+    ParallelFor(slices, static_cast<int>(slices), [&](int64_t s) {
+      const kernels::GemmDispatchCounters before =
+          kernels::ThreadGemmDispatchCounters();
+      const size_t i = static_cast<size_t>(s);
+      parts[i] = &walkers_[i].Evaluate();
+      if (std::this_thread::get_id() != caller) {
+        helper_work[i] = kernels::ThreadGemmDispatchCounters() - before;
+      }
+    });
+    for (const kernels::GemmDispatchCounters& work : helper_work) {
+      kernels::CreditGemmDispatch(work);
+    }
+    if (slices == 1) return *parts[0];
+    logits_ = ConcatRows(parts);
+    return logits_;
+  }
+
+ private:
+  std::vector<Tensor> slice_x_;  // each walker's rows, when there are several
+  std::vector<IncrementalForward> walkers_;
+  Tensor logits_;
+};
+
+}  // namespace
+
+float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,
                                  const BitFlipCalibrateOptions& options,
@@ -306,12 +385,13 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
   }
 
   // A proposal edits one tensor's codes, so each trial reruns only the
-  // layers downstream of that tensor's owner (nn/incremental_forward).
+  // layers downstream of that tensor's owner (nn/incremental_forward), on
+  // the free kernel threads (TrialForward).
   std::vector<Layer*> owners;
   for (int t = 0; t < qm->num_quantized(); ++t) {
     owners.push_back(qm->quantized(t).owner);
   }
-  IncrementalForward trials(qm->model(), *eval_x, owners);
+  TrialForward trials(qm->model(), *eval_x, owners);
   SoftmaxCrossEntropy ce;
   float current_loss = ce.Forward(trials.Evaluate(), *eval_labels);
 
@@ -403,8 +483,8 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
   return current_loss;
 }
 
-void BitFlipCalibrate(QuantizedModel* qm, BitFlipNet* bf, const Tensor& x,
-                      const std::vector<int>& labels,
+void BitFlipCalibrate(QuantizedModel* qm, const BitFlipNet* bf,
+                      const Tensor& x, const std::vector<int>& labels,
                       const BitFlipCalibrateOptions& options, Rng* rng) {
   QCORE_CHECK(qm != nullptr && bf != nullptr && rng != nullptr);
   QCORE_CHECK_GT(options.iterations, 0);

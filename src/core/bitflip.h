@@ -50,9 +50,7 @@ class BitFlipNet {
   bool is_quantized() const { return quantized_ != nullptr; }
   int64_t ParamCount();
 
-  // Deep copy (weights and, if quantized, the code tables). Each serving
-  // session owns its own copy because Predict's forward pass mutates layer
-  // caches — a shared net would race across pool workers.
+  // Deep copy (weights and, if quantized, the code tables).
   BitFlipNet Clone() const;
 
   // Trains the full-precision form on features [M, kBitFlipFeatureDim] with
@@ -65,9 +63,11 @@ class BitFlipNet {
   void Quantize();
 
   // Predicted code delta in {-1, 0, +1} and the softmax confidence of that
-  // prediction, per feature row.
+  // prediction, per feature row. An eval-mode forward, which writes no layer
+  // state, so threads may predict with one net at once: the serving
+  // sessions of a fleet share their server's net.
   void Predict(const Tensor& features, std::vector<int>* deltas,
-               std::vector<float>* confidences);
+               std::vector<float>* confidences) const;
 
  private:
   BitFlipNet() = default;
@@ -107,8 +107,11 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // cross-entropy — "the process undergoes few iterations to ensure model
 // stability" (Sec. 3.3.3). Everything here is inference; no gradients are
 // ever computed. A proposal edits one tensor, so its validation pass reruns
-// only the layers downstream of that tensor (nn/incremental_forward); the
-// loss is bit-identical to a full forward's.
+// only the layers downstream of that tensor (nn/incremental_forward), with
+// the trial rows split over the kernel threads of the budget
+// (gemm_threads()) that are free when the round starts
+// (FreeParallelThreads); the loss is bit-identical to a single-thread full
+// forward's whatever the split.
 struct BitFlipCalibrateOptions {
   int iterations = 3;                 // E in Algorithm 3 (converges fast)
   float confidence_threshold = 0.5f;  // only act on confident predictions
@@ -143,7 +146,7 @@ struct BitFlipCalibrateOptions {
 // (x, labels), or a per-round sample of trial_rows of its rows; returns the
 // cross-entropy of the resulting model on those rows. `rng` drives the
 // sample and the exploration proposals.
-float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
+float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,
                                  const BitFlipCalibrateOptions& options,
@@ -151,8 +154,8 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
 
 // Full loop: for each iteration, forwards `x` (training mode, BatchNorm
 // frozen) to populate caches, then proposes and validates flips.
-void BitFlipCalibrate(QuantizedModel* qm, BitFlipNet* bf, const Tensor& x,
-                      const std::vector<int>& labels,
+void BitFlipCalibrate(QuantizedModel* qm, const BitFlipNet* bf,
+                      const Tensor& x, const std::vector<int>& labels,
                       const BitFlipCalibrateOptions& options, Rng* rng);
 
 }  // namespace qcore

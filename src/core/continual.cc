@@ -9,7 +9,7 @@
 
 namespace qcore {
 
-ContinualDriver::ContinualDriver(QuantizedModel* qm, BitFlipNet* bf,
+ContinualDriver::ContinualDriver(QuantizedModel* qm, const BitFlipNet* bf,
                                  Dataset qcore,
                                  const ContinualOptions& options, Rng* rng)
     : qm_(qm), bf_(bf), qcore_(std::move(qcore)), options_(options),

@@ -33,8 +33,9 @@ struct BatchStats {
 class ContinualDriver {
  public:
   // `qm` and `bf` must outlive the driver; `bf` may be null iff
-  // options.use_bitflip is false.
-  ContinualDriver(QuantizedModel* qm, BitFlipNet* bf, Dataset qcore,
+  // options.use_bitflip is false. The driver only predicts with `bf`, so
+  // drivers may share one net.
+  ContinualDriver(QuantizedModel* qm, const BitFlipNet* bf, Dataset qcore,
                   const ContinualOptions& options, Rng* rng);
 
   // Calibrates on one stream batch (Algorithms 3+4 interleaved), then
@@ -51,7 +52,7 @@ class ContinualDriver {
 
  private:
   QuantizedModel* qm_;
-  BitFlipNet* bf_;
+  const BitFlipNet* bf_;
   Dataset qcore_;
   ContinualOptions options_;
   Rng* rng_;

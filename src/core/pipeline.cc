@@ -7,7 +7,7 @@ namespace qcore {
 
 namespace {
 
-PipelineResult StreamPhase(QuantizedModel* qm, BitFlipNet* bf,
+PipelineResult StreamPhase(QuantizedModel* qm, const BitFlipNet* bf,
                            const Dataset& qcore, const Dataset& target_stream,
                            const Dataset& target_test,
                            const PipelineOptions& options, Rng* rng) {

@@ -158,10 +158,11 @@ Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
     outs.push_back(branch->Forward(x, training));
     parts.push_back(&outs.back());
   }
-  Tensor out = ConcatChannels(parts);
-  branch_channels_.clear();
-  for (const Tensor* part : parts) branch_channels_.push_back(part->dim(1));
-  return out;
+  if (training) {  // Backward's split; eval writes no member
+    branch_channels_.clear();
+    for (const Tensor* part : parts) branch_channels_.push_back(part->dim(1));
+  }
+  return ConcatChannels(parts);
 }
 
 Tensor ParallelConcat::Backward(const Tensor& grad_out) {

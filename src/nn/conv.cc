@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/aligned.h"
 #include "tensor/kernels.h"
 
 namespace qcore {
@@ -55,19 +54,16 @@ Tensor Conv1d::Forward(const Tensor& x, bool training) {
   const float* pb = bias_.value.data();
   float* po = out.data();
   const int64_t ck = c * kernel_;
-  const size_t pack_size = static_cast<size_t>(ck * lo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
+  float* col = kernels::ColScratch(static_cast<size_t>(ck * lo));
   for (int64_t i = 0; i < n; ++i) {
     float* oplane = po + i * out_channels_ * lo;
     for (int64_t f = 0; f < out_channels_; ++f) {
       for (int64_t o = 0; o < lo; ++o) oplane[f * lo + o] = pb[f];
     }
-    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo,
-                      col.data());
+    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo, col);
     // out_i[F, lo] (+)= W[F, C*K] * col[C*K, lo], on top of the bias fill.
     kernels::Gemm(out_channels_, lo, ck, pw, ck, /*trans_a=*/false,
-                  col.data(), lo, /*trans_b=*/false, oplane, lo);
+                  col, lo, /*trans_b=*/false, oplane, lo);
   }
   return out;
 }
@@ -90,10 +86,8 @@ Tensor Conv1d::Backward(const Tensor& grad_out) {
 
   const int64_t ck = c * kernel_;
   const size_t pack_size = static_cast<size_t>(ck * lo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  if (dcol_scratch_.size() < pack_size) dcol_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  AlignedFloatVec& dcol = dcol_scratch_;
+  float* col = kernels::ColScratch(pack_size);
+  float* dcol = kernels::DcolScratch(pack_size);
   for (int64_t i = 0; i < n; ++i) {
     const float* gplane = pg + i * out_channels_ * lo;
     // Bias gradient: plain row sums, double accumulator (reduction policy).
@@ -102,17 +96,15 @@ Tensor Conv1d::Backward(const Tensor& grad_out) {
       for (int64_t o = 0; o < lo; ++o) db += gplane[f * lo + o];
       pdb[f] += static_cast<float>(db);
     }
-    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo,
-                      col.data());
+    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo, col);
     // dW[F, C*K] += dY_i[F, lo] * col[C*K, lo]^T, on top of running grads.
     kernels::Gemm(out_channels_, ck, lo, gplane, lo, /*trans_a=*/false,
-                  col.data(), lo, /*trans_b=*/true, pdw, ck);
+                  col, lo, /*trans_b=*/true, pdw, ck);
     // dcol[C*K, lo] = W[F, C*K]^T * dY_i[F, lo], then fold back into dX_i.
-    std::fill(dcol.begin(), dcol.begin() + static_cast<int64_t>(pack_size),
-              0.0f);
+    std::fill(dcol, dcol + pack_size, 0.0f);
     kernels::Gemm(ck, lo, out_channels_, pw, ck, /*trans_a=*/true, gplane,
-                  lo, /*trans_b=*/false, dcol.data(), lo);
-    kernels::Col2Im1d(dcol.data(), c, l, kernel_, stride_, pad_, lo,
+                  lo, /*trans_b=*/false, dcol, lo);
+    kernels::Col2Im1d(dcol, c, l, kernel_, stride_, pad_, lo,
                       pgi + i * c * l);
   }
   return grad_in;
@@ -172,19 +164,17 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   float* po = out.data();
   const int64_t ckk = c * kernel_ * kernel_;
   const int64_t howo = ho * wo;
-  const size_t pack_size = static_cast<size_t>(ckk * howo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
+  float* col = kernels::ColScratch(static_cast<size_t>(ckk * howo));
   for (int64_t i = 0; i < n; ++i) {
     float* oplane = po + i * out_channels_ * howo;
     for (int64_t f = 0; f < out_channels_; ++f) {
       for (int64_t o = 0; o < howo; ++o) oplane[f * howo + o] = pb[f];
     }
     kernels::Im2Col2d(px + i * c * h * w, c, h, w, kernel_, stride_, pad_, ho,
-                      wo, col.data());
+                      wo, col);
     // out_i[F, Ho*Wo] (+)= W[F, C*K*K] * col[C*K*K, Ho*Wo].
     kernels::Gemm(out_channels_, howo, ckk, pw, ckk, /*trans_a=*/false,
-                  col.data(), howo, /*trans_b=*/false, oplane, howo);
+                  col, howo, /*trans_b=*/false, oplane, howo);
   }
   return out;
 }
@@ -208,10 +198,8 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   const int64_t ckk = c * kernel_ * kernel_;
   const int64_t howo = ho * wo;
   const size_t pack_size = static_cast<size_t>(ckk * howo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  if (dcol_scratch_.size() < pack_size) dcol_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  AlignedFloatVec& dcol = dcol_scratch_;
+  float* col = kernels::ColScratch(pack_size);
+  float* dcol = kernels::DcolScratch(pack_size);
   for (int64_t i = 0; i < n; ++i) {
     const float* gplane = pg + i * out_channels_ * howo;
     for (int64_t f = 0; f < out_channels_; ++f) {
@@ -220,16 +208,15 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
       pdb[f] += static_cast<float>(db);
     }
     kernels::Im2Col2d(px + i * c * h * w, c, h, w, kernel_, stride_, pad_, ho,
-                      wo, col.data());
+                      wo, col);
     // dW[F, C*K*K] += dY_i[F, Ho*Wo] * col[C*K*K, Ho*Wo]^T.
     kernels::Gemm(out_channels_, ckk, howo, gplane, howo, /*trans_a=*/false,
-                  col.data(), howo, /*trans_b=*/true, pdw, ckk);
+                  col, howo, /*trans_b=*/true, pdw, ckk);
     // dcol = W^T * dY_i, folded back into dX_i by col2im.
-    std::fill(dcol.begin(), dcol.begin() + static_cast<int64_t>(pack_size),
-              0.0f);
+    std::fill(dcol, dcol + pack_size, 0.0f);
     kernels::Gemm(ckk, howo, out_channels_, pw, ckk, /*trans_a=*/true,
-                  gplane, howo, /*trans_b=*/false, dcol.data(), howo);
-    kernels::Col2Im2d(dcol.data(), c, h, w, kernel_, stride_, pad_, ho, wo,
+                  gplane, howo, /*trans_b=*/false, dcol, howo);
+    kernels::Col2Im2d(dcol, c, h, w, kernel_, stride_, pad_, ho, wo,
                       pgi + i * c * h * w);
   }
   return grad_in;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/aligned.h"
 #include "nn/layer.h"
 
 namespace qcore {
@@ -48,16 +47,10 @@ class Conv1d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
+  // Training-mode Forward's input, for Backward. Eval-mode Forward writes
+  // no member: its im2col columns go to the calling thread's
+  // kernels::ColScratch, so threads may evaluate one layer at once.
   Tensor cached_input_;
-  // im2col pack scratch, persisted across calls on the same layer — the
-  // pack buffer is ~20% of a small conv forward, so reallocating it per
-  // call is measurable. Grown on demand, never shrunk; every needed entry
-  // is rewritten before use (Im2Col writes the full column matrix, dcol is
-  // zero-filled), so reuse cannot leak state between calls. Not cloned:
-  // layers are not internally synchronized anyway (see serving/session.h),
-  // so the scratch adds no new threading constraint.
-  AlignedFloatVec col_scratch_;
-  AlignedFloatVec dcol_scratch_;
 };
 
 // Spatial convolution with square kernels: x [N, C, H, W] -> [N, F, Ho, Wo].
@@ -89,10 +82,7 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
-  // Persistent im2col scratch; see the Conv1d note.
-  AlignedFloatVec col_scratch_;
-  AlignedFloatVec dcol_scratch_;
+  Tensor cached_input_;  // as in Conv1d
 };
 
 }  // namespace qcore

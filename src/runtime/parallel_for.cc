@@ -1,5 +1,7 @@
 #include "runtime/parallel_for.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -21,6 +23,10 @@ std::atomic<uint64_t> g_inline_calls{0};
 std::atomic<uint64_t> g_nested_calls{0};
 std::atomic<uint64_t> g_busy_calls{0};
 std::atomic<uint64_t> g_tasks_run{0};
+
+// Threads inside a BusyThreadScope, and whether this one is.
+std::atomic<int> g_busy_threads{0};
+thread_local bool tls_busy = false;
 
 // The process-wide helper set. One region at a time (region_mu_); helpers
 // park on job_ready_ between regions and claim tasks from an atomic cursor
@@ -47,6 +53,7 @@ class PanelWorkerSet {
   bool TryRun(int64_t num_tasks, int helpers_wanted,
               const std::function<void(int64_t)>& body) {
     if (!region_mu_.TryLock()) return false;
+    in_flight_.store(true, std::memory_order_relaxed);
     {
       MutexLock lock(mu_);
       EnsureHelpers(helpers_wanted);
@@ -73,9 +80,14 @@ class PanelWorkerSet {
       body_ = nullptr;
       total_ = 0;
     }
+    in_flight_.store(false, std::memory_order_relaxed);
     region_mu_.Unlock();
     return true;
   }
+
+  // Whether a region holds the set right now (a hint: it may change the
+  // moment it is read).
+  bool InFlight() const { return in_flight_.load(std::memory_order_relaxed); }
 
  private:
   PanelWorkerSet() = default;
@@ -129,6 +141,7 @@ class PanelWorkerSet {
   // Serializes regions. TryLock-only from TryRun: a busy set must never
   // block a submitting thread (the nested-parallelism contract).
   Mutex region_mu_;
+  std::atomic<bool> in_flight_{false};  // region_mu_ is held
 
   Mutex mu_;
   CondVar job_ready_;
@@ -168,9 +181,38 @@ ParallelForStats GetParallelForStats() {
 bool InParallelRegion() { return tls_in_parallel_region; }
 
 int DefaultParallelWorkers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return 1;
-  return static_cast<int>(std::min<unsigned>(hw, 16));
+  // hardware_concurrency counts the host's CPUs, not the ones this process
+  // may run on: under `taskset -c 0` it still reads every CPU.
+  unsigned cpus = std::thread::hardware_concurrency();
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const unsigned pinned = static_cast<unsigned>(CPU_COUNT(&allowed));
+    if (pinned > 0 && (cpus == 0 || pinned < cpus)) cpus = pinned;
+  }
+  if (cpus == 0) return 1;
+  return static_cast<int>(std::min<unsigned>(cpus, 16));
+}
+
+BusyThreadScope::BusyThreadScope() {
+  QCORE_CHECK_MSG(!tls_busy, "BusyThreadScope does not nest");
+  tls_busy = true;
+  g_busy_threads.fetch_add(1, std::memory_order_relaxed);
+}
+
+BusyThreadScope::~BusyThreadScope() {
+  g_busy_threads.fetch_sub(1, std::memory_order_relaxed);
+  tls_busy = false;
+}
+
+int FreeParallelThreads(int max_threads) {
+  if (max_threads <= 1 || tls_in_parallel_region ||
+      PanelWorkerSet::Instance().InFlight()) {
+    return 1;
+  }
+  const int others = g_busy_threads.load(std::memory_order_relaxed) -
+                     (tls_busy ? 1 : 0);
+  return std::max(1, std::min(max_threads, DefaultParallelWorkers() - others));
 }
 
 void ParallelFor(int64_t num_tasks, int max_threads,

@@ -52,9 +52,31 @@ ParallelForStats GetParallelForStats();
 // or helper). Nested ParallelFor calls observe this and run sequentially.
 bool InParallelRegion();
 
-// Worker count the host can usefully sustain: hardware_concurrency
-// clamped to [1, 16]. The kernel layer's default thread budget.
+// Worker count the host can usefully sustain: the CPUs the calling thread
+// may run on (the smaller of hardware_concurrency and the affinity mask, so
+// a pinned process does not oversubscribe its cores), clamped to [1, 16].
+// The kernel layer's default thread budget.
 int DefaultParallelWorkers();
+
+// Marks the current thread busy for its lifetime: it holds a CPU for work
+// outside the worker set. ThreadPool workers hold one while they run a
+// task, so FreeParallelThreads() sees how many CPUs a serving pool already
+// occupies. One per thread at a time (they do not nest).
+class BusyThreadScope {
+ public:
+  BusyThreadScope();
+  ~BusyThreadScope();
+  BusyThreadScope(const BusyThreadScope&) = delete;
+  BusyThreadScope& operator=(const BusyThreadScope&) = delete;
+};
+
+// How many threads, the caller included, a region started now from this
+// thread would run on without taking a CPU from other work: 1 inside a
+// region or while another region is in flight (ParallelFor would run
+// sequentially), else DefaultParallelWorkers() less the other busy threads,
+// at least 1 and at most max_threads. A snapshot for sizing work that is
+// split once and then run in many regions; results must not depend on it.
+int FreeParallelThreads(int max_threads);
 
 // Runs body(i) for every i in [0, num_tasks), on up to max_threads
 // threads including the caller. Returns after every task has finished.

@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.h"
 
+#include "runtime/parallel_for.h"
 #include "testing/fault_injector.h"
 
 namespace qcore {
@@ -86,7 +87,10 @@ void ThreadPool::WorkerLoop() {
     if (MaybeFault(FaultPoint::kPoolSaturation, &stall_us)) {
       std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
     }
-    task();
+    {
+      BusyThreadScope busy;  // this CPU is taken (FreeParallelThreads)
+      task();
+    }
     {
       MutexLock lock(mu_);
       --active_;

@@ -20,23 +20,11 @@ namespace {
 // before/after delta is exactly this request's GEMMs even with concurrent
 // sessions on other pool workers (a process-global counter would smear
 // them together).
-struct PanelDelta {
-  uint64_t wide = 0;
-  uint64_t narrow = 0;
-  uint64_t tasks = 0;
-};
-
-PanelDelta PanelDeltaSince(const kernels::GemmDispatchCounters& before) {
-  const kernels::GemmDispatchCounters now =
-      kernels::ThreadGemmDispatchCounters();
-  return {now.wide - before.wide, now.narrow - before.narrow,
-          now.panel_tasks - before.panel_tasks};
-}
-
-void AddPanels(const PanelDelta& panels, ServingCounters* c) {
+void AddPanels(const kernels::GemmDispatchCounters& panels,
+               ServingCounters* c) {
   c->panel_wide_dispatches += panels.wide;
   c->panel_narrow_dispatches += panels.narrow;
-  c->panel_tasks += panels.tasks;
+  c->panel_tasks += panels.panel_tasks;
 }
 
 void SimulateDeviceLink(double rtt_ms) {
@@ -327,7 +315,8 @@ Result<std::future<InferenceResult>> FleetServer::TrySubmitInference(
             kernels::ThreadGemmDispatchCounters();
         InferenceResult r;
         r.predictions = state->session.Predict(x);
-        const PanelDelta panels = PanelDeltaSince(kd_before);
+        const kernels::GemmDispatchCounters panels =
+            kernels::ThreadGemmDispatchCounters() - kd_before;
         r.latency_seconds = timer.ElapsedSeconds();
         r.trace_span = span;
         metrics_->inference_latency().Record(r.latency_seconds);
@@ -406,7 +395,8 @@ void FleetServer::FlushInferenceGroup(const std::string& device_id,
         // Attributed to the group, not split per member: the batched
         // forward is one set of GEMMs, and whether they went wide is a
         // property of the coalesced shape.
-        const PanelDelta panels = PanelDeltaSince(kd_before);
+        const kernels::GemmDispatchCounters panels =
+            kernels::ThreadGemmDispatchCounters() - kd_before;
         metrics_->batch_occupancy().Record(static_cast<int64_t>(run.size()));
         // Counted before any member's future resolves, so a caller holding
         // a result always finds its request on the row.

@@ -17,8 +17,8 @@ CalibrationSession::CalibrationSession(std::string device_id,
     : device_id_(std::move(device_id)),
       options_(options),
       model_(base_model.Clone()),
+      bitflip_(options_.use_bitflip ? &base_bf : nullptr),
       rng_(seed) {
-  if (options_.use_bitflip) bitflip_.emplace(base_bf.Clone());
   BuildDriver(std::move(qcore));
 }
 
@@ -31,11 +31,11 @@ CalibrationSession::CalibrationSession(std::string device_id,
     : device_id_(std::move(device_id)),
       options_(options),
       model_(base_model.Clone()),
+      bitflip_(options_.use_bitflip ? &base_bf : nullptr),
       rng_(0) {  // placeholder; the restored state below replaces it
   QCORE_CHECK(continuation != nullptr);
   const Status restored = SnapshotRegistry::RestoreInto(snapshot, model_.get());
   QCORE_CHECK_MSG(restored.ok(), "session restore: bad model snapshot");
-  if (options_.use_bitflip) bitflip_.emplace(base_bf.Clone());
 
   auto batches = continuation->ReadU64();
   QCORE_CHECK_MSG(batches.ok(), "session restore: truncated continuation");
@@ -60,9 +60,9 @@ CalibrationSession::CalibrationSession(std::string device_id,
 }
 
 void CalibrationSession::BuildDriver(Dataset qcore) {
-  driver_ = std::make_unique<ContinualDriver>(
-      model_.get(), bitflip_.has_value() ? &*bitflip_ : nullptr,
-      std::move(qcore), options_, &rng_);
+  driver_ = std::make_unique<ContinualDriver>(model_.get(), bitflip_,
+                                              std::move(qcore), options_,
+                                              &rng_);
 }
 
 void CalibrationSession::SerializeContinuation(BinaryWriter* w) const {

@@ -1,11 +1,11 @@
 // Per-device calibration session: the unit of state in the fleet serving
-// runtime. Each session owns an edge-form QuantizedModel clone, its own
-// BitFlipNet copy, its own QCore and its own Rng substream, and applies
-// Algorithm 3+4 (bit-flip calibration interleaved with QCore resampling)
-// incrementally as that device's stream batches arrive — exactly the loop
-// ContinualDriver runs in the single-threaded pipeline, which is what makes
-// per-session results bit-identical to the offline pipeline under a fixed
-// seed.
+// runtime. Each session owns an edge-form QuantizedModel clone, its own QCore
+// and its own Rng substream, predicts with the server's shared BitFlipNet
+// (the net is frozen on the edge), and applies Algorithm 3+4 (bit-flip
+// calibration interleaved with QCore resampling) incrementally as that
+// device's stream batches arrive — exactly the loop ContinualDriver runs in
+// the single-threaded pipeline, which is what makes per-session results
+// bit-identical to the offline pipeline under a fixed seed.
 //
 // Sessions are NOT internally synchronized. The FleetServer guarantees that
 // at most one task (inference or calibration) runs per session at a time;
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,12 @@ class BinaryWriter;
 
 class CalibrationSession {
  public:
-  // Clones `base_model` (deployed/edge form) and `base_bf` for exclusive
-  // ownership. `seed` fixes the session's Rng: two sessions constructed from
-  // the same inputs and fed the same batches produce identical models.
+  // Clones `base_model` (deployed/edge form) for exclusive ownership and
+  // predicts with `base_bf`, which must outlive the session (the server
+  // holds it for its lifetime) and may be shared by any number of sessions:
+  // BitFlipNet::Predict writes no state. `seed` fixes the session's Rng: two
+  // sessions constructed from the same inputs and fed the same batches
+  // produce identical models.
   CalibrationSession(std::string device_id, const QuantizedModel& base_model,
                      const BitFlipNet& base_bf, Dataset qcore,
                      const ContinualOptions& options, uint64_t seed);
@@ -96,9 +98,9 @@ class CalibrationSession {
   std::string device_id_;
   ContinualOptions options_;
   std::unique_ptr<QuantizedModel> model_;
-  // Cloned only when the continual options use bit-flipping (the NoBF
-  // ablation runs without one).
-  std::optional<BitFlipNet> bitflip_;
+  // The server's net, or null when the continual options do not use
+  // bit-flipping (the NoBF ablation).
+  const BitFlipNet* bitflip_;
   Rng rng_;
   std::unique_ptr<ContinualDriver> driver_;
   uint64_t batches_processed_ = 0;

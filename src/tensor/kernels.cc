@@ -249,10 +249,37 @@ void set_gemm_parallel_min_work(int64_t mnk) {
 
 GemmDispatchCounters ThreadGemmDispatchCounters() { return tls_gemm_dispatch; }
 
+void CreditGemmDispatch(const GemmDispatchCounters& work) {
+  tls_gemm_dispatch.wide += work.wide;
+  tls_gemm_dispatch.narrow += work.narrow;
+  tls_gemm_dispatch.panel_tasks += work.panel_tasks;
+  tls_gemm_dispatch.madds += work.madds;
+}
+
+namespace {
+
+float* GrowScratch(AlignedFloatVec* buf, size_t floats) {
+  if (buf->size() < floats) buf->resize(floats);
+  return buf->data();
+}
+
+}  // namespace
+
+float* ColScratch(size_t floats) {
+  thread_local AlignedFloatVec col;
+  return GrowScratch(&col, floats);
+}
+
+float* DcolScratch(size_t floats) {
+  thread_local AlignedFloatVec dcol;
+  return GrowScratch(&dcol, floats);
+}
+
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
           bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
           int64_t ldc) {
   QCORE_CHECK(m > 0 && n > 0 && k > 0);
+  tls_gemm_dispatch.madds += static_cast<uint64_t>(m * n * k);
   const int threads = gemm_threads();
   if (threads > 1 && !InParallelRegion() &&
       m * n * k >= gemm_parallel_min_work()) {

@@ -44,6 +44,7 @@
 #ifndef QCORE_TENSOR_KERNELS_H_
 #define QCORE_TENSOR_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/tensor.h"
@@ -86,10 +87,13 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 // wall-clock time.
 
 // Kernel thread budget. Defaults to the QCORE_GEMM_THREADS environment
-// variable if set, else DefaultParallelWorkers() (hardware concurrency,
-// clamped). set_gemm_threads requires n >= 1; 1 disables the parallel path
-// entirely. Process-wide; reads/writes are racy-safe (a relaxed atomic) but
-// tests and drills set it once up front.
+// variable if set, else DefaultParallelWorkers() (the CPUs this process may
+// run on, clamped). set_gemm_threads requires n >= 1; 1 disables the
+// parallel path entirely. Process-wide; reads/writes are racy-safe (a
+// relaxed atomic) but tests and drills set it once up front. Two users
+// share it: a wide Gemm() splits its output chunks over it, and Alg. 3
+// (core/bitflip) splits each trial's rows over the part of it that is free
+// (runtime/parallel_for FreeParallelThreads).
 int gemm_threads();
 void set_gemm_threads(int n);
 
@@ -104,16 +108,42 @@ void set_gemm_parallel_min_work(int64_t mnk);
 // Per-thread dispatch counters, cumulative since thread start. wide counts
 // Gemm() calls that cleared the crossover and fanned out, narrow the calls
 // that ran sequentially, panel_tasks the total output chunks submitted by
-// wide calls. Thread-local so a serving exec thread can sample before/after
-// one forward pass and attribute the delta to exactly that request, even
-// with concurrent sessions on other pool threads (ServingMetrics and the
-// whiteboard are wired this way).
+// wide calls, madds the multiply-adds (m*n*k) of every call. Thread-local so
+// a serving exec thread can sample before/after one forward pass and
+// attribute the delta to exactly that request, even with concurrent
+// sessions on other pool threads (ServingMetrics and the whiteboard are
+// wired this way).
 struct GemmDispatchCounters {
   uint64_t wide = 0;
   uint64_t narrow = 0;
   uint64_t panel_tasks = 0;
+  uint64_t madds = 0;
 };
 GemmDispatchCounters ThreadGemmDispatchCounters();
+
+inline GemmDispatchCounters operator-(const GemmDispatchCounters& a,
+                                      const GemmDispatchCounters& b) {
+  return {a.wide - b.wide, a.narrow - b.narrow, a.panel_tasks - b.panel_tasks,
+          a.madds - b.madds};
+}
+
+// Adds `work` to the calling thread's counters: the GEMMs a helper thread
+// ran on this thread's behalf inside a ParallelFor region (the row slices
+// of a bit-flip trial), so the caller's before/after delta still counts
+// every GEMM of its request.
+void CreditGemmDispatch(const GemmDispatchCounters& work);
+
+// Per-thread conv lowering workspace: the column matrix im2col writes
+// (ColScratch) and the column gradient col2im folds back (DcolScratch).
+// Each returns at least `floats` floats owned by the calling thread, grown
+// on demand and never shrunk, so a conv layer reuses one buffer across
+// calls (reallocating it costs ~20% of a small conv forward) while threads
+// evaluating one model at once — the row slices of a bit-flip trial,
+// sessions sharing a net — never share one. The contents are unspecified;
+// callers rewrite every entry they read. Valid until the same thread asks
+// for a larger buffer of the same kind.
+float* ColScratch(size_t floats);
+float* DcolScratch(size_t floats);
 
 // Lowers one [c, l] input plane to a column matrix col[c*kernel, lo] with
 // col[(ch*kernel + kx) * lo + o] = x[ch, o*stride + kx - pad] (0 outside).

@@ -14,6 +14,7 @@
 #include "nn/loss.h"
 #include "nn/training.h"
 #include "quant/ste_calibrator.h"
+#include "tensor/kernels.h"
 
 namespace qcore {
 namespace {
@@ -274,6 +275,110 @@ TEST(BitFlipTest, IterationReturnsTheModelsLoss) {
       }
       SetBatchNormFrozen(qm.model(), false);
       EXPECT_LT(returned, initial);  // some trials were kept
+    }
+  }
+}
+
+// What a calibration step leaves behind: FNV-1a over the model's codes and
+// the QCore's rows and labels.
+uint64_t StepHash(const QuantizedModel& qm, const Dataset& qcore) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](const void* data, size_t bytes) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const std::vector<int32_t>& codes : qm.AllCodes()) {
+    mix(codes.data(), codes.size() * sizeof(int32_t));
+  }
+  mix(qcore.x().data(), static_cast<size_t>(qcore.x().size()) * sizeof(float));
+  mix(qcore.labels().data(), qcore.labels().size() * sizeof(int));
+  return h;
+}
+
+Dataset RandomRows(const std::vector<int64_t>& row_shape, int rows,
+                   int classes, Rng* rng) {
+  std::vector<int64_t> shape = {rows};
+  shape.insert(shape.end(), row_shape.begin(), row_shape.end());
+  std::vector<int> labels;
+  for (int i = 0; i < rows; ++i) labels.push_back(rng->NextInt(0, classes - 1));
+  return Dataset(Tensor::Randn(shape, rng), std::move(labels), classes);
+}
+
+struct StepRecord {
+  std::vector<uint64_t> hashes;  // StepHash after each step
+  std::vector<uint64_t> madds;   // GEMM multiply-adds of each step
+};
+
+// kSteps ContinualDriver steps of one deployed 4-bit model at a kernel
+// thread budget. The pool is 80 rows, so every Alg. 3 round validates on a
+// 64-row sample.
+constexpr int kSteps = 8;
+StepRecord RunCalibrationSteps(const Sequential& fp,
+                               const std::vector<int64_t>& row_shape,
+                               int threads) {
+  const int saved_threads = kernels::gemm_threads();
+  kernels::set_gemm_threads(threads);
+  Rng rng(2024);
+  QuantizedModel qm(fp, 4);
+  qm.DropShadows();
+  BitFlipNet bf(4, &rng);
+  bf.Quantize();
+  ContinualDriver driver(&qm, &bf, RandomRows(row_shape, 30, 6, &rng),
+                         ContinualOptions{}, &rng);
+  StepRecord record;
+  for (int step = 0; step < kSteps; ++step) {
+    const Dataset batch = RandomRows(row_shape, 40, 6, &rng);
+    const Dataset slice = RandomRows(row_shape, 20, 6, &rng);
+    const uint64_t before = kernels::ThreadGemmDispatchCounters().madds;
+    driver.ProcessBatch(batch, slice);
+    record.madds.push_back(kernels::ThreadGemmDispatchCounters().madds -
+                           before);
+    record.hashes.push_back(StepHash(qm, driver.qcore()));
+  }
+  kernels::set_gemm_threads(saved_threads);
+  return record;
+}
+
+// Alg. 3 splits each trial's rows over the free kernel threads of the
+// budget. The split must change no decision: after every step the codes and
+// the QCore are the same at 1, 2 and 3 threads (3 cuts 64 rows unevenly on
+// a host with 3 or more CPUs, none busy here), on a Conv1d family with
+// parallel branches and a Conv2d family with residuals. Helper threads'
+// GEMMs are credited to the caller, so a step's multiply-adds — its
+// deterministic work — are the same at every budget too, and stay under a
+// ceiling pinned at this change's single-thread count. A change that
+// removes work lowers the ceiling; none may raise it.
+TEST(BitFlipTest, RowSplitTrialsExactAtEveryThreadBudget) {
+  struct Family {
+    const char* name;
+    std::unique_ptr<Sequential> model;
+    std::vector<int64_t> row_shape;
+    uint64_t madds_ceiling;
+  };
+  Rng rng(17);
+  std::vector<Family> families;
+  families.push_back({"InceptionTime", MakeInceptionTime(4, 6, &rng),
+                      {4, 16}, 214491328});
+  families.push_back({"ResNetTiny", MakeResNetTiny(3, 6, &rng), {3, 8, 8},
+                      453093376});
+  for (Family& f : families) {
+    SCOPED_TRACE(f.name);
+    // Move BatchNorm's running statistics off their initial values.
+    (void)f.model->Forward(RandomRows(f.row_shape, 32, 6, &rng).x(),
+                           /*training=*/true);
+    const StepRecord one = RunCalibrationSteps(*f.model, f.row_shape, 1);
+    uint64_t max_madds = 0;
+    for (uint64_t m : one.madds) max_madds = std::max(max_madds, m);
+    EXPECT_LE(max_madds, f.madds_ceiling);
+    for (int threads : {2, 3}) {
+      SCOPED_TRACE("gemm_threads " + std::to_string(threads));
+      const StepRecord split =
+          RunCalibrationSteps(*f.model, f.row_shape, threads);
+      EXPECT_EQ(split.hashes, one.hashes);
+      EXPECT_EQ(split.madds, one.madds);
     }
   }
 }

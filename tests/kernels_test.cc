@@ -3,15 +3,21 @@
 // references across awkward shapes, plus determinism and alignment
 // guarantees the serving layer depends on.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/aligned.h"
 #include "nn/conv.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
@@ -508,6 +514,72 @@ TEST(ParallelGemmTest, NestedUnderThreadPoolBitIdentical) {
   for (auto& f : results) {
     Tensor got = f.get();
     ExpectTensorsBitIdentical(got, ref);
+  }
+}
+
+// The default kernel budget counts the CPUs this thread may run on, not the
+// host's: a process pinned to one CPU must not split every GEMM or bit-flip
+// trial over threads that share that core.
+TEST(ParallelForTest, DefaultWorkersFollowAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = DefaultParallelWorkers();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(DefaultParallelWorkers(), std::min(CPU_COUNT(&saved), 16));
+}
+
+// A region started now may use only the CPUs that busy pool workers leave
+// free, and nothing more inside a region. Alg. 3 sizes its trial split this
+// way, so a serving pool that holds every CPU validates trials unsplit.
+TEST(ParallelForTest, FreeThreadsLeaveBusyWorkersTheirCpus) {
+  const int cpus = DefaultParallelWorkers();
+  EXPECT_EQ(FreeParallelThreads(1), 1);
+  EXPECT_EQ(FreeParallelThreads(64), cpus);
+  std::vector<int> inside(2, 0);
+  ParallelFor(2, 2, [&](int64_t i) {
+    inside[static_cast<size_t>(i)] = FreeParallelThreads(64);
+  });
+  EXPECT_EQ(inside, std::vector<int>(2, 1));
+
+  // A busy thread is not free for others, but is for itself.
+  {
+    BusyThreadScope busy;
+    EXPECT_EQ(FreeParallelThreads(64), cpus);
+    int seen = 0;
+    std::thread other([&seen] { seen = FreeParallelThreads(64); });
+    other.join();
+    EXPECT_EQ(seen, std::max(1, cpus - 1));
+  }
+
+  // k workers busy at once: each sees the CPUs the other k - 1 leave.
+  for (int k : {1, 2, cpus, cpus + 1}) {
+    SCOPED_TRACE("busy workers " + std::to_string(k));
+    ThreadPool pool(k);
+    std::atomic<int> started{0};
+    std::atomic<int> read{0};
+    std::vector<std::future<int>> seen;
+    for (int w = 0; w < k; ++w) {
+      seen.push_back(pool.Submit([&] {
+        started.fetch_add(1);
+        while (started.load() < k) std::this_thread::yield();
+        const int free = FreeParallelThreads(64);
+        read.fetch_add(1);
+        while (read.load() < k) std::this_thread::yield();
+        return free;
+      }));
+    }
+    for (std::future<int>& f : seen) {
+      EXPECT_EQ(f.get(), std::max(1, cpus - (k - 1)));
+    }
   }
 }
 

@@ -1,11 +1,17 @@
 // Tests for models/: every architecture builds, forwards with the right
-// shapes, backprops, clones faithfully, can be trained a little, and is
-// re-evaluated exactly by nn/incremental_forward.
+// shapes, backprops, clones faithfully, can be trained a little, is
+// re-evaluated exactly by nn/incremental_forward, and can be evaluated by
+// several threads at once (Alg. 3's row-split trials, sessions sharing a
+// net). CI runs this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
+#include "core/bitflip.h"
 #include "models/model_zoo.h"
+#include "nn/batchnorm.h"
 #include "nn/incremental_forward.h"
 #include "nn/loss.h"
 #include "nn/training.h"
@@ -147,6 +153,77 @@ TEST_P(ModelZooTest, IncrementalForwardMatchesFullForward) {
     previous = t;
   }
   EXPECT_GT(switched_after_undo, 0);
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+// Eval-mode Forward writes no layer state, so two threads may run it on one
+// model at once and each get exactly the single-thread logits. Conv im2col
+// buffers are per thread, and ParallelConcat records its branch widths only
+// in training.
+TEST_P(ModelZooTest, ConcurrentEvalForwardsMatchSingleThread) {
+  Rng rng(8);
+  auto model = Build(GetParam(), &rng);
+  const Tensor x = InputFor(GetParam(), &rng, /*n=*/16);
+  (void)model->Forward(x, true);  // move BN running stats off their init
+  QuantizedModel qm(*model, 4);
+  const Tensor want = qm.model()->Forward(x, /*training=*/false);
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 8;
+  std::vector<Tensor> got(kThreads * kRounds);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int r = 0; r < kRounds; ++r) {
+        got[t * kRounds + r] = qm.model()->Forward(x, /*training=*/false);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(BitEqual(got[i], want)) << "thread " << i / kRounds
+                                        << " round " << i % kRounds;
+  }
+}
+
+// An Alg. 3 round with its trial rows split over two kernel threads keeps
+// and rejects exactly the proposals the one-thread round does.
+TEST_P(ModelZooTest, BitFlipRoundSameAtTwoThreads) {
+  Rng rng(9);
+  auto model = Build(GetParam(), &rng);
+  const Tensor x = InputFor(GetParam(), &rng, /*n=*/48);
+  std::vector<int> labels;
+  for (int64_t i = 0; i < x.dim(0); ++i) labels.push_back(rng.NextInt(0, 6));
+  (void)model->Forward(x, true);  // move BN running stats off their init
+  BitFlipNet bf(4, &rng);
+  bf.Quantize();
+  BitFlipCalibrateOptions options;
+  options.trial_rows = 40;
+  const int saved_threads = kernels::gemm_threads();
+  float loss[2];
+  std::vector<std::vector<int32_t>> codes[2];
+  for (int threads : {1, 2}) {
+    kernels::set_gemm_threads(threads);
+    QuantizedModel qm(*model, 4);
+    Rng round_rng(10);
+    SetBatchNormFrozen(qm.model(), true);
+    (void)qm.model()->Forward(x, /*training=*/true);
+    loss[threads - 1] = BitFlipIterationFromCaches(&qm, &bf, x, labels,
+                                                   options, &round_rng);
+    codes[threads - 1] = qm.AllCodes();
+  }
+  kernels::set_gemm_threads(saved_threads);
+  EXPECT_NE(codes[0], QuantizedModel(*model, 4).AllCodes());  // some kept
+  EXPECT_EQ(loss[1], loss[0]);
+  EXPECT_EQ(codes[1], codes[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
