@@ -198,6 +198,56 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardNaive);
 
+// Two per-sample GEMM shapes with a row remainder, the calibration
+// workloads' own: InceptionTime's 24->8 1x1 bottleneck (F = 8 runs a 6-row
+// and a 2-row tile; the conv reads its input plane without lowering) and a
+// 3->8 3x3 stem on 16x16 images (a 27-deep reduction).
+void RunConv1dBottleneck(benchmark::State& state, bool blocked) {
+  Rng rng(25);
+  Conv1d conv(24, 8, 1, 1, 0, &rng);
+  const Tensor& w = conv.Params()[0]->value;
+  const Tensor& b = conv.Params()[1]->value;
+  Tensor x = Tensor::Randn({32, 24, 64}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blocked ? conv.Forward(x, false)
+                                     : naive::Conv1dForward(x, w, b, 1, 0));
+  }
+  ReportThreads(state, 1);
+}
+
+void BM_Conv1dForwardBottleneck(benchmark::State& state) {
+  RunConv1dBottleneck(state, true);
+}
+BENCHMARK(BM_Conv1dForwardBottleneck);
+
+void BM_Conv1dForwardBottleneckNaive(benchmark::State& state) {
+  RunConv1dBottleneck(state, false);
+}
+BENCHMARK(BM_Conv1dForwardBottleneckNaive);
+
+void RunConv2dStem(benchmark::State& state, bool blocked) {
+  Rng rng(26);
+  Conv2d conv(3, 8, 3, 1, 1, &rng);
+  const Tensor& w = conv.Params()[0]->value;
+  const Tensor& b = conv.Params()[1]->value;
+  Tensor x = Tensor::Randn({32, 3, 16, 16}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blocked ? conv.Forward(x, false)
+                                     : naive::Conv2dForward(x, w, b, 1, 1));
+  }
+  ReportThreads(state, 1);
+}
+
+void BM_Conv2dForwardStem(benchmark::State& state) {
+  RunConv2dStem(state, true);
+}
+BENCHMARK(BM_Conv2dForwardStem);
+
+void BM_Conv2dForwardStemNaive(benchmark::State& state) {
+  RunConv2dStem(state, false);
+}
+BENCHMARK(BM_Conv2dForwardStemNaive);
+
 // The im2col pack on its own — the lowering overhead the GEMM win has to
 // amortize — against the per-element naive loop it replaced. The 2-D shape
 // is a ResNet-tiny 3x3 layer, the 1-D one InceptionTime's k=9 Conv1d.

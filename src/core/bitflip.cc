@@ -491,7 +491,8 @@ void BitFlipCalibrate(QuantizedModel* qm, const BitFlipNet* bf,
   SetBatchNormFrozen(qm->model(), true);
   for (int it = 0; it < options.iterations; ++it) {
     // Training-mode forward populates the activation caches the features
-    // need; with BN frozen the outputs equal eval-mode outputs.
+    // need; with BN frozen the outputs equal eval-mode outputs up to
+    // rounding (BatchNormTest.FrozenTrainingMatchesEval).
     (void)qm->model()->Forward(x, /*training=*/true);
     BitFlipIterationFromCaches(qm, bf, x, labels, options, rng);
   }

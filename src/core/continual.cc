@@ -33,7 +33,9 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
     // One forward serves both purposes: its logits feed the miss tracker
     // (Alg. 4 lines 6-9) and its activation caches feed the bit-flip
     // features (Alg. 3 line 6). With BN frozen, training-mode outputs equal
-    // eval-mode outputs.
+    // eval-mode outputs up to rounding: training mode normalizes as
+    // (x - mean) * inv_std * gamma + beta, eval applies the folded
+    // scale * x + shift.
     Tensor logits = qm_->model()->Forward(pool.x(), /*training=*/true);
     const std::vector<int> preds = ArgMaxRows(logits);
     std::vector<bool> correct(static_cast<size_t>(pool.size()));

@@ -14,6 +14,11 @@ namespace qcore {
 // processed independently in batch order, so per-sample results are
 // bit-identical regardless of how rows were batched (the serving batcher's
 // bit-identity property), and gradient accumulation order is fixed.
+//
+// Forward packs W once per call and runs every sample's GEMM against the
+// packed panels. A 1x1, stride-1, unpadded conv skips the lowering: its
+// column matrix would be a copy of the input plane, so the GEMM reads the
+// plane itself. Neither changes an operand, so neither changes a bit.
 
 // ---------------------------------------------------------------------------
 // Conv1d
@@ -54,16 +59,20 @@ Tensor Conv1d::Forward(const Tensor& x, bool training) {
   const float* pb = bias_.value.data();
   float* po = out.data();
   const int64_t ck = c * kernel_;
-  float* col = kernels::ColScratch(static_cast<size_t>(ck * lo));
+  const float* packed_w = kernels::PackA(out_channels_, ck, pw, ck);
+  const bool lower = kernel_ != 1 || stride_ != 1 || pad_ != 0;
+  float* col = lower ? kernels::ColScratch(static_cast<size_t>(ck * lo))
+                     : nullptr;
   for (int64_t i = 0; i < n; ++i) {
     float* oplane = po + i * out_channels_ * lo;
     for (int64_t f = 0; f < out_channels_; ++f) {
       for (int64_t o = 0; o < lo; ++o) oplane[f * lo + o] = pb[f];
     }
-    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo, col);
+    const float* xi = px + i * c * l;
+    if (lower) kernels::Im2Col1d(xi, c, l, kernel_, stride_, pad_, lo, col);
     // out_i[F, lo] (+)= W[F, C*K] * col[C*K, lo], on top of the bias fill.
-    kernels::Gemm(out_channels_, lo, ck, pw, ck, /*trans_a=*/false,
-                  col, lo, /*trans_b=*/false, oplane, lo);
+    kernels::GemmPackedA(out_channels_, lo, ck, packed_w, lower ? col : xi,
+                         lo, oplane, lo);
   }
   return out;
 }
@@ -164,17 +173,22 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   float* po = out.data();
   const int64_t ckk = c * kernel_ * kernel_;
   const int64_t howo = ho * wo;
-  float* col = kernels::ColScratch(static_cast<size_t>(ckk * howo));
+  const float* packed_w = kernels::PackA(out_channels_, ckk, pw, ckk);
+  const bool lower = kernel_ != 1 || stride_ != 1 || pad_ != 0;
+  float* col = lower ? kernels::ColScratch(static_cast<size_t>(ckk * howo))
+                     : nullptr;
   for (int64_t i = 0; i < n; ++i) {
     float* oplane = po + i * out_channels_ * howo;
     for (int64_t f = 0; f < out_channels_; ++f) {
       for (int64_t o = 0; o < howo; ++o) oplane[f * howo + o] = pb[f];
     }
-    kernels::Im2Col2d(px + i * c * h * w, c, h, w, kernel_, stride_, pad_, ho,
-                      wo, col);
+    const float* xi = px + i * c * h * w;
+    if (lower) {
+      kernels::Im2Col2d(xi, c, h, w, kernel_, stride_, pad_, ho, wo, col);
+    }
     // out_i[F, Ho*Wo] (+)= W[F, C*K*K] * col[C*K*K, Ho*Wo].
-    kernels::Gemm(out_channels_, howo, ckk, pw, ckk, /*trans_a=*/false,
-                  col, howo, /*trans_b=*/false, oplane, howo);
+    kernels::GemmPackedA(out_channels_, howo, ckk, packed_w,
+                         lower ? col : xi, howo, oplane, howo);
   }
   return out;
 }

@@ -38,13 +38,24 @@ namespace {
 // aligned(4): packed panels are 64-byte aligned but C tile rows are not.
 typedef float v8f __attribute__((vector_size(32), aligned(4)));
 
-inline v8f LoadV8(const float* p) { return *reinterpret_cast<const v8f*>(p); }
-inline void StoreV8(float* p, v8f v) { *reinterpret_cast<v8f*>(p) = v; }
+// Every helper the GEMM clones call is forced inline, so it compiles inside
+// each clone with that clone's ISA. GCC is otherwise free to emit a helper
+// with two or more callers once, out of line, for baseline x86-64 (no FMA):
+// that happened to MicroKernelEdge when it gained a second caller, and
+// partial-width tiles switched from fused FMA to mul+add, changing bits.
+#define QCORE_KERNEL_INLINE inline __attribute__((always_inline))
+
+QCORE_KERNEL_INLINE v8f LoadV8(const float* p) {
+  return *reinterpret_cast<const v8f*>(p);
+}
+QCORE_KERNEL_INLINE void StoreV8(float* p, v8f v) {
+  *reinterpret_cast<v8f*>(p) = v;
+}
 
 // Packs a kc x nr column panel of B into pb (layout pb[p*kNR + j]),
 // zero-padding columns [nr, kNR). trans_b means B is stored [n, k].
-inline void PackPanelB(int64_t kc, int64_t nr, const float* b, int64_t ldb,
-                       bool trans_b, float* pb) {
+QCORE_KERNEL_INLINE void PackPanelB(int64_t kc, int64_t nr, const float* b,
+                                    int64_t ldb, bool trans_b, float* pb) {
   if (!trans_b) {
     for (int64_t p = 0; p < kc; ++p) {
       const float* src = b + p * ldb;
@@ -65,8 +76,8 @@ inline void PackPanelB(int64_t kc, int64_t nr, const float* b, int64_t ldb,
 
 // Packs a mr x kc row panel of A into pa (layout pa[p*kMR + i]),
 // zero-padding rows [mr, kMR). trans_a means A is stored [k, m].
-inline void PackPanelA(int64_t kc, int64_t mr, const float* a, int64_t lda,
-                       bool trans_a, float* pa) {
+QCORE_KERNEL_INLINE void PackPanelA(int64_t kc, int64_t mr, const float* a,
+                                    int64_t lda, bool trans_a, float* pa) {
   if (!trans_a) {
     for (int64_t p = 0; p < kc; ++p) {
       float* dst = pa + p * kMR;
@@ -85,16 +96,18 @@ inline void PackPanelA(int64_t kc, int64_t mr, const float* a, int64_t lda,
   }
 }
 
-// kMR x kNR register-tile microkernel over one packed k-panel. Loads C,
-// accumulates k ascending, stores back: the per-element operation sequence
-// is (((c + a_0*b_0) + a_1*b_1) + ...) regardless of how the surrounding
-// loops were blocked. The accumulator tile (6 rows x 2 v8f) plus two B
-// vectors and a broadcast stays within the 16 ymm registers of AVX2.
-inline void MicroKernel(int64_t kc, const float* __restrict__ pa,
-                        const float* __restrict__ pb, float* __restrict__ c,
-                        int64_t ldc) {
-  v8f acc[kMR][2];
-  for (int i = 0; i < kMR; ++i) {
+// MR x kNR register-tile microkernel (MR <= kMR) over one packed k-panel.
+// Loads C, accumulates k ascending, stores back: the per-element operation
+// sequence is (((c + a_0*b_0) + a_1*b_1) + ...) regardless of the tile's
+// height or how the surrounding loops were blocked. The full tile (6 rows x
+// 2 v8f) plus two B vectors and a broadcast stays within the 16 ymm
+// registers of AVX2.
+template <int MR>
+QCORE_KERNEL_INLINE void MicroKernel(int64_t kc, const float* __restrict__ pa,
+                                     const float* __restrict__ pb,
+                                     float* __restrict__ c, int64_t ldc) {
+  v8f acc[MR][2];
+  for (int i = 0; i < MR; ++i) {
     acc[i][0] = LoadV8(c + i * ldc);
     acc[i][1] = LoadV8(c + i * ldc + 8);
   }
@@ -102,41 +115,74 @@ inline void MicroKernel(int64_t kc, const float* __restrict__ pa,
     const float* a = pa + p * kMR;
     const v8f b0 = LoadV8(pb + p * kNR);
     const v8f b1 = LoadV8(pb + p * kNR + 8);
-    for (int i = 0; i < kMR; ++i) {
+    for (int i = 0; i < MR; ++i) {
       acc[i][0] += a[i] * b0;
       acc[i][1] += a[i] * b1;
     }
   }
-  for (int i = 0; i < kMR; ++i) {
+  for (int i = 0; i < MR; ++i) {
     StoreV8(c + i * ldc, acc[i][0]);
     StoreV8(c + i * ldc + 8, acc[i][1]);
   }
 }
 
-// Edge tiles run the same microkernel against a stack buffer so the
-// accumulation sequence (and therefore rounding) matches interior tiles;
-// only the valid mr x nr region is copied in and out. The zero-padded pa
-// rows contribute exact +0.0f terms to the padded lanes, which are then
-// discarded.
-inline void MicroKernelEdge(int64_t kc, const float* __restrict__ pa,
-                            const float* __restrict__ pb, float* c,
-                            int64_t ldc, int64_t mr, int64_t nr) {
+// A full-width tile of mr rows: the microkernel runs for exactly those rows
+// and reads and writes C in place, so a 2-row remainder costs 2 rows.
+QCORE_KERNEL_INLINE void MicroKernelRows(int64_t mr, int64_t kc,
+                                         const float* pa, const float* pb,
+                                         float* c, int64_t ldc) {
+  static_assert(kMR == 6, "one case per tile height");
+  switch (mr) {
+    case 1: MicroKernel<1>(kc, pa, pb, c, ldc); break;
+    case 2: MicroKernel<2>(kc, pa, pb, c, ldc); break;
+    case 3: MicroKernel<3>(kc, pa, pb, c, ldc); break;
+    case 4: MicroKernel<4>(kc, pa, pb, c, ldc); break;
+    case 5: MicroKernel<5>(kc, pa, pb, c, ldc); break;
+    default: MicroKernel<kMR>(kc, pa, pb, c, ldc); break;
+  }
+}
+
+// Partial-width tiles run the full microkernel against a stack buffer, so
+// the 16-lane vectors never touch C past column nr; only the valid mr x nr
+// region is copied in and out. The zero-padded pa rows contribute exact
+// +0.0f terms to the padded lanes, which are then discarded.
+QCORE_KERNEL_INLINE void MicroKernelEdge(int64_t kc,
+                                         const float* __restrict__ pa,
+                                         const float* __restrict__ pb,
+                                         float* c, int64_t ldc, int64_t mr,
+                                         int64_t nr) {
   float buf[kMR * kNR];
   for (int64_t i = 0; i < kMR; ++i) {
     for (int64_t j = 0; j < kNR; ++j) {
       buf[i * kNR + j] = (i < mr && j < nr) ? c[i * ldc + j] : 0.0f;
     }
   }
-  MicroKernel(kc, pa, pb, buf, kNR);
+  MicroKernel<kMR>(kc, pa, pb, buf, kNR);
   for (int64_t i = 0; i < mr; ++i) {
     for (int64_t j = 0; j < nr; ++j) c[i * ldc + j] = buf[i * kNR + j];
   }
 }
 
+// Where GemmImpl reads A from: either a matrix it packs block by block
+// (trans means A is stored [k, m]), or the panels PackA already wrote, in
+// which case the kMR-row panel starting at row r holds all of k at
+// data + r * k, its kKC block from pc on at data + r * k + pc * kMR.
+struct AOperand {
+  const float* data;
+  int64_t lda;
+  bool trans;
+  bool packed;
+
+  // The same operand from row r0 on; r0 is a multiple of kMR when packed.
+  AOperand FromRow(int64_t r0, int64_t k) const {
+    const int64_t offset = packed ? r0 * k : trans ? r0 : r0 * lda;
+    return {data + offset, lda, trans, packed};
+  }
+};
+
 QCORE_GEMM_CLONES
-void GemmImpl(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-              bool trans_a, const float* b, int64_t ldb, bool trans_b,
-              float* c, int64_t ldc) {
+void GemmImpl(int64_t m, int64_t n, int64_t k, AOperand a, const float* b,
+              int64_t ldb, bool trans_b, float* c, int64_t ldc) {
   // Pack buffers are reused across calls; each worker thread owns its own,
   // so concurrent sessions never share scratch.
   thread_local AlignedFloatVec packed_a;
@@ -149,11 +195,11 @@ void GemmImpl(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   if (static_cast<int64_t>(packed_b.size()) < nc_max * kc_max) {
     packed_b.resize(static_cast<size_t>(nc_max * kc_max));
   }
-  if (static_cast<int64_t>(packed_a.size()) < mc_max * kc_max) {
+  if (!a.packed &&
+      static_cast<int64_t>(packed_a.size()) < mc_max * kc_max) {
     packed_a.resize(static_cast<size_t>(mc_max * kc_max));
   }
   float* pb = packed_b.data();
-  float* pa = packed_a.data();
 
   for (int64_t jc = 0; jc < n; jc += kNC) {
     const int64_t nc = std::min(kNC, n - jc);
@@ -167,22 +213,29 @@ void GemmImpl(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
       }
       for (int64_t ic = 0; ic < m; ic += kMC) {
         const int64_t mc = std::min(kMC, m - ic);
-        for (int64_t ir = 0; ir < mc; ir += kMR) {
-          const float* asrc = trans_a ? a + pc * lda + ic + ir
-                                      : a + (ic + ir) * lda + pc;
-          PackPanelA(kc, std::min<int64_t>(kMR, mc - ir), asrc, lda, trans_a,
-                     pa + ir * kc);
+        // The panel of rows ic + ir over [pc, pc + kc) is at
+        // pa + ir * panel_stride.
+        const float* pa =
+            a.packed ? a.data + ic * k + pc * kMR : packed_a.data();
+        const int64_t panel_stride = a.packed ? k : kc;
+        if (!a.packed) {
+          for (int64_t ir = 0; ir < mc; ir += kMR) {
+            const float* asrc = a.trans ? a.data + pc * a.lda + ic + ir
+                                        : a.data + (ic + ir) * a.lda + pc;
+            PackPanelA(kc, std::min<int64_t>(kMR, mc - ir), asrc, a.lda,
+                       a.trans, packed_a.data() + ir * kc);
+          }
         }
         for (int64_t jr = 0; jr < nc; jr += kNR) {
           const int64_t nr = std::min<int64_t>(kNR, nc - jr);
           for (int64_t ir = 0; ir < mc; ir += kMR) {
             const int64_t mr = std::min<int64_t>(kMR, mc - ir);
+            const float* apanel = pa + ir * panel_stride;
             float* ctile = c + (ic + ir) * ldc + jc + jr;
-            if (mr == kMR && nr == kNR) {
-              MicroKernel(kc, pa + ir * kc, pb + jr * kc, ctile, ldc);
+            if (nr == kNR) {
+              MicroKernelRows(mr, kc, apanel, pb + jr * kc, ctile, ldc);
             } else {
-              MicroKernelEdge(kc, pa + ir * kc, pb + jr * kc, ctile, ldc, mr,
-                              nr);
+              MicroKernelEdge(kc, apanel, pb + jr * kc, ctile, ldc, mr, nr);
             }
           }
         }
@@ -254,6 +307,7 @@ void CreditGemmDispatch(const GemmDispatchCounters& work) {
   tls_gemm_dispatch.narrow += work.narrow;
   tls_gemm_dispatch.panel_tasks += work.panel_tasks;
   tls_gemm_dispatch.madds += work.madds;
+  tls_gemm_dispatch.lowered_floats += work.lowered_floats;
 }
 
 namespace {
@@ -275,9 +329,14 @@ float* DcolScratch(size_t floats) {
   return GrowScratch(&dcol, floats);
 }
 
-void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-          bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
-          int64_t ldc) {
+namespace {
+
+// The one dispatch rule of both GEMM entries: wide when the budget allows,
+// the caller is outside a region and the call clears the crossover, else
+// narrow. Counts the call either way.
+void DispatchGemm(int64_t m, int64_t n, int64_t k, AOperand a,
+                  const float* b, int64_t ldb, bool trans_b, float* c,
+                  int64_t ldc) {
   QCORE_CHECK(m > 0 && n > 0 && k > 0);
   tls_gemm_dispatch.madds += static_cast<uint64_t>(m * n * k);
   const int threads = gemm_threads();
@@ -291,19 +350,47 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
       ParallelFor(grid, threads, [&](int64_t t) {
         const int64_t r0 = (t / col_chunks) * kRowChunk;
         const int64_t c0 = (t % col_chunks) * kColChunk;
-        // Sub-matrix views for chunk (r0, c0): A offset by r0 rows, B by c0
-        // columns, honoring the storage transposes. Each worker's GemmImpl
-        // packs into its own thread_local scratch.
-        const float* ta = trans_a ? a + r0 : a + r0 * lda;
+        // Sub-matrix views for chunk (r0, c0): A from row r0 on, B from
+        // column c0 on, honoring the storage transposes. Each worker's
+        // GemmImpl packs into its own thread_local scratch.
         const float* tb = trans_b ? b + c0 * ldb : b + c0;
         GemmImpl(std::min(kRowChunk, m - r0), std::min(kColChunk, n - c0), k,
-                 ta, lda, trans_a, tb, ldb, trans_b, c + r0 * ldc + c0, ldc);
+                 a.FromRow(r0, k), tb, ldb, trans_b, c + r0 * ldc + c0, ldc);
       });
       return;
     }
   }
   tls_gemm_dispatch.narrow++;
-  GemmImpl(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc);
+  GemmImpl(m, n, k, a, b, ldb, trans_b, c, ldc);
+}
+
+}  // namespace
+
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
+          int64_t ldc) {
+  DispatchGemm(m, n, k, {a, lda, trans_a, /*packed=*/false}, b, ldb, trans_b,
+               c, ldc);
+}
+
+const float* PackA(int64_t m, int64_t k, const float* a, int64_t lda) {
+  QCORE_CHECK(m > 0 && k > 0);
+  thread_local AlignedFloatVec packed;
+  const int64_t panels = (m + kMR - 1) / kMR;
+  float* dst = GrowScratch(&packed, static_cast<size_t>(panels * kMR * k));
+  // One panel holds all of k: its kKC blocks sit back to back, so block pc
+  // starts pc * kMR floats in, exactly where GemmImpl looks for it.
+  for (int64_t r = 0; r < m; r += kMR) {
+    PackPanelA(k, std::min<int64_t>(kMR, m - r), a + r * lda, lda,
+               /*trans_a=*/false, dst + r * k);
+  }
+  return dst;
+}
+
+void GemmPackedA(int64_t m, int64_t n, int64_t k, const float* packed_a,
+                 const float* b, int64_t ldb, float* c, int64_t ldc) {
+  DispatchGemm(m, n, k, {packed_a, 0, /*trans=*/false, /*packed=*/true}, b,
+               ldb, /*trans_b=*/false, c, ldc);
 }
 
 namespace {
@@ -375,6 +462,7 @@ inline void FoldTap(const float* crow, int64_t shift, int stride, TapRange r,
 
 void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* col) {
+  tls_gemm_dispatch.lowered_floats += static_cast<uint64_t>(c * kernel * lo);
   for (int64_t ch = 0; ch < c; ++ch) {
     const float* xrow = x + ch * l;
     for (int kx = 0; kx < kernel; ++kx) {
@@ -397,6 +485,8 @@ void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
 
 void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
               int stride, int pad, int64_t ho, int64_t wo, float* col) {
+  tls_gemm_dispatch.lowered_floats +=
+      static_cast<uint64_t>(c * kernel * kernel * ho * wo);
   for (int64_t ch = 0; ch < c; ++ch) {
     const float* xplane = x + ch * h * w;
     for (int ky = 0; ky < kernel; ++ky) {

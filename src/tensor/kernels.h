@@ -7,6 +7,8 @@
 // Tiling scheme (Goto-style, sized to this repo's L1/L2 targets):
 //   - B is packed into kNR-wide column panels, A into kMR-tall row panels;
 //     panels are zero-padded to full width so the microkernel is branch-free.
+//     A caller that runs many GEMMs against one A (a conv layer's weights,
+//     once per sample) packs it once with PackA and calls GemmPackedA.
 //   - Loop nest: jc (kNC columns, keeps the packed B block under L2) ->
 //     pc (kKC of the reduction dim; one A panel + one B panel fit L1) ->
 //     ic (kMC rows of packed A, L2-resident) -> NR/MR register tiles.
@@ -14,6 +16,8 @@
 //     registers and is written with GCC vector extensions so one source
 //     compiles to SSE2 / AVX2+FMA / AVX-512 clones (runtime-dispatched;
 //     disabled under ThreadSanitizer where ifunc resolution is unsupported).
+//     A full-width tile of mr < kMR rows runs it for exactly mr rows; only
+//     tiles narrower than kNR go through a zero-padded stack buffer.
 //
 // Accumulation policy (the one policy for the whole kernel layer):
 //   - GEMM accumulates in float, strictly ascending-k order per output
@@ -74,6 +78,17 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
           bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
           int64_t ldc);
 
+// Packs A [m, k] (row-major, leading dimension lda) into the row panels
+// Gemm() would pack it into, for many GemmPackedA calls against it. Returns
+// a per-thread buffer, valid until the calling thread packs again.
+const float* PackA(int64_t m, int64_t k, const float* a, int64_t lda);
+
+// Gemm() with trans_a == trans_b == false and A already packed by PackA
+// (same m and k). Same dispatch rule, counters and bits as Gemm() on the
+// unpacked A: packing is a copy, so who packed A changes no operand.
+void GemmPackedA(int64_t m, int64_t n, int64_t k, const float* packed_a,
+                 const float* b, int64_t ldb, float* c, int64_t ldc);
+
 // ------------------------- Deterministic multithreaded dispatch ------------
 //
 // Gemm() fans out across runtime::ParallelFor when (a) the kernel thread
@@ -106,9 +121,11 @@ int64_t gemm_parallel_min_work();
 void set_gemm_parallel_min_work(int64_t mnk);
 
 // Per-thread dispatch counters, cumulative since thread start. wide counts
-// Gemm() calls that cleared the crossover and fanned out, narrow the calls
-// that ran sequentially, panel_tasks the total output chunks submitted by
-// wide calls, madds the multiply-adds (m*n*k) of every call. Thread-local so
+// Gemm()/GemmPackedA() calls that cleared the crossover and fanned out,
+// narrow the calls that ran sequentially, panel_tasks the total output
+// chunks submitted by wide calls, madds the multiply-adds (m*n*k) of every
+// call, lowered_floats the column-matrix floats Im2Col1d/2d wrote on this
+// thread (the conv lowering's work). Thread-local so
 // a serving exec thread can sample before/after one forward pass and
 // attribute the delta to exactly that request, even with concurrent
 // sessions on other pool threads (ServingMetrics and the whiteboard are
@@ -118,19 +135,20 @@ struct GemmDispatchCounters {
   uint64_t narrow = 0;
   uint64_t panel_tasks = 0;
   uint64_t madds = 0;
+  uint64_t lowered_floats = 0;
 };
 GemmDispatchCounters ThreadGemmDispatchCounters();
 
 inline GemmDispatchCounters operator-(const GemmDispatchCounters& a,
                                       const GemmDispatchCounters& b) {
   return {a.wide - b.wide, a.narrow - b.narrow, a.panel_tasks - b.panel_tasks,
-          a.madds - b.madds};
+          a.madds - b.madds, a.lowered_floats - b.lowered_floats};
 }
 
-// Adds `work` to the calling thread's counters: the GEMMs a helper thread
-// ran on this thread's behalf inside a ParallelFor region (the row slices
-// of a bit-flip trial), so the caller's before/after delta still counts
-// every GEMM of its request.
+// Adds `work` to the calling thread's counters: the GEMMs and lowerings a
+// helper thread ran on this thread's behalf inside a ParallelFor region
+// (the row slices of a bit-flip trial), so the caller's before/after delta
+// still counts every GEMM of its request.
 void CreditGemmDispatch(const GemmDispatchCounters& work);
 
 // Per-thread conv lowering workspace: the column matrix im2col writes

@@ -3,6 +3,8 @@
 // synthetic problems to keep runtimes in seconds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/bitflip.h"
 #include "core/continual.h"
 #include "core/pipeline.h"
@@ -308,8 +310,9 @@ Dataset RandomRows(const std::vector<int64_t>& row_shape, int rows,
 }
 
 struct StepRecord {
-  std::vector<uint64_t> hashes;  // StepHash after each step
-  std::vector<uint64_t> madds;   // GEMM multiply-adds of each step
+  std::vector<uint64_t> hashes;   // StepHash after each step
+  std::vector<uint64_t> madds;    // GEMM multiply-adds of each step
+  std::vector<uint64_t> lowered;  // im2col floats written in each step
 };
 
 // kSteps ContinualDriver steps of one deployed 4-bit model at a kernel
@@ -332,10 +335,13 @@ StepRecord RunCalibrationSteps(const Sequential& fp,
   for (int step = 0; step < kSteps; ++step) {
     const Dataset batch = RandomRows(row_shape, 40, 6, &rng);
     const Dataset slice = RandomRows(row_shape, 20, 6, &rng);
-    const uint64_t before = kernels::ThreadGemmDispatchCounters().madds;
+    const kernels::GemmDispatchCounters before =
+        kernels::ThreadGemmDispatchCounters();
     driver.ProcessBatch(batch, slice);
-    record.madds.push_back(kernels::ThreadGemmDispatchCounters().madds -
-                           before);
+    const kernels::GemmDispatchCounters work =
+        kernels::ThreadGemmDispatchCounters() - before;
+    record.madds.push_back(work.madds);
+    record.lowered.push_back(work.lowered_floats);
     record.hashes.push_back(StepHash(qm, driver.qcore()));
   }
   kernels::set_gemm_threads(saved_threads);
@@ -347,38 +353,41 @@ StepRecord RunCalibrationSteps(const Sequential& fp,
 // the QCore are the same at 1, 2 and 3 threads (3 cuts 64 rows unevenly on
 // a host with 3 or more CPUs, none busy here), on a Conv1d family with
 // parallel branches and a Conv2d family with residuals. Helper threads'
-// GEMMs are credited to the caller, so a step's multiply-adds — its
-// deterministic work — are the same at every budget too, and stay under a
-// ceiling pinned at this change's single-thread count. A change that
-// removes work lowers the ceiling; none may raise it.
+// GEMMs and conv lowerings are credited to the caller, so a step's
+// multiply-adds and im2col floats — its deterministic work — are the same
+// at every budget too, and stay under ceilings pinned at the single-thread
+// counts. A change that removes work lowers a ceiling; none may raise one.
 TEST(BitFlipTest, RowSplitTrialsExactAtEveryThreadBudget) {
   struct Family {
     const char* name;
     std::unique_ptr<Sequential> model;
     std::vector<int64_t> row_shape;
     uint64_t madds_ceiling;
+    uint64_t lowered_ceiling;
   };
   Rng rng(17);
   std::vector<Family> families;
   families.push_back({"InceptionTime", MakeInceptionTime(4, 6, &rng),
-                      {4, 16}, 214491328});
+                      {4, 16}, 214491328, 21405712});
   families.push_back({"ResNetTiny", MakeResNetTiny(3, 6, &rng), {3, 8, 8},
-                      453093376});
+                      453093376, 40954320});
   for (Family& f : families) {
     SCOPED_TRACE(f.name);
     // Move BatchNorm's running statistics off their initial values.
     (void)f.model->Forward(RandomRows(f.row_shape, 32, 6, &rng).x(),
                            /*training=*/true);
     const StepRecord one = RunCalibrationSteps(*f.model, f.row_shape, 1);
-    uint64_t max_madds = 0;
-    for (uint64_t m : one.madds) max_madds = std::max(max_madds, m);
-    EXPECT_LE(max_madds, f.madds_ceiling);
+    EXPECT_LE(*std::max_element(one.madds.begin(), one.madds.end()),
+              f.madds_ceiling);
+    EXPECT_LE(*std::max_element(one.lowered.begin(), one.lowered.end()),
+              f.lowered_ceiling);
     for (int threads : {2, 3}) {
       SCOPED_TRACE("gemm_threads " + std::to_string(threads));
       const StepRecord split =
           RunCalibrationSteps(*f.model, f.row_shape, threads);
       EXPECT_EQ(split.hashes, one.hashes);
       EXPECT_EQ(split.madds, one.madds);
+      EXPECT_EQ(split.lowered, one.lowered);
     }
   }
 }

@@ -105,17 +105,21 @@ TEST(BlockedGemmTest, TransposedVariantsBitIdenticalToPlain) {
 // Accumulation order is independent of where the output element sits in the
 // tile grid: computing a wide product and slicing must equal computing the
 // slice alone. This is also the row-independence property the serving
-// batcher's bit-identity depends on.
+// batcher's bit-identity depends on. Every row count from 1 to 13 runs, so
+// each tile height (full, and every remainder a shorter tile runs at) meets
+// full-width and partial-width (45 = 2*16 + 13) column tiles.
 TEST(BlockedGemmTest, RowsIndependentOfBatchWidth) {
   Rng rng(41);
   Tensor a_all = Tensor::Randn({23, 31}, &rng);
   Tensor b = Tensor::Randn({31, 45}, &rng);
   Tensor full = MatMul(a_all, b);
-  for (int64_t r : {int64_t{0}, int64_t{7}, int64_t{22}}) {
-    Tensor row = a_all.SliceRows(r, r + 1);
-    Tensor single = MatMul(row, b);
-    for (int64_t j = 0; j < single.size(); ++j) {
-      ASSERT_EQ(single[j], full[r * 45 + j]) << "row " << r << " col " << j;
+  for (int64_t rows = 1; rows <= 13; ++rows) {
+    for (int64_t r : {int64_t{0}, int64_t{7}, 23 - rows}) {
+      Tensor part = MatMul(a_all.SliceRows(r, r + rows), b);
+      for (int64_t j = 0; j < part.size(); ++j) {
+        ASSERT_EQ(part[j], full[r * 45 + j])
+            << rows << " rows from " << r << ", flat index " << j;
+      }
     }
   }
 }
@@ -487,6 +491,127 @@ TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
     ExpectTensorsBitIdentical(gin, ref_gin);
     ExpectTensorsBitIdentical(conv.Params()[0]->grad, ref_dw);
     ExpectTensorsBitIdentical(conv.Params()[1]->grad, ref_db);
+  }
+}
+
+// Conv forward packs W once per call and feeds a 1x1, stride-1, unpadded
+// conv its input plane without lowering. Both must leave every output bit
+// of the general path: per sample, bias fill, Im2Col, then Gemm() on the
+// unpacked W. The grid crosses every tile height (F up to 24 = 4 * kMR),
+// tile widths with and without a remainder (Lo 6, 63, 64, 256), a reduction
+// longer than one kKC block (C*K = 270), the 1x1 shapes on and off the
+// direct path, and a 33-sample batch. It runs narrow at budget 1 and wide
+// (crossover 0) at budget 4.
+struct ConvGrid {
+  int64_t n, c, f, lo;
+  int kernel, stride, pad;
+};
+
+std::vector<ConvGrid> ConvForwardGrid() {
+  std::vector<ConvGrid> grid;
+  for (int64_t n : {int64_t{1}, int64_t{33}}) {
+    for (int64_t f : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24}) {
+      for (int64_t lo : {6, 63, 64, 256}) {
+        grid.push_back({n, 3, f, lo, 3, 1, 1});
+      }
+    }
+    grid.push_back({n, 30, 8, 64, 9, 1, 4});  // C*K = 270 > kKC
+    for (int stride : {1, 2}) {
+      for (int pad : {0, 1}) {
+        grid.push_back({n, 24, 8, 64, 1, stride, pad});
+        grid.push_back({n, 5, 7, 63, 1, stride, pad});
+      }
+    }
+  }
+  return grid;
+}
+
+// The input extent that gives lo outputs.
+int64_t InputExtent(const ConvGrid& g) {
+  return (g.lo - 1) * g.stride + g.kernel - 2 * g.pad;
+}
+
+Tensor GeneralConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
+                          int kernel, int stride, int pad, bool two_d) {
+  const int64_t n = x.dim(0), c = x.dim(1), f = w.dim(0);
+  const int64_t h = x.dim(2), wd = two_d ? x.dim(3) : 1;
+  const int64_t ho = (h + 2 * pad - kernel) / stride + 1;
+  const int64_t wo = two_d ? (wd + 2 * pad - kernel) / stride + 1 : 1;
+  const int64_t ck = c * kernel * (two_d ? kernel : 1);
+  std::vector<int64_t> shape = {n, f, ho};
+  if (two_d) shape.push_back(wo);
+  Tensor out(shape);
+  AlignedFloatVec col(static_cast<size_t>(ck * ho * wo));
+  for (int64_t i = 0; i < n; ++i) {
+    float* oplane = out.data() + i * f * ho * wo;
+    for (int64_t fo = 0; fo < f; ++fo) {
+      std::fill(oplane + fo * ho * wo, oplane + (fo + 1) * ho * wo, b[fo]);
+    }
+    const float* xi = x.data() + i * c * h * wd;
+    if (two_d) {
+      kernels::Im2Col2d(xi, c, h, wd, kernel, stride, pad, ho, wo,
+                        col.data());
+    } else {
+      kernels::Im2Col1d(xi, c, h, kernel, stride, pad, ho, col.data());
+    }
+    kernels::Gemm(f, ho * wo, ck, w.data(), ck, /*trans_a=*/false,
+                  col.data(), ho * wo, /*trans_b=*/false, oplane, ho * wo);
+  }
+  return out;
+}
+
+TEST(ConvPackedPathTest, ForwardMatchesGeneralPathBitForBit) {
+  GemmKnobGuard guard;
+  const std::vector<ConvGrid> grid = ConvForwardGrid();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("gemm_threads " + std::to_string(threads));
+    kernels::set_gemm_threads(threads);
+    if (threads > 1) kernels::set_gemm_parallel_min_work(0);
+    for (const ConvGrid& g : grid) {
+      SCOPED_TRACE("n=" + std::to_string(g.n) + " c=" + std::to_string(g.c) +
+                   " f=" + std::to_string(g.f) + " lo=" +
+                   std::to_string(g.lo) + " k=" + std::to_string(g.kernel) +
+                   " s=" + std::to_string(g.stride) +
+                   " p=" + std::to_string(g.pad));
+      Rng rng(static_cast<uint64_t>(g.f * 1009 + g.lo * 31 + g.c));
+      {
+        Conv1d conv(g.c, g.f, g.kernel, g.stride, g.pad, &rng);
+        conv.Params()[1]->value = Tensor::Randn({g.f}, &rng);
+        Tensor x = Tensor::Randn({g.n, g.c, InputExtent(g)}, &rng);
+        const Tensor want =
+            GeneralConvForward(x, conv.Params()[0]->value,
+                               conv.Params()[1]->value, g.kernel, g.stride,
+                               g.pad, /*two_d=*/false);
+        const Tensor got = conv.Forward(x, /*training=*/false);
+        ASSERT_TRUE(got.SameShape(want));
+        ASSERT_TRUE(SameBits(got.data(), want.data(),
+                             static_cast<size_t>(want.size())))
+            << "conv1d";
+      }
+      {
+        // The same output count as a 2-D plane: 6 = 2x3, 63 = 7x9,
+        // 64 = 8x8, 256 = 16x16.
+        const int64_t ho = g.lo == 6 ? 2 : g.lo == 63 ? 7 : g.lo == 64 ? 8 : 16;
+        const int64_t wo = g.lo / ho;
+        // The long-reduction case becomes 30 channels x 3x3 = 270.
+        const int kernel = g.kernel == 9 ? 3 : g.kernel;
+        const int pad = g.kernel == 9 ? 1 : g.pad;
+        Conv2d conv(g.c, g.f, kernel, g.stride, pad, &rng);
+        conv.Params()[1]->value = Tensor::Randn({g.f}, &rng);
+        const int64_t h = (ho - 1) * g.stride + kernel - 2 * pad;
+        const int64_t w = (wo - 1) * g.stride + kernel - 2 * pad;
+        Tensor x = Tensor::Randn({g.n, g.c, h, w}, &rng);
+        const Tensor want =
+            GeneralConvForward(x, conv.Params()[0]->value,
+                               conv.Params()[1]->value, kernel, g.stride,
+                               pad, /*two_d=*/true);
+        const Tensor got = conv.Forward(x, /*training=*/false);
+        ASSERT_TRUE(got.SameShape(want));
+        ASSERT_TRUE(SameBits(got.data(), want.data(),
+                             static_cast<size_t>(want.size())))
+            << "conv2d";
+      }
+    }
   }
 }
 
