@@ -1,15 +1,14 @@
 // Fleet simulation: one server-prepared quantized model deployed to a large
 // fleet of simulated edge devices — HAR wearables (subject shift) and image
-// sensors (visual-domain shift) — served through the FleetBackend
-// interface. The large HAR cohort runs on a ShardedFleetServer (N
-// consistent-hash shards, each with its own pool and batcher; mid-run it
-// rebalances to a larger shard count live), the smaller image cohort on a
-// single FleetServer — the same driving code serves both, which is the
-// point of the API. Each device streams its own shifted domain,
-// interleaving inference traffic with continual calibration (Algorithms
-// 3+4); the servers snapshot calibrated models into copy-on-write
-// registries, and per-shard and fleet-wide counter totals are derived
-// from the whiteboard's device rows.
+// sensors (visual-domain shift) — each cohort served by its own fleet
+// server (ShardedFleetServer). The large HAR cohort runs on N
+// consistent-hash shards, each with its own pool and batcher (mid-run it
+// rebalances to a larger shard count live), the smaller image cohort on
+// one shard. Each device streams its own shifted domain, interleaving
+// inference traffic with continual calibration (Algorithms 3+4); the
+// servers snapshot calibrated models into copy-on-write registries, and
+// per-shard and fleet-wide counter totals are derived from the
+// whiteboard's device rows.
 //
 // Observability: after each phase (registration, serving, kill-and-restart)
 // the fleet whiteboard is dumped — one row per shard and per device,
@@ -74,7 +73,6 @@
 #include "obs/trace.h"
 #include "obs/whiteboard.h"
 #include "quant/ste_calibrator.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/snapshot.h"
@@ -95,6 +93,14 @@ int EnvInt(const char* name, int fallback) {
 bool Fast() {
   const char* v = std::getenv("QCORE_FAST");
   return v != nullptr && std::string(v) == "1";
+}
+
+// The fleet server's single-pool configuration: one shard.
+ShardedFleetServerOptions OneShard(const FleetServerOptions& shard) {
+  ShardedFleetServerOptions opts;
+  opts.num_shards = 1;
+  opts.shard = shard;
+  return opts;
 }
 
 // One prepared deployment: base model + bit-flip net + QCore, ready to be
@@ -453,8 +459,8 @@ int RunWideBatchDrill(const Deployment& har, const HarSpec& har_spec,
                                               before.panel_tasks),
               logits_identical ? "bit-identical" : "DIVERGED");
 
-  // Serving-path check: the same stream through a batching FleetServer at
-  // each thread budget. Inference mutates nothing, so predictions must be
+  // Serving-path check: the same stream through a batching one-shard server
+  // at each thread budget. Inference mutates nothing, so predictions must be
   // independent of grouping, scheduling, and the kernel thread budget.
   auto run_stream = [&](int gemm_budget, uint64_t* wide_dispatches,
                         uint64_t* panel_tasks,
@@ -467,7 +473,7 @@ int RunWideBatchDrill(const Deployment& har, const HarSpec& har_spec,
     opts.enable_batching = true;
     opts.batching.max_batch = 4;
     opts.batching.max_delay_us = 400.0;
-    FleetServer server(*har.base, *har.bf, opts);
+    ShardedFleetServer server(*har.base, *har.bf, OneShard(opts));
     for (int d = 0; d < kDevices; ++d) {
       server.RegisterDevice("wide-" + std::to_string(d), har.qcore);
     }
@@ -612,10 +618,9 @@ int main(int argc, char** argv) {
       MakeResNetTiny(img_spec.channels, img_spec.num_classes, &rng);
   Deployment img = Prepare(img_model.get(), img_source.train, &rng);
 
-  // --- Two backends behind one interface: the big HAR cohort is sharded ---
-  // (independent pool + batcher per shard, consistent-hash placement), the
-  // small image cohort runs a single server. The driving code below only
-  // sees FleetBackend&.
+  // --- Two fleet servers: the big HAR cohort is sharded (independent -----
+  // pool + batcher per shard, consistent-hash placement), the small image
+  // cohort runs on one shard.
   FleetServerOptions opts;
   opts.num_threads = threads;
   opts.continual.iterations = 1;
@@ -641,23 +646,18 @@ int main(int argc, char** argv) {
   har_opts.num_shards = shards;
   har_opts.shard = opts;
   ShardedFleetServer har_server(*har.base, *har.bf, har_opts);
-  FleetServer img_server(*img.base, *img.bf, opts);
+  ShardedFleetServer img_server(*img.base, *img.bf, OneShard(opts));
 
   // --- Register the fleet: every device gets its own shifted domain. -----
   Stopwatch wall;
-  std::vector<std::pair<FleetBackend*, std::string>> fleet;
   for (int d = 0; d < har_devices; ++d) {
-    const std::string id = "har-" + std::to_string(d);
-    har_server.RegisterDevice(id, har.qcore);
-    fleet.emplace_back(&har_server, id);
+    har_server.RegisterDevice("har-" + std::to_string(d), har.qcore);
   }
   for (int d = 0; d < img_devices; ++d) {
-    const std::string id = "img-" + std::to_string(d);
-    img_server.RegisterDevice(id, img.qcore);
-    fleet.emplace_back(&img_server, id);
+    img_server.RegisterDevice("img-" + std::to_string(d), img.qcore);
   }
-  std::printf("registered %zu sessions in %.2fs (HAR shard occupancy:",
-              fleet.size(), wall.ElapsedSeconds());
+  std::printf("registered %d sessions in %.2fs (HAR shard occupancy:",
+              har_devices + img_devices, wall.ElapsedSeconds());
   for (int s = 0; s < har_server.num_shards(); ++s) {
     std::printf(" %d", har_server.SessionCountOnShard(s));
   }
@@ -687,8 +687,8 @@ int main(int argc, char** argv) {
     const std::string id = "har-" + std::to_string(d);
     if (chaos && !har_server.HasDevice(id)) {
       // This device's migration was hit by the injected shard crash: it
-      // left the routing maps loudly. Skip its traffic (an overload-aware
-      // client would see unknown-device errors); the chaos report below
+      // left the routing maps loudly. Skip its traffic (a TrySubmit* client
+      // would get kNotFound); the chaos report below
       // re-registers it from its barrier snapshot.
       std::printf("chaos: %s lost to the injected shard crash; skipping "
                   "its stream\n",
@@ -751,9 +751,9 @@ int main(int argc, char** argv) {
   std::printf("wrote rebalance-window trace to %s\n", trace_path.c_str());
 
   // --- Fleet report. -----------------------------------------------------
-  std::printf("served %zu calibration batches + inference traffic for %zu "
+  std::printf("served %zu calibration batches + inference traffic for %d "
               "devices in %.2fs\n\n",
-              stats.size(), fleet.size(), serve_seconds);
+              stats.size(), har_devices + img_devices, serve_seconds);
   const WhiteboardImage har_board = har_server.whiteboard().Read();
   const WhiteboardImage img_board = img_server.whiteboard().Read();
   std::printf("-- HAR cohort (%d shards) --\n%s\n", har_server.num_shards(),
@@ -768,7 +768,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n-- image cohort --\n%s\n",
               img_server.metrics().Report().c_str());
-  // Cross-cohort total: the two backends are independent (different base
+  // Cross-cohort total: the two servers are independent (different base
   // models), so the fleet-wide view adds their two images' totals.
   ServingCounters fleet_total = har_board.FleetTotals();
   fleet_total += img_board.FleetTotals();
@@ -867,7 +867,7 @@ int main(int argc, char** argv) {
     SnapshotRegistry durable(std::move(store).value());
     FleetServerOptions wopts = opts;
     wopts.snapshot_every = 0;  // explicit publishes below
-    FleetServer server(*har.base, *har.bf, wopts, &durable);
+    ShardedFleetServer server(*har.base, *har.bf, OneShard(wopts), &durable);
     for (int d = 0; d < wal_devices; ++d) {
       const std::string id = "wal-" + std::to_string(d);
       server.RegisterDevice(id, har.qcore);
@@ -906,7 +906,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(latest->version));
     FleetServerOptions wopts = opts;
     wopts.warm_start_from_registry = true;
-    FleetServer server(*har.base, *har.bf, wopts, &recovered);
+    ShardedFleetServer server(*har.base, *har.bf, OneShard(wopts),
+                              &recovered);
     int warm_started = 0;
     for (int d = 0; d < wal_devices; ++d) {
       const std::string id = "wal-" + std::to_string(d);

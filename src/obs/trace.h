@@ -69,7 +69,7 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kSubmitInference;
 };
 
-// Process-wide trace domain. One instance (Global()) serves every backend:
+// Process-wide trace domain. One instance (Global()) serves every server:
 // span ids are globally unique, so concurrent servers' events interleave
 // without ambiguity and tests filter by span.
 class TraceRing {

@@ -235,8 +235,8 @@ class Whiteboard {
   // Row handle for shard `index`, creating it on first sight (idempotent).
   Shard* RegisterShard(int index);
 
-  // Supplies the WAL row for Read() images; the FleetServer owning a
-  // durable registry installs a provider over registry->wal_stats().
+  // Supplies the WAL row for Read() images; the ShardedFleetServer owning
+  // the board installs a provider over its registry's wal_stats().
   void SetWalStatsProvider(std::function<WalRow()> provider);
 
   // Snapshot-consistent copy of every row.

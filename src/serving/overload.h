@@ -148,10 +148,9 @@ class AdmissionNode {
   std::atomic<uint64_t> refusals_{0};
 };
 
-// The admission tree. One limiter spans one admission domain: a standalone
-// FleetServer owns a private limiter (its shard node is the root's only
-// child); a ShardedFleetServer owns the limiter and hands each shard its
-// node, so fleet-wide caps compose over every shard's sessions.
+// The admission tree. One limiter spans one admission domain: the
+// ShardedFleetServer owns the limiter and hands each shard its node, so
+// fleet-wide caps compose over every shard's sessions.
 //
 // Thread-safety: node creation takes the limiter mutex; acquire/release
 // are lock-free gauge traffic on the nodes themselves.

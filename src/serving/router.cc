@@ -9,6 +9,29 @@
 
 namespace qcore {
 
+namespace {
+
+// Control-plane calls on a device the router does not know are programming
+// errors; submissions answer kNotFound instead (router.h).
+FleetServer& KnownShard(FleetServer* shard, const std::string& device_id) {
+  QCORE_CHECK_MSG(shard != nullptr, ("unknown device: " + device_id).c_str());
+  return *shard;
+}
+
+Status UnknownDevice(const std::string& device_id) {
+  return Status::NotFound("unknown device: " + device_id);
+}
+
+// The unconditional Submit* forms: a refused submission is a programming
+// error here — overload-aware callers use TrySubmit*.
+template <typename T>
+T CheckSubmitted(Result<T> result) {
+  QCORE_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+  return std::move(result).value();
+}
+
+}  // namespace
+
 ShardedFleetServer::ShardedFleetServer(const QuantizedModel& base_model,
                                        const BitFlipNet& base_bf,
                                        ShardedFleetServerOptions options,
@@ -19,8 +42,21 @@ ShardedFleetServer::ShardedFleetServer(const QuantizedModel& base_model,
       limiter_(AdmissionCaps{options_.max_queue_per_fleet, 0, 0}),
       snapshots_(shared_registry != nullptr ? shared_registry
                                             : &owned_snapshots_),
-      ring_(options_.num_shards, options_.vnodes_per_shard) {
+      ring_(options_.num_shards) {
   QCORE_CHECK_GT(options_.num_shards, 0);
+  // The WAL row reflects whatever store backs the registry (all zeros over
+  // a memory store). The registry outlives the board: an external one must
+  // outlive the router, and the owned one is declared before whiteboard_.
+  whiteboard_.SetWalStatsProvider([registry = snapshots_]() {
+    const WalStats stats = registry->wal_stats();
+    WalRow row;
+    row.appends = stats.appends;
+    row.appended_bytes = stats.appended_bytes;
+    row.fsyncs = stats.fsyncs;
+    row.compactions = stats.compactions;
+    row.torn_tails = stats.torn_tails_recovered;
+    return row;
+  });
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(MakeShard(s));
@@ -33,9 +69,9 @@ ShardedFleetServer::~ShardedFleetServer() {
 }
 
 std::unique_ptr<FleetServer> ShardedFleetServer::MakeShard(int index) {
-  return std::make_unique<FleetServer>(base_model_, base_bf_, options_.shard,
-                                       snapshots_, &metrics_, &whiteboard_,
-                                       index, &limiter_);
+  return std::unique_ptr<FleetServer>(
+      new FleetServer(base_model_, base_bf_, options_.shard, *snapshots_,
+                      metrics_, whiteboard_, index, limiter_));
 }
 
 int ShardedFleetServer::ShardIndexFor(const std::string& device_id) const {
@@ -76,23 +112,39 @@ int ShardedFleetServer::num_sessions() const {
 
 Result<std::future<InferenceResult>> ShardedFleetServer::TrySubmitInference(
     const std::string& device_id, Tensor x, const InferenceSubmitOptions& opts) {
-  return WithRoutedShard(device_id, [&](FleetServer& shard) {
-    return shard.TrySubmitInference(device_id, std::move(x), opts);
-  });
+  return WithRoutedShard(
+      device_id,
+      [&](FleetServer* shard) -> Result<std::future<InferenceResult>> {
+        if (shard == nullptr) return UnknownDevice(device_id);
+        return shard->TrySubmitInference(device_id, std::move(x), opts);
+      });
 }
 
 Result<std::future<BatchStats>> ShardedFleetServer::TrySubmitCalibration(
     const std::string& device_id, Dataset batch, Dataset test_slice) {
-  return WithRoutedShard(device_id, [&](FleetServer& shard) {
-    return shard.TrySubmitCalibration(device_id, std::move(batch),
-                                      std::move(test_slice));
-  });
+  return WithRoutedShard(
+      device_id, [&](FleetServer* shard) -> Result<std::future<BatchStats>> {
+        if (shard == nullptr) return UnknownDevice(device_id);
+        return shard->TrySubmitCalibration(device_id, std::move(batch),
+                                           std::move(test_slice));
+      });
+}
+
+std::future<InferenceResult> ShardedFleetServer::SubmitInference(
+    const std::string& device_id, Tensor x) {
+  return CheckSubmitted(TrySubmitInference(device_id, std::move(x)));
+}
+
+std::future<BatchStats> ShardedFleetServer::SubmitCalibration(
+    const std::string& device_id, Dataset batch, Dataset test_slice) {
+  return CheckSubmitted(TrySubmitCalibration(device_id, std::move(batch),
+                                             std::move(test_slice)));
 }
 
 std::future<uint64_t> ShardedFleetServer::PublishSnapshot(
     const std::string& device_id) {
-  return WithRoutedShard(device_id, [&](FleetServer& shard) {
-    return shard.PublishSnapshot(device_id);
+  return WithRoutedShard(device_id, [&](FleetServer* shard) {
+    return KnownShard(shard, device_id).PublishSnapshot(device_id);
   });
 }
 
@@ -107,8 +159,8 @@ void ShardedFleetServer::Drain() {
 void ShardedFleetServer::WithSessionQuiesced(
     const std::string& device_id,
     const std::function<void(CalibrationSession&)>& fn) {
-  WithRoutedShard(device_id, [&](FleetServer& shard) {
-    shard.WithSessionQuiesced(device_id, fn);
+  WithRoutedShard(device_id, [&](FleetServer* shard) {
+    KnownShard(shard, device_id).WithSessionQuiesced(device_id, fn);
   });
 }
 
@@ -160,7 +212,7 @@ uint64_t ShardedFleetServer::MoveDevice(const std::string& device_id,
   }
   {
     // Unpin and wake the device's parked submissions; they re-route to the
-    // new shard (or fail FindSession's check if the session was lost).
+    // new shard (or, if the session was lost, find the device unknown).
     MutexLock mig(migration_mu_);
     migrating_.erase(device_id);
   }
@@ -201,7 +253,7 @@ ShardedFleetServer::MigrationOutcome ShardedFleetServer::MigratePinned(
 void ShardedFleetServer::Rebalance(int new_shard_count) {
   MutexLock control(control_mu_);
   QCORE_CHECK_GT(new_shard_count, 0);
-  HashRing new_ring(new_shard_count, options_.vnodes_per_shard);
+  HashRing new_ring(new_shard_count);
   struct PlannedMove {
     std::string device_id;
     int source;

@@ -1,12 +1,24 @@
-// ShardedFleetServer: the scale-out FleetBackend. N independent FleetServer
-// shards — each with its own ThreadPool, session mutex map, and (when
-// batching is enabled) its own InferenceBatcher — behind a consistent-hash
-// ring mapping device_id -> shard. Sessions never talk across shards, so
-// the per-shard pool/mutex pressure that bounded a single FleetServer now
-// divides by N, while the API and every determinism property stay exactly
-// those of FleetBackend: per-device results are bit-identical to a single
-// unsharded server (and to the single-threaded pipeline) for any shard
-// count — sessions are seeded by device id, never by placement.
+// ShardedFleetServer: the fleet server, and the only server type callers
+// construct. N independent FleetServer shards (serving/server.h) — each
+// with its own ThreadPool, session mutex map, and (when batching is
+// enabled) its own InferenceBatcher — behind a consistent-hash ring
+// mapping device_id -> shard. Sessions never talk across shards, so the
+// per-shard pool/mutex pressure divides by N; one shard is the plain
+// single-pool server.
+//
+// Contract:
+//   * Per-device submission order is execution order, and results are
+//     bit-identical to the single-threaded pipeline for any thread count,
+//     shard count, or batching configuration — sessions are seeded by
+//     device id, never by placement.
+//   * TrySubmit* never blocks on model work. It sheds with
+//     kResourceExhausted under a configured queue bound, and answers
+//     kNotFound for a device the router does not know; the Submit* forms
+//     are the unconditional ones for unbounded servers.
+//   * PublishSnapshot is control-plane (never shed) and captures the model
+//     in the device's submission order.
+//   * Drain() returns only when every previously submitted task (including
+//     work pending inside a batcher) has finished.
 //
 // Shared planes:
 //   * SnapshotRegistry — ONE federated registry, passed into every shard,
@@ -18,7 +30,8 @@
 //     the serving counters; a device's row follows it across migrations,
 //     and per-shard and fleet totals are derived from the rows when an
 //     image is read, so totals survive shard retirement with nothing to
-//     fold or rebuild.
+//     fold or rebuild. Its WAL row is read from the registry.
+//   * AdmissionLimiter — ONE admission tree (see the overload plane below).
 //
 // Live rebalancing (MoveDevice / Rebalance): the source shard publishes a
 // barrier snapshot for the device (flushing its pending batched inference
@@ -62,7 +75,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "serving/backend.h"
 #include "serving/hash_ring.h"
 #include "serving/overload.h"
 #include "serving/server.h"
@@ -72,8 +84,6 @@ namespace qcore {
 struct ShardedFleetServerOptions {
   // Shard count at construction; Rebalance() can change it live.
   int num_shards = 2;
-  // Ring granularity (see serving/hash_ring.h).
-  int vnodes_per_shard = HashRing::kDefaultVnodesPerShard;
   // Per-shard configuration: every shard gets its own pool of
   // `shard.num_threads` workers, its own batcher, and the same seed (device
   // seeds depend on the device id only, so placement never affects
@@ -85,13 +95,17 @@ struct ShardedFleetServerOptions {
   int max_queue_per_fleet = 0;
 };
 
-class ShardedFleetServer : public FleetBackend {
+class ShardedFleetServer {
  public:
-  // `shared_registry` (optional) makes every shard publish into an external
-  // registry instead of the router's own federated one — e.g. a registry
-  // constructed over a DurableSnapshotStore, so the whole sharded fleet's
-  // snapshots survive the process and restore on the next construction
-  // (the registry must outlive the router).
+  // `base_model` is the server-prepared deployed model (quantize + initial
+  // calibration done, shadows dropped) and `base_bf` its trained
+  // bit-flipping net; every registered device starts from clones of these,
+  // so both must outlive the server. `shared_registry` (optional) makes
+  // every shard publish into an external registry instead of the router's
+  // own federated one — e.g. a registry constructed over a
+  // DurableSnapshotStore, so the fleet's snapshots survive the process and
+  // restore on the next construction (the registry must outlive the
+  // router).
   ShardedFleetServer(const QuantizedModel& base_model,
                      const BitFlipNet& base_bf,
                      ShardedFleetServerOptions options,
@@ -101,33 +115,70 @@ class ShardedFleetServer : public FleetBackend {
   ShardedFleetServer& operator=(const ShardedFleetServer&) = delete;
 
   // Drains every shard (each shard's destructor drains its own pool).
-  ~ShardedFleetServer() override;
+  ~ShardedFleetServer();
 
-  // FleetBackend: routing wrappers. Submissions take the routing lock
-  // shared, resolve the device's shard, and delegate; registration places
-  // the device by ring position.
-  void RegisterDevice(const std::string& device_id, Dataset qcore) override;
-  bool HasDevice(const std::string& device_id) const override;
-  int num_sessions() const override;
-  using FleetBackend::TrySubmitInference;
+  // Creates the device's session (clone of the base model + net, QCore
+  // copy, deterministic per-device seed) on the shard its ring position
+  // picks. Must not already exist.
+  void RegisterDevice(const std::string& device_id, Dataset qcore);
+  bool HasDevice(const std::string& device_id) const;
+  int num_sessions() const;
+
+  // Admission-controlled async quantized inference on the device's current
+  // model. Sheds with kResourceExhausted when an admission bound is hit at
+  // any level of the session/shard/fleet tree (never blocks, never
+  // deadlocks — the overload fast-fail), and returns kNotFound for a device
+  // the router does not know (never registered, or lost by a crashed
+  // migration). `opts` carries the per-request latency budget; a budget
+  // that expires post-admission resolves the future with a
+  // kDeadlineExceeded result instead.
   Result<std::future<InferenceResult>> TrySubmitInference(
       const std::string& device_id, Tensor x,
-      const InferenceSubmitOptions& opts) override;
+      const InferenceSubmitOptions& opts = {});
+  // Admission-controlled async continual-calibration step on one stream
+  // batch; the test slice is evaluated after calibration. Sheds and
+  // answers unknown devices like TrySubmitInference.
   Result<std::future<BatchStats>> TrySubmitCalibration(
-      const std::string& device_id, Dataset batch,
-      Dataset test_slice) override;
-  std::future<uint64_t> PublishSnapshot(const std::string& device_id) override;
-  void Drain() override;
+      const std::string& device_id, Dataset batch, Dataset test_slice);
+
+  // Unconditional submission forms, for servers without queue bounds. A
+  // shed or an unknown device is a programming error here (checked) —
+  // overload-aware callers use TrySubmit*.
+  std::future<InferenceResult> SubmitInference(const std::string& device_id,
+                                               Tensor x);
+  std::future<BatchStats> SubmitCalibration(const std::string& device_id,
+                                            Dataset batch, Dataset test_slice);
+
+  // Async snapshot publish of the device's current model into snapshots();
+  // resolves to the assigned version. Runs in the session's task order (a
+  // pending batched inference group is flushed first). Never shed.
+  std::future<uint64_t> PublishSnapshot(const std::string& device_id);
+
+  // Blocks until every queued task (including pending batched inference and
+  // tasks queued while draining) has finished, across all shards.
+  void Drain();
+
+  // Read-side session access with a safe contract: the owning shard
+  // quiesces the session — pending batched work for the device is flushed,
+  // every queued task runs to completion, and `fn` executes with exclusive
+  // access; concurrent submissions for the device simply wait. `fn` must
+  // not submit work or call Drain on this server (it runs under the
+  // session's lock).
   void WithSessionQuiesced(
       const std::string& device_id,
-      const std::function<void(CalibrationSession&)>& fn) override;
-  ServingMetrics& metrics() override { return metrics_; }
-  const ServingMetrics& metrics() const override { return metrics_; }
-  SnapshotRegistry& snapshots() override { return *snapshots_; }
-  // One fleet-wide board: every shard writes its rows here (shard index =
-  // position in shards_), so a single Read() images the whole fleet.
-  Whiteboard& whiteboard() override { return whiteboard_; }
-  const Whiteboard& whiteboard() const override { return whiteboard_; }
+      const std::function<void(CalibrationSession&)>& fn);
+
+  // Fleet-wide observability, one instance each for all shards: metrics()
+  // holds the latency and occupancy histograms, snapshots() is the
+  // federated registry, and whiteboard() the introspection rows (device
+  // rows are the only store of the serving counters; shard and fleet
+  // totals are derived from them when an image is read, and Read() is a
+  // snapshot-consistent image at any moment, including mid-rebalance).
+  ServingMetrics& metrics() { return metrics_; }
+  const ServingMetrics& metrics() const { return metrics_; }
+  SnapshotRegistry& snapshots() { return *snapshots_; }
+  Whiteboard& whiteboard() { return whiteboard_; }
+  const Whiteboard& whiteboard() const { return whiteboard_; }
 
   // --- Rebalancing control plane -----------------------------------------
 
@@ -184,17 +235,19 @@ class ShardedFleetServer : public FleetBackend {
   int ShardIndexFor(const std::string& device_id) const
       QCORE_REQUIRES_SHARED(route_mu_);
 
-  // Routes `device_id` and runs `fn(shard)` under the shared routing lock.
-  // If the device is mid-migration, parks (without any lock that would
-  // stall other devices) until the pin clears, then re-routes — the
+  // Routes `device_id` and runs `fn(shard)` under the shared routing lock,
+  // with `shard` null when the router does not know the device. If the
+  // device is mid-migration, parks (without any lock that would stall
+  // other devices) until the pin clears, then re-routes — the
   // non-blocking-migration contract: callers never observe a half-moved
   // device, and never block behind another device's migration.
   template <typename Fn>
   auto WithRoutedShard(const std::string& device_id, Fn&& fn)
-      -> decltype(fn(std::declval<FleetServer&>())) {
+      -> decltype(fn(std::declval<FleetServer*>())) {
     for (;;) {
       SharedLock lock(route_mu_);
-      const int shard = ShardIndexFor(device_id);
+      auto placed = device_shard_.find(device_id);
+      if (placed == device_shard_.end()) return fn(nullptr);
       {
         MutexLock mig(migration_mu_);
         if (migrating_.count(device_id) > 0) {
@@ -206,7 +259,7 @@ class ShardedFleetServer : public FleetBackend {
           continue;  // re-route: the map may now point elsewhere
         }
       }
-      return fn(*shards_[static_cast<size_t>(shard)]);
+      return fn(shards_[static_cast<size_t>(placed->second)].get());
     }
   }
 
@@ -228,7 +281,8 @@ class ShardedFleetServer : public FleetBackend {
   ServingMetrics metrics_;
   // Fleet whiteboard, the only counter store: shards hold row handles into
   // it, so it must outlive shards_ (declared before it; a retiring shard's
-  // destructor still flags its row retired).
+  // destructor still flags its row retired). Its WAL row reads snapshots_,
+  // which outlives it.
   Whiteboard whiteboard_;
 
   // Serializes the control plane: MoveDevice, Rebalance, RegisterDevice.
@@ -255,6 +309,11 @@ class ShardedFleetServer : public FleetBackend {
   // Rebalance (the policy layer the ROADMAP asked for).
   std::map<std::string, int> pinned_ QCORE_GUARDED_BY(route_mu_);
 };
+
+// bench/e2e/bench_e2e.cc spells the server type by this older interface
+// name, and that benchmark's sources change only together with the
+// benchmark's definition, so the name stays as an alias.
+using FleetBackend = ShardedFleetServer;
 
 }  // namespace qcore
 

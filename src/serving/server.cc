@@ -45,47 +45,22 @@ void SimulateDeviceLink(double rtt_ms) {
 FleetServer::FleetServer(const QuantizedModel& base_model,
                          const BitFlipNet& base_bf,
                          FleetServerOptions options,
-                         SnapshotRegistry* shared_registry,
-                         ServingMetrics* shared_metrics,
-                         Whiteboard* shared_whiteboard, int shard_index,
-                         AdmissionLimiter* shared_limiter)
+                         SnapshotRegistry& registry, ServingMetrics& metrics,
+                         Whiteboard& whiteboard, int shard_index,
+                         AdmissionLimiter& limiter)
     : base_model_(base_model),
       base_bf_(base_bf),
       options_(std::move(options)),
-      metrics_(shared_metrics != nullptr ? shared_metrics : &owned_metrics_),
-      registry_(shared_registry != nullptr ? shared_registry
-                                           : &owned_registry_),
-      whiteboard_(shared_whiteboard != nullptr ? shared_whiteboard
-                                               : &owned_whiteboard_),
-      wb_shard_(whiteboard_->RegisterShard(shard_index)),
+      registry_(registry),
+      metrics_(metrics),
+      whiteboard_(whiteboard),
+      wb_shard_(whiteboard_.RegisterShard(shard_index)),
       shard_index_(shard_index),
-      // Standalone servers own a limiter with an unbounded fleet root, so
-      // only the shard and session caps bite; behind a router the shared
-      // tree adds the fleet-wide cap on top.
-      owned_limiter_(shared_limiter == nullptr
-                         ? std::make_unique<AdmissionLimiter>(AdmissionCaps{})
-                         : nullptr),
-      limiter_(shared_limiter != nullptr ? shared_limiter
-                                         : owned_limiter_.get()),
-      shard_node_(limiter_->AddShard(
+      limiter_(limiter),
+      shard_node_(limiter_.AddShard(
           AdmissionCaps{options_.max_queue_per_shard, 0, 0})),
       pool_(ThreadPoolOptions{options_.num_threads,
                               options_.calibration_aging_us}) {
-  // The WAL row reflects whatever store backs the registry (all zeros over
-  // a memory store). With a shared whiteboard every shard installs an
-  // equivalent provider over the same shared registry — last one wins,
-  // harmlessly. The captured registry outlives the board by the owners'
-  // declaration orders (server and router both).
-  whiteboard_->SetWalStatsProvider([registry = registry_]() {
-    const WalStats stats = registry->wal_stats();
-    WalRow row;
-    row.appends = stats.appends;
-    row.appended_bytes = stats.appended_bytes;
-    row.fsyncs = stats.fsyncs;
-    row.compactions = stats.compactions;
-    row.torn_tails = stats.torn_tails_recovered;
-    return row;
-  });
   if (options_.enable_batching) {
     batcher_ = std::make_unique<InferenceBatcher>(
         options_.batching,
@@ -98,8 +73,8 @@ FleetServer::FleetServer(const QuantizedModel& base_model,
 
 FleetServer::~FleetServer() {
   Drain();
-  // On a shared (router) whiteboard the row outlives this server; flag it
-  // so dumps distinguish a retired shard from a quiet one. Its devices'
+  // The row outlives this shard on the router's whiteboard; flag it so
+  // dumps distinguish a retired shard from a quiet one. Its devices'
   // counters moved with them, so fleet totals survive retirement.
   wb_shard_->set_retired();
 }
@@ -118,7 +93,7 @@ void FleetServer::RegisterDevice(const std::string& device_id,
     // (a shared/imported registry can hold foreign fleets' models) — means
     // a plain cold start: RestoreInto fails atomically, leaving the
     // freshly cloned base model untouched.
-    if (auto snap = registry_->NearestFor(device_id)) {
+    if (auto snap = registry_.NearestFor(device_id)) {
       if (SnapshotRegistry::RestoreInto(*snap, state->session.model())
               .ok()) {
         origin = snap->device_id == device_id
@@ -127,10 +102,10 @@ void FleetServer::RegisterDevice(const std::string& device_id,
       }
     }
   }
-  state->wb = whiteboard_->UpsertDevice(device_id, shard_index_, origin);
+  state->wb = whiteboard_.UpsertDevice(device_id, shard_index_, origin);
   state->wb->set_warm_start(origin);  // re-registration re-derives origin
   state->trace_name = TraceRing::Global().Intern(device_id);
-  state->admission = limiter_->AddSession(
+  state->admission = limiter_.AddSession(
       shard_node_,
       AdmissionCaps{options_.max_queue_per_session,
                     options_.max_inference_queue_per_session,
@@ -140,11 +115,6 @@ void FleetServer::RegisterDevice(const std::string& device_id,
       sessions_.emplace(device_id, std::move(state)).second;
   QCORE_CHECK_MSG(inserted, ("device registered twice: " + device_id).c_str());
   wb_shard_->set_sessions(sessions_.size());
-}
-
-bool FleetServer::HasDevice(const std::string& device_id) const {
-  MutexLock lock(sessions_mu_);
-  return sessions_.count(device_id) > 0;
 }
 
 int FleetServer::num_sessions() const {
@@ -210,7 +180,7 @@ Status FleetServer::AdmitTask(SessionState* state,
                               const std::string& device_id, bool is_inference,
                               uint64_t span) {
   const AdmissionLevel refused =
-      limiter_->TryAcquire(state->admission, is_inference);
+      limiter_.TryAcquire(state->admission, is_inference);
   if (refused != AdmissionLevel::kNone) {
     const bool session_level = refused == AdmissionLevel::kSession;
     // One shed, two counters: its class and its reason. A session refusal
@@ -240,14 +210,14 @@ Status FleetServer::AdmitTask(SessionState* state,
   state->wb->Count([is_inference](ServingCounters& c) {
     ++(is_inference ? c.accepted_inference : c.accepted_calibration);
   });
-  metrics_->queue_depth().Record(state->admission->total_depth());
+  metrics_.queue_depth().Record(state->admission->total_depth());
   return Status::OK();
 }
 
 void FleetServer::ReleaseTask(SessionState* state, bool is_inference,
                               int count) {
   for (int i = 0; i < count; ++i) {
-    limiter_->Release(state->admission, is_inference);
+    limiter_.Release(state->admission, is_inference);
   }
 }
 
@@ -319,8 +289,8 @@ Result<std::future<InferenceResult>> FleetServer::TrySubmitInference(
             kernels::ThreadGemmDispatchCounters() - kd_before;
         r.latency_seconds = timer.ElapsedSeconds();
         r.trace_span = span;
-        metrics_->inference_latency().Record(r.latency_seconds);
-        metrics_->batch_occupancy().Record(1);
+        metrics_.inference_latency().Record(r.latency_seconds);
+        metrics_.batch_occupancy().Record(1);
         state->wb->Count([&x, &panels](ServingCounters& c) {
           ++c.inference_requests;
           c.inference_examples += static_cast<uint64_t>(x.dim(0));
@@ -397,7 +367,7 @@ void FleetServer::FlushInferenceGroup(const std::string& device_id,
         // property of the coalesced shape.
         const kernels::GemmDispatchCounters panels =
             kernels::ThreadGemmDispatchCounters() - kd_before;
-        metrics_->batch_occupancy().Record(static_cast<int64_t>(run.size()));
+        metrics_.batch_occupancy().Record(static_cast<int64_t>(run.size()));
         // Counted before any member's future resolves, so a caller holding
         // a result always finds its request on the row.
         state->wb->Count([&run, &panels](ServingCounters& c) {
@@ -413,7 +383,7 @@ void FleetServer::FlushInferenceGroup(const std::string& device_id,
           r.predictions = std::move(labels[i]);
           r.latency_seconds = run[i].timer.ElapsedSeconds();
           r.trace_span = run[i].span;
-          metrics_->inference_latency().Record(r.latency_seconds);
+          metrics_.inference_latency().Record(r.latency_seconds);
           TraceRing::Global().Record(TraceKind::kComplete, run[i].span,
                                      state->trace_name, group_span);
           run[i].promise->set_value(std::move(r));
@@ -451,7 +421,7 @@ Result<std::future<BatchStats>> FleetServer::TrySubmitCalibration(
                                    state->trace_name);
         SimulateDeviceLink(options_.simulated_device_rtt_ms);
         BatchStats stats = state->session.Calibrate(batch, test_slice);
-        metrics_->calibration_latency().Record(timer.ElapsedSeconds());
+        metrics_.calibration_latency().Record(timer.ElapsedSeconds());
         state->wb->Count([&](ServingCounters& c) {
           ++c.calibration_batches;
           c.calibration_examples += static_cast<uint64_t>(batch.size());
@@ -466,7 +436,7 @@ Result<std::future<BatchStats>> FleetServer::TrySubmitCalibration(
           TraceRing::Global().Record(TraceKind::kSnapshotPublish, span,
                                      state->trace_name);
           const uint64_t version =
-              registry_->Publish(*state->session.model(), device_id,
+              registry_.Publish(*state->session.model(), device_id,
                                  state->session.batches_processed());
           state->wb->Count([](ServingCounters& c) { ++c.snapshots_published; });
           state->wb->set_snapshot_version(version);
@@ -500,7 +470,7 @@ std::future<uint64_t> FleetServer::PublishSnapshot(
         TraceRing::Global().Record(TraceKind::kSnapshotPublish, span,
                                    state->trace_name);
         const uint64_t version =
-            registry_->Publish(*state->session.model(), device_id,
+            registry_.Publish(*state->session.model(), device_id,
                                state->session.batches_processed());
         state->wb->Count([](ServingCounters& c) { ++c.snapshots_published; });
         state->wb->set_snapshot_version(version);
@@ -543,25 +513,24 @@ SessionHandoff FleetServer::DetachSession(const std::string& device_id) {
 
 void FleetServer::AttachSession(const SessionHandoff& handoff) {
   std::shared_ptr<const ModelSnapshot> snap =
-      registry_->Get(handoff.barrier_version);
+      registry_.Get(handoff.barrier_version);
   QCORE_CHECK_MSG(snap != nullptr,
-                  "AttachSession: barrier snapshot not in this server's "
-                  "registry (shards must share one)");
+                  "AttachSession: barrier snapshot not in the registry");
   BinaryReader r(handoff.continuation);
   auto state = std::make_unique<SessionState>(
       handoff.device_id, base_model_, base_bf_, options_.continual, *snap,
       &r);
-  // The row already exists on a shared (router) whiteboard — UpsertDevice
+  // The row already exists on the router's whiteboard — UpsertDevice
   // rehomes it to this shard and clears the migrating flag, keeping the
   // device's counters and warm-start origin across the move.
-  state->wb = whiteboard_->UpsertDevice(handoff.device_id, shard_index_,
+  state->wb = whiteboard_.UpsertDevice(handoff.device_id, shard_index_,
                                         WarmStartOrigin::kCold);
   state->wb->set_snapshot_version(handoff.barrier_version);
   state->trace_name = TraceRing::Global().Intern(handoff.device_id);
   // A migrated session gets a fresh admission node under THIS shard; the
   // node it held on the source shard stays allocated at zero (nodes are
   // never removed — see overload.h).
-  state->admission = limiter_->AddSession(
+  state->admission = limiter_.AddSession(
       shard_node_,
       AdmissionCaps{options_.max_queue_per_session,
                     options_.max_inference_queue_per_session,

@@ -1,9 +1,11 @@
-// FleetServer: the single-shard FleetBackend — multiplexes many per-device
-// CalibrationSessions over one shared ThreadPool, interleaving
+// FleetServer: one shard of the fleet server. Callers construct only the
+// router (ShardedFleetServer, serving/router.h), which builds N of these
+// behind a consistent-hash ring and hands each one the router's snapshot
+// registry, metrics, whiteboard and admission limiter. A shard multiplexes
+// per-device CalibrationSessions over one ThreadPool, interleaving
 // quantized-inference requests with background continual-calibration work
 // (the serving-runtime analogue of the paper's single-device loop, scaled
-// out). The sharded backend (serving/router.h) composes N of these behind a
-// consistent-hash router.
+// out).
 //
 // Scheduling model: each session is an actor. Work for a device goes into
 // that device's FIFO; a session is "pumped" by at most one pool worker at a
@@ -36,7 +38,7 @@
 //     with kResourceExhausted once an admission cap is hit. Bounds compose
 //     down an AdmissionLimiter tree (serving/overload.h): per-session caps
 //     (the legacy shared bound plus per-class forms), a per-shard cap, and
-//     — behind a router — a fleet-wide cap; shed/accepted counts and a
+//     the router's fleet-wide cap; shed/accepted counts and a
 //     per-reason shed breakdown land on the device's whiteboard row,
 //     queue-depth samples in ServingMetrics. Orthogonally, a submission
 //     may carry a latency budget (InferenceSubmitOptions); once admitted,
@@ -47,16 +49,16 @@
 // Results come back through std::future; event counters land on each
 // device's whiteboard row, the ServingMetrics histograms aggregate latency
 // and occupancy across all sessions, and calibrated models can be
-// published into the SnapshotRegistry (owned, or shared with sibling
-// shards) as immutable copy-on-write versions.
+// published into the registry every shard shares as immutable
+// copy-on-write versions.
 //
 // Session migration: DetachSession publishes a barrier snapshot (flushing
 // any pending batched group first), waits for the session to quiesce,
 // serializes its continuation state (Rng position, resampled QCore, batch
 // counter), and removes it; AttachSession reconstructs the session from the
 // registry version plus that continuation — bit-identical to never having
-// moved. The sharded router drives these two to rebalance devices across
-// shards live.
+// moved. The router drives these two to rebalance devices across shards
+// live.
 #ifndef QCORE_SERVING_SERVER_H_
 #define QCORE_SERVING_SERVER_H_
 
@@ -74,15 +76,28 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/continual.h"
+#include "data/dataset.h"
+#include "obs/whiteboard.h"
 #include "runtime/thread_pool.h"
-#include "serving/backend.h"
 #include "serving/batcher.h"
 #include "serving/metrics.h"
 #include "serving/overload.h"
 #include "serving/session.h"
 #include "serving/snapshot.h"
+#include "tensor/tensor.h"
 
 namespace qcore {
+
+// Per-submission overload-control knobs (serving/overload.h has the plane's
+// full semantics).
+struct InferenceSubmitOptions {
+  // Latency budget in microseconds, measured from submission. 0 (default)
+  // = no deadline. A request whose budget expires while parked in the
+  // batcher or the session FIFO is shed with kDeadlineExceeded — its
+  // future resolves to an InferenceResult whose `status` carries the code
+  // and whose predictions are empty; it never reaches a forward pass.
+  double latency_budget_us = 0.0;
+};
 
 struct FleetServerOptions {
   // Pool workers. 0 = run every task inline on the submitting thread (the
@@ -145,12 +160,11 @@ struct FleetServerOptions {
   bool warm_start_from_registry = false;
 };
 
-// Everything needed to re-create a session on another FleetServer,
+// Everything needed to re-create a session on another shard,
 // bit-identically: the registry version of the barrier snapshot that holds
 // its model codes, plus the serialized continuation state (see
-// CalibrationSession::SerializeContinuation). Producing one requires the
-// source and target to share a SnapshotRegistry (the sharded router's
-// federated registry).
+// CalibrationSession::SerializeContinuation). Source and target resolve the
+// version in the one registry the router shares between its shards.
 struct SessionHandoff {
   std::string device_id;
   uint64_t barrier_version = 0;
@@ -161,83 +175,58 @@ struct SessionHandoff {
   uint64_t trace_span = 0;
 };
 
-class FleetServer : public FleetBackend {
+class FleetServer {
  public:
-  // `base_model` is the server-prepared deployed model (quantize + initial
-  // calibration done, shadows dropped) and `base_bf` its trained
-  // bit-flipping net; every registered device starts from clones of these.
-  // Both are held by reference and re-cloned on every RegisterDevice, so
-  // they must outlive the server. `shared_registry` (optional) makes this
-  // server publish into an external registry instead of its own — the
-  // sharded router passes its federated registry so versions are globally
-  // monotonic across shards. `shared_metrics` (optional) follows the
-  // same pattern for the histograms: the router passes one instance into
-  // every shard. `shared_whiteboard` (optional) does so for introspection
-  // rows, the only store of the serving counters: the router passes its
-  // fleet-wide board (and this server's `shard_index` on it) so every
-  // shard writes into one place; standalone servers own their board as
-  // shard 0. All of them must outlive the server.
-  // `shared_limiter` (optional) plugs this server into an external
-  // admission tree — the sharded router's, whose fleet-level caps then
-  // bound all shards together. When null the server owns a private limiter
-  // with an unbounded fleet root (single-shard deployments keep their
-  // historical per-session semantics exactly).
-  FleetServer(const QuantizedModel& base_model, const BitFlipNet& base_bf,
-              FleetServerOptions options,
-              SnapshotRegistry* shared_registry = nullptr,
-              ServingMetrics* shared_metrics = nullptr,
-              Whiteboard* shared_whiteboard = nullptr, int shard_index = 0,
-              AdmissionLimiter* shared_limiter = nullptr);
-
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
 
   // Drains all in-flight work, then stops the pool.
-  ~FleetServer() override;
+  ~FleetServer();
 
-  void RegisterDevice(const std::string& device_id, Dataset qcore) override;
-
-  bool HasDevice(const std::string& device_id) const override;
-  int num_sessions() const override;
-
-  // Re-expose the base's budget-less convenience overload next to the
-  // override (an override otherwise hides every base overload of the name).
-  using FleetBackend::TrySubmitInference;
+  // The router's per-shard halves of its API (serving/router.h has the
+  // contract). The router only routes devices it has placed here, so an
+  // unknown device is a programming error (checked).
+  void RegisterDevice(const std::string& device_id, Dataset qcore);
+  int num_sessions() const;
   Result<std::future<InferenceResult>> TrySubmitInference(
       const std::string& device_id, Tensor x,
-      const InferenceSubmitOptions& opts) override;
-
+      const InferenceSubmitOptions& opts);
   Result<std::future<BatchStats>> TrySubmitCalibration(
-      const std::string& device_id, Dataset batch,
-      Dataset test_slice) override;
-
-  std::future<uint64_t> PublishSnapshot(const std::string& device_id) override;
-
+      const std::string& device_id, Dataset batch, Dataset test_slice);
+  std::future<uint64_t> PublishSnapshot(const std::string& device_id);
   // Blocks until every queued task (including pending batched inference and
   // tasks queued while draining) has finished.
-  void Drain() override;
-
+  void Drain();
   void WithSessionQuiesced(
       const std::string& device_id,
-      const std::function<void(CalibrationSession&)>& fn) override;
+      const std::function<void(CalibrationSession&)>& fn);
 
-  // Session migration (the sharded router's rebalancing primitives; see the
-  // file comment). The caller must guarantee no concurrent submissions for
-  // the device — the router runs the handoff under its SHARED routing lock
+  // Session migration (the router's rebalancing primitives; see the file
+  // comment). The caller must guarantee no concurrent submissions for the
+  // device — the router runs the handoff under its SHARED routing lock
   // while the device's migration pin parks its submissions (router.h).
   // DetachSession publishes the barrier snapshot, quiesces, serializes, and
-  // removes the session; AttachSession re-creates it from the handoff
-  // (whose barrier_version must resolve in this server's snapshots()).
+  // removes the session; AttachSession re-creates it from the handoff.
   SessionHandoff DetachSession(const std::string& device_id);
   void AttachSession(const SessionHandoff& handoff);
 
-  ServingMetrics& metrics() override { return *metrics_; }
-  const ServingMetrics& metrics() const override { return *metrics_; }
-  SnapshotRegistry& snapshots() override { return *registry_; }
-  Whiteboard& whiteboard() override { return *whiteboard_; }
-  const Whiteboard& whiteboard() const override { return *whiteboard_; }
-
  private:
+  // Only ShardedFleetServer::MakeShard builds a shard. `base_model` is the
+  // server-prepared deployed model (quantize + initial calibration done,
+  // shadows dropped) and `base_bf` its trained bit-flipping net; every
+  // registered device starts from clones of these. The four planes are the
+  // router's, shared by every shard: `registry` (globally monotonic
+  // versions, so a snapshot published here restores on any shard),
+  // `metrics` (the histograms), `whiteboard` (the introspection rows,
+  // including this shard's row at `shard_index`) and `limiter` (the
+  // admission tree whose fleet root bounds all shards together). All of
+  // them must outlive the shard.
+  friend class ShardedFleetServer;
+  FleetServer(const QuantizedModel& base_model, const BitFlipNet& base_bf,
+              FleetServerOptions options, SnapshotRegistry& registry,
+              ServingMetrics& metrics, Whiteboard& whiteboard,
+              int shard_index, AdmissionLimiter& limiter);
+
   struct SessionState {
     template <typename... Args>
     explicit SessionState(Args&&... args)
@@ -318,19 +307,14 @@ class FleetServer : public FleetBackend {
   const QuantizedModel& base_model_;
   const BitFlipNet& base_bf_;
   FleetServerOptions options_;
-  ServingMetrics owned_metrics_;  // used unless a shared one was passed
-  ServingMetrics* metrics_;
-  SnapshotRegistry owned_registry_;  // used unless a shared one was passed
-  SnapshotRegistry* registry_;
-  Whiteboard owned_whiteboard_;  // used unless a shared one was passed
-  Whiteboard* whiteboard_;
-  Whiteboard::Shard* wb_shard_;  // this server's row on whiteboard_
+  // The router's planes (see the constructor).
+  SnapshotRegistry& registry_;
+  ServingMetrics& metrics_;
+  Whiteboard& whiteboard_;
+  Whiteboard::Shard* wb_shard_;  // this shard's row on whiteboard_
   const int shard_index_;
-  // Admission tree (see ctor). Declared before pool_ so nodes outlive any
-  // straggling pump's release. Session nodes hang off shard_node_.
-  std::unique_ptr<AdmissionLimiter> owned_limiter_;
-  AdmissionLimiter* limiter_;
-  AdmissionNode* shard_node_;
+  AdmissionLimiter& limiter_;
+  AdmissionNode* shard_node_;  // session nodes hang off it
 
   // Guards the map, not the sessions (each SessionState carries its own mu).
   mutable Mutex sessions_mu_;

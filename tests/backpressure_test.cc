@@ -3,8 +3,7 @@
 // per-class bounds must cap inference and calibration independently,
 // inference must be prioritized over background calibration at the pool,
 // and the shed/accepted counters must reconcile exactly with what callers
-// observed — against both FleetBackend implementations. Runs under
-// ThreadSanitizer in CI alongside serving_test.
+// observed. Runs under ThreadSanitizer in CI alongside serving_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,16 +13,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
 #include "runtime/thread_pool.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
@@ -85,52 +82,8 @@ TEST(ThreadPoolPriorityTest, LowTasksStillDrainOnShutdown) {
 
 // ------------------------------------------------------ fleet fixture
 
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    HarDomain source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20250602);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 6;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 6;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(11);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20250602, 11, 6);
   return fixture;
 }
 
@@ -140,61 +93,52 @@ ContinualOptions FastContinualOptions() {
   return opts;
 }
 
-// `num_shards` == 0 selects the single-pool FleetServer; > 0 the sharded
-// router (bounds apply per session regardless of placement).
-std::unique_ptr<FleetBackend> MakeBackend(FleetFixture* f,
-                                          const FleetServerOptions& opts,
-                                          int num_shards) {
-  if (num_shards <= 0) {
-    return std::make_unique<FleetServer>(*f->base, *f->bf, opts);
-  }
+// Two shards: bounds apply per session regardless of placement.
+ShardedFleetServerOptions TwoShards(FleetServerOptions opts) {
   ShardedFleetServerOptions sopts;
-  sopts.num_shards = num_shards;
-  sopts.shard = opts;
-  return std::make_unique<ShardedFleetServer>(*f->base, *f->bf, sopts);
+  sopts.num_shards = 2;
+  sopts.shard = std::move(opts);
+  return sopts;
 }
 
 // ------------------------------------------------------- load shedding
 
 TEST(BackpressureTest, ShedsWithResourceExhaustedWhenQueueFull) {
   FleetFixture* f = GetFixture();
-  for (int num_shards : {0, 2}) {
-    SCOPED_TRACE(num_shards == 0 ? "FleetServer" : "ShardedFleetServer");
-    FleetServerOptions opts;
-    opts.num_threads = 1;
-    opts.continual = FastContinualOptions();
-    opts.max_queue_per_session = 1;
-    // Slow the admitted task down so the second submission deterministically
-    // finds the queue full.
-    opts.simulated_device_rtt_ms = 50.0;
-    auto server = MakeBackend(f, opts, num_shards);
-    server->RegisterDevice("dev", f->qcore);
+  FleetServerOptions opts;
+  opts.num_threads = 1;
+  opts.continual = FastContinualOptions();
+  opts.max_queue_per_session = 1;
+  // Slow the admitted task down so the second submission deterministically
+  // finds the queue full.
+  opts.simulated_device_rtt_ms = 50.0;
+  ShardedFleetServer server(*f->base, *f->bf, TwoShards(opts));
+  server.RegisterDevice("dev", f->qcore);
 
-    auto first = server->TrySubmitInference("dev", f->target.test.x());
-    ASSERT_TRUE(first.ok());
-    auto second = server->TrySubmitInference("dev", f->target.test.x());
-    ASSERT_FALSE(second.ok());
-    EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_NE(second.status().message().find("dev"), std::string::npos);
-    auto third =
-        server->TrySubmitCalibration("dev", f->batches[0], f->slices[0]);
-    ASSERT_FALSE(third.ok());
-    EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
+  auto first = server.TrySubmitInference("dev", f->target.test.x());
+  ASSERT_TRUE(first.ok());
+  auto second = server.TrySubmitInference("dev", f->target.test.x());
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(second.status().message().find("dev"), std::string::npos);
+  auto third =
+      server.TrySubmitCalibration("dev", f->batches[0], f->slices[0]);
+  ASSERT_FALSE(third.ok());
+  EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
 
-    // The shed request's slot was released: after the first completes, the
-    // session accepts again.
-    std::move(first).value().get();
-    server->Drain();
-    auto fourth = server->TrySubmitInference("dev", f->target.test.x());
-    EXPECT_TRUE(fourth.ok());
-    server->Drain();
+  // The shed request's slot was released: after the first completes, the
+  // session accepts again.
+  std::move(first).value().get();
+  server.Drain();
+  auto fourth = server.TrySubmitInference("dev", f->target.test.x());
+  EXPECT_TRUE(fourth.ok());
+  server.Drain();
 
-    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
-    EXPECT_EQ(totals.shed_inference, 1u);
-    EXPECT_EQ(totals.shed_calibration, 1u);
-    EXPECT_EQ(totals.accepted_inference, 2u);
-    EXPECT_EQ(server->metrics().queue_depth().max(), 1);
-  }
+  const ServingCounters totals = server.whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.shed_inference, 1u);
+  EXPECT_EQ(totals.shed_calibration, 1u);
+  EXPECT_EQ(totals.accepted_inference, 2u);
+  EXPECT_EQ(server.metrics().queue_depth().max(), 1);
 }
 
 // Per-class bounds: a calibration backlog must not consume inference's
@@ -209,7 +153,7 @@ TEST(BackpressureTest, PerClassBoundsShedIndependently) {
   // No shared bound: only the per-class caps act.
   opts.max_queue_per_session = 0;
   opts.simulated_device_rtt_ms = 50.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   // Inference cap 1: the second submission sheds...
@@ -249,7 +193,7 @@ TEST(BackpressureTest, SharedBoundComposesWithPerClassBounds) {
   opts.max_queue_per_session = 2;             // total cap
   opts.max_calibration_queue_per_session = 8;  // loose class cap
   opts.simulated_device_rtt_ms = 50.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   // Two calibrations fill the SHARED bound even though the class cap (8)
@@ -274,8 +218,6 @@ TEST(BackpressureTest, SharedBoundComposesWithPerClassBounds) {
 // matching acceptance.
 TEST(BackpressureTest, FloodReconcilesAcceptedPlusShed) {
   FleetFixture* f = GetFixture();
-  for (int num_shards : {0, 2}) {
-  SCOPED_TRACE(num_shards == 0 ? "FleetServer" : "ShardedFleetServer");
   FleetServerOptions opts;
   opts.num_threads = 2;
   opts.continual = FastContinualOptions();
@@ -284,8 +226,7 @@ TEST(BackpressureTest, FloodReconcilesAcceptedPlusShed) {
   opts.enable_batching = true;         // flood through the batcher too
   opts.batching.max_batch = 4;
   opts.batching.max_delay_us = 100.0;
-  auto server_ptr = MakeBackend(f, opts, num_shards);
-  FleetBackend& server = *server_ptr;
+  ShardedFleetServer server(*f->base, *f->bf, TwoShards(opts));
   const int kDevices = 4;
   for (int d = 0; d < kDevices; ++d) {
     server.RegisterDevice("dev-" + std::to_string(d), f->qcore);
@@ -362,7 +303,6 @@ TEST(BackpressureTest, FloodReconcilesAcceptedPlusShed) {
   // The bound was actually exercised and never exceeded.
   EXPECT_LE(server.metrics().queue_depth().max(), 3);
   EXPECT_FALSE(server.metrics().Report().empty());
-  }
 }
 
 // Under overload, the pool must serve inference before the calibration
@@ -374,7 +314,7 @@ TEST(BackpressureTest, CalibrationYieldsToInferenceUnderOverload) {
   opts.num_threads = 1;
   opts.continual = FastContinualOptions();
   opts.simulated_device_rtt_ms = 30.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   const int kDevices = 5;
   for (int d = 0; d < kDevices; ++d) {
     server.RegisterDevice("cal-" + std::to_string(d), f->qcore);
@@ -418,7 +358,7 @@ TEST(BackpressureChaosTest, LatencyChaosFloodShedsLoudAndDeliversExactBits) {
     FleetServerOptions opts;
     opts.num_threads = 2;
     opts.continual = FastContinualOptions();
-    FleetServer server(*f->base, *f->bf, opts);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
     server.RegisterDevice("ref", f->qcore);
     reference =
         server.SubmitInference("ref", f->target.test.x()).get().predictions;
@@ -445,7 +385,7 @@ TEST(BackpressureChaosTest, LatencyChaosFloodShedsLoudAndDeliversExactBits) {
   opts.batching.max_batch = 4;
   opts.batching.max_delay_us = 100.0;
   opts.simulated_device_rtt_ms = 1.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   constexpr int kDevices = 3;
   for (int d = 0; d < kDevices; ++d) {
     server.RegisterDevice("dev-" + std::to_string(d), f->qcore);

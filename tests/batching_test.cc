@@ -1,12 +1,10 @@
 // Tests for cross-device inference batching: the batched path must be
 // bit-identical to the unbatched request-at-a-time path — same per-request
 // predictions (in the same per-device delivery order) and same final model
-// codes — across batch sizes, thread counts, and backends (the workload
-// harness runs against the FleetBackend interface, so the single-pool
-// FleetServer and the sharded router with its per-shard batchers are both
-// pinned). Also covers the flush triggers: size (max_batch), deadline
-// (max_delay_us), explicit barriers (calibration/snapshot/drain), and the
-// degenerate single-request batch.
+// codes — across batch sizes, thread counts, and shard counts (each shard
+// has its own batcher). Also covers the flush triggers: size (max_batch),
+// deadline (max_delay_us), explicit barriers (calibration/snapshot/drain),
+// and the degenerate single-request batch.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,73 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "tensor/tensor_ops.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
 
-// One server-side preparation shared across tests (the expensive part).
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;  // deployed edge form
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-  // Distinct single-row inference inputs: request i carrying input
-  // i % size must get back the prediction for that exact row, which is
-  // what catches scatter mixups and delivery reordering.
-  std::vector<Tensor> probes;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20250601);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(404);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    for (int i = 0; i < 6; ++i) {
-      f->probes.push_back(f->target.test.x().GatherRows(
-          {i % static_cast<int>(f->target.test.size())}));
-    }
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20250601, 404, 8);
   return fixture;
 }
 
@@ -135,45 +76,34 @@ FleetServerOptions BatchedOptions(int threads, int max_batch,
   return opts;
 }
 
-// `num_shards` == 0 selects the single-pool FleetServer; > 0 the sharded
-// router (each shard with its own batcher).
-std::unique_ptr<FleetBackend> MakeBackend(FleetFixture* f,
-                                          const FleetServerOptions& opts,
-                                          int num_shards) {
-  if (num_shards <= 0) {
-    return std::make_unique<FleetServer>(*f->base, *f->bf, opts);
-  }
-  ShardedFleetServerOptions sopts;
-  sopts.num_shards = num_shards;
-  sopts.shard = opts;
-  return std::make_unique<ShardedFleetServer>(*f->base, *f->bf, sopts);
-}
-
 // Interleaved workload: per stream batch and device, a burst of distinct
 // inference probes, one calibration step, one more probe. Exercises
 // size-trigger flushes (bursts), barrier flushes (calibration), and the
 // drain flush (trailing probes).
 WorkloadResult RunWorkload(const FleetServerOptions& opts,
-                           int num_shards = 0) {
+                           int num_shards = 1) {
   FleetFixture* f = GetFixture();
   const std::vector<std::string> devices = {"dev-a", "dev-b"};
-  auto server = MakeBackend(f, opts, num_shards);
-  for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
+  ShardedFleetServerOptions sopts;
+  sopts.num_shards = num_shards;
+  sopts.shard = opts;
+  ShardedFleetServer server(*f->base, *f->bf, sopts);
+  for (const auto& d : devices) server.RegisterDevice(d, f->qcore);
 
   std::vector<std::vector<std::future<InferenceResult>>> futures(
       devices.size());
   for (size_t b = 0; b < f->batches.size(); ++b) {
     for (size_t d = 0; d < devices.size(); ++d) {
       for (size_t p = 0; p < 3; ++p) {
-        futures[d].push_back(server->SubmitInference(
+        futures[d].push_back(server.SubmitInference(
             devices[d], f->probes[(b + d + p) % f->probes.size()]));
       }
-      server->SubmitCalibration(devices[d], f->batches[b], f->slices[b]);
-      futures[d].push_back(server->SubmitInference(
+      server.SubmitCalibration(devices[d], f->batches[b], f->slices[b]);
+      futures[d].push_back(server.SubmitInference(
           devices[d], f->probes[(b + d) % f->probes.size()]));
     }
   }
-  server->Drain();
+  server.Drain();
 
   WorkloadResult result;
   for (size_t d = 0; d < devices.size(); ++d) {
@@ -181,7 +111,7 @@ WorkloadResult RunWorkload(const FleetServerOptions& opts,
     for (auto& fu : futures[d]) {
       result.predictions.back().push_back(fu.get().predictions);
     }
-    server->WithSessionQuiesced(devices[d], [&](CalibrationSession& s) {
+    server.WithSessionQuiesced(devices[d], [&](CalibrationSession& s) {
       result.codes.push_back(s.model()->AllCodes());
     });
   }
@@ -236,7 +166,8 @@ TEST(InferenceBatchingTest, DegenerateSingleRequestBatches) {
   // machinery; must equal the unbatched path and record occupancy-1
   // batches only.
   FleetFixture* f = GetFixture();
-  FleetServer server(*f->base, *f->bf, BatchedOptions(2, 1, 0.0));
+  ShardedFleetServer server(*f->base, *f->bf,
+                            OneShard(BatchedOptions(2, 1, 0.0)));
   server.RegisterDevice("dev", f->qcore);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 5; ++i) {
@@ -255,7 +186,8 @@ TEST(InferenceBatchingTest, DegenerateSingleRequestBatches) {
 TEST(InferenceBatchingTest, SizeTriggerFlushesWithoutDrain) {
   FleetFixture* f = GetFixture();
   // No deadline, no barrier: only the size trigger can flush.
-  FleetServer server(*f->base, *f->bf, BatchedOptions(2, 3, 0.0));
+  ShardedFleetServer server(*f->base, *f->bf,
+                            OneShard(BatchedOptions(2, 3, 0.0)));
   server.RegisterDevice("dev", f->qcore);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 3; ++i) {
@@ -284,7 +216,8 @@ TEST(InferenceBatchingTest, SizeTriggerFlushesWithoutDrain) {
 TEST(InferenceBatchingTest, DeadlineFlushResolvesASubMaxBatch) {
   FleetFixture* f = GetFixture();
   // Huge max_batch, 2ms deadline: only the flusher thread can resolve it.
-  FleetServer server(*f->base, *f->bf, BatchedOptions(2, 64, 2000.0));
+  ShardedFleetServer server(*f->base, *f->bf,
+                            OneShard(BatchedOptions(2, 64, 2000.0)));
   server.RegisterDevice("dev", f->qcore);
   auto fu = server.SubmitInference("dev", f->probes[0]);
   ASSERT_EQ(fu.wait_for(std::chrono::seconds(30)),
@@ -299,7 +232,8 @@ TEST(InferenceBatchingTest, CalibrationBarrierPreservesModelVisibility) {
   FleetFixture* f = GetFixture();
   // No deadline: the inference submitted before calibration must be
   // flushed BY the calibration barrier and see the pre-calibration model.
-  FleetServer server(*f->base, *f->bf, BatchedOptions(1, 64, 0.0));
+  ShardedFleetServer server(*f->base, *f->bf,
+                            OneShard(BatchedOptions(1, 64, 0.0)));
   server.RegisterDevice("dev", f->qcore);
   auto before = server.SubmitInference("dev", f->probes[0]);
   auto calib = server.SubmitCalibration("dev", f->batches[0], f->slices[0]);

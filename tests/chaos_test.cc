@@ -31,17 +31,14 @@
 #include <utility>
 #include <vector>
 
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
 #include "obs/trace.h"
 #include "obs/whiteboard.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/snapshot.h"
 #include "serving/snapshot_store.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
@@ -346,54 +343,8 @@ TEST(DeltaFaultTest, DroppedImportIsIdempotentOnRetry) {
 
 // ------------------------------------------------ serving fault families
 
-// Same one-time expensive preparation as the other serving suites.
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20260808);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(606);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20260808, 606, 8);
   return fixture;
 }
 
@@ -429,7 +380,7 @@ struct Outcome {
 
 // Interleaved inference + calibration across every stream batch, then a
 // publish per device — the workload every serving fault family replays.
-Outcome RunWorkload(FleetBackend* server) {
+Outcome RunWorkload(ShardedFleetServer* server) {
   FleetFixture* f = GetFixture();
   const auto& devices = Devices();
   for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
@@ -469,7 +420,8 @@ Outcome RunWorkload(FleetBackend* server) {
 
 Outcome RunFresh() {
   FleetFixture* f = GetFixture();
-  FleetServer server(*f->base, *f->bf, ChaosServerOptions());
+  ShardedFleetServer server(*f->base, *f->bf,
+                            OneShard(ChaosServerOptions()));
   return RunWorkload(&server);
 }
 
@@ -578,7 +530,11 @@ TEST(ChaosServingTest, ShardCrashDuringMoveRecoversFromBarrierSnapshot) {
   EXPECT_EQ(snap->device_id, victim);
   EXPECT_EQ(snap->batches_seen, 2u);
 
-  // Survivors keep serving through the crash.
+  // A client still submitting for the lost device is told so (kNotFound)
+  // instead of taking the fleet down, and survivors keep serving.
+  auto orphan = server.TrySubmitInference(victim, f->slices[0].x());
+  ASSERT_FALSE(orphan.ok());
+  EXPECT_EQ(orphan.status().code(), StatusCode::kNotFound);
   server.SubmitCalibration("c1", f->batches[2], f->slices[2]).get();
 
   // Recovery: warm re-registration restores the barrier codes

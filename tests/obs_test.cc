@@ -15,71 +15,20 @@
 #include <thread>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
 #include "obs/trace.h"
 #include "obs/whiteboard.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/snapshot.h"
 #include "serving/snapshot_store.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
 
-// Same one-time expensive preparation as serving_test.cc: train the FP
-// model + QCore, quantize, train the bit-flipping net, drop shadows.
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20240901);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(777);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20240901, 777, 8);
   return fixture;
 }
 
@@ -295,7 +244,7 @@ TEST(WhiteboardTest, ShedRecordsLastErrorAndCountsMatchSubmissions) {
   FleetServerOptions opts = ServerOptions(2);
   opts.max_inference_queue_per_session = 1;
   opts.simulated_device_rtt_ms = 30.0;  // keep the one slot occupied
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("bounded", f->qcore);
 
   std::vector<std::future<InferenceResult>> accepted;
@@ -335,7 +284,7 @@ TEST(WhiteboardTest, BarrierFlushCountedOnDeviceRow) {
   opts.enable_batching = true;
   opts.batching.max_batch = 8;
   opts.batching.max_delay_us = 1e6;  // only a barrier can flush the group
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   auto i1 = server.SubmitInference("dev", f->target.test.x());
@@ -358,7 +307,8 @@ TEST(WhiteboardTest, WarmStartOriginReported) {
   FleetFixture* f = GetFixture();
   SnapshotRegistry shared;
   {
-    FleetServer seeder(*f->base, *f->bf, ServerOptions(1), &shared);
+    ShardedFleetServer seeder(*f->base, *f->bf, OneShard(ServerOptions(1)),
+                              &shared);
     seeder.RegisterDevice("veteran", f->qcore);
     seeder.SubmitCalibration("veteran", f->batches[0], f->slices[0]).get();
     seeder.PublishSnapshot("veteran").get();
@@ -367,7 +317,7 @@ TEST(WhiteboardTest, WarmStartOriginReported) {
 
   FleetServerOptions opts = ServerOptions(1);
   opts.warm_start_from_registry = true;
-  FleetServer server(*f->base, *f->bf, opts, &shared);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts), &shared);
   server.RegisterDevice("veteran", f->qcore);   // own snapshot exists
   server.RegisterDevice("newcomer", f->qcore);  // cohort snapshot only
   const WhiteboardImage image = server.whiteboard().Read();
@@ -376,7 +326,7 @@ TEST(WhiteboardTest, WarmStartOriginReported) {
   EXPECT_EQ(FindDevice(image, "newcomer")->warm_start,
             WarmStartOrigin::kCohortSnapshot);
 
-  FleetServer cold(*f->base, *f->bf, ServerOptions(1));
+  ShardedFleetServer cold(*f->base, *f->bf, OneShard(ServerOptions(1)));
   cold.RegisterDevice("fresh", f->qcore);
   EXPECT_EQ(FindDevice(cold.whiteboard().Read(), "fresh")->warm_start,
             WarmStartOrigin::kCold);
@@ -394,7 +344,8 @@ TEST(WhiteboardTest, WalRowPopulatedOverDurableStore) {
     ASSERT_TRUE(store.ok());
     SnapshotRegistry durable(std::move(store).value());
 
-    FleetServer server(*f->base, *f->bf, ServerOptions(1), &durable);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(1)),
+                              &durable);
     server.RegisterDevice("dev", f->qcore);
     server.PublishSnapshot("dev").get();
     server.PublishSnapshot("dev").get();
@@ -422,7 +373,8 @@ TEST(WhiteboardTest, WalRowCountsTornTailRecovery) {
     auto store = DurableSnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry durable(std::move(store).value());
-    FleetServer server(*f->base, *f->bf, ServerOptions(1), &durable);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(1)),
+                              &durable);
     server.RegisterDevice("dev", f->qcore);
     server.PublishSnapshot("dev").get();
     server.PublishSnapshot("dev").get();
@@ -443,7 +395,8 @@ TEST(WhiteboardTest, WalRowCountsTornTailRecovery) {
     auto store = DurableSnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry recovered(std::move(store).value());
-    FleetServer server(*f->base, *f->bf, ServerOptions(1), &recovered);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(1)),
+                              &recovered);
     const WhiteboardImage image = server.whiteboard().Read();
     EXPECT_EQ(image.wal.torn_tails, 1u);
     EXPECT_NE(image.ToTable().find("torn_tails=1"), std::string::npos);
@@ -520,7 +473,7 @@ TEST(WhiteboardTest, ImageSerializeRoundTrips) {
   FleetServerOptions opts = ServerOptions(2);
   opts.max_inference_queue_per_session = 1;
   opts.simulated_device_rtt_ms = 20.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("a", f->qcore);
   server.RegisterDevice("b", f->qcore);
   // Mixed history including a shed, so the optional error fields serialize.
@@ -630,7 +583,7 @@ TEST(WhiteboardTest, DrainLeavesEveryRowIdleAfterDeadlineFlood) {
   opts.batching.max_batch = 4;
   opts.batching.max_delay_us = 200.0;
   opts.simulated_device_rtt_ms = 1.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("hot", f->qcore);
 
   InferenceSubmitOptions budget;
@@ -669,7 +622,7 @@ TEST(WhiteboardTest, DrainLeavesEveryRowIdleAfterDeadlineFlood) {
 TEST(TraceTest, UnbatchedInferenceLifecycleReconstructs) {
   FleetFixture* f = GetFixture();
   TraceRing::Global().Clear();
-  FleetServer server(*f->base, *f->bf, ServerOptions(2));
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(2)));
   server.RegisterDevice("dev", f->qcore);
   const InferenceResult result =
       server.SubmitInference("dev", f->target.test.x()).get();
@@ -699,7 +652,7 @@ TEST(TraceTest, BatchedLifecycleReconstructsFullSpanChain) {
   opts.enable_batching = true;
   opts.batching.max_batch = 2;  // size-triggered flush, deterministic
   opts.batching.max_delay_us = 1e6;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   auto f1 = server.SubmitInference("dev", f->target.test.x());
@@ -753,7 +706,8 @@ TEST(TraceTest, SnapshotPublishChainsThroughWalAppend) {
     SnapshotRegistry durable(std::move(store).value());
 
     TraceRing::Global().Clear();
-    FleetServer server(*f->base, *f->bf, ServerOptions(2), &durable);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(2)),
+                              &durable);
     server.RegisterDevice("dev", f->qcore);
     server.PublishSnapshot("dev").get();
     server.Drain();
@@ -875,7 +829,7 @@ TEST(TraceTest, ChromeJsonExportContainsLifecycleEvents) {
   FleetServerOptions opts = ServerOptions(2);
   opts.enable_batching = true;
   opts.batching.max_batch = 2;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
   auto f1 = server.SubmitInference("dev", f->target.test.x());
   auto f2 = server.SubmitInference("dev", f->target.test.x());

@@ -19,16 +19,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
 #include "obs/whiteboard.h"
 #include "runtime/thread_pool.h"
-#include "serving/backend.h"
 #include "serving/overload.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
@@ -242,52 +239,8 @@ TEST(ThreadPoolAgingTest, ZeroAgingKeepsStrictPriority) {
 
 // --------------------------------------------------------- fleet fixture
 
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    HarDomain source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20250602);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 6;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 6;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(11);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20250602, 11, 6);
   return fixture;
 }
 
@@ -317,7 +270,7 @@ TEST(DeadlineShedTest, ExpiredRequestResolvesWithoutExecuting) {
   opts.num_threads = 1;
   opts.continual = FastContinualOptions();
   opts.simulated_device_rtt_ms = 30.0;  // the blocker holds the worker
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   auto blocker = server.TrySubmitInference("dev", f->target.test.x());
@@ -364,7 +317,7 @@ TEST(DeadlineShedTest, BatchedShedKeepsSurvivorsBitIdentical) {
     FleetServerOptions opts;
     opts.num_threads = 2;
     opts.continual = FastContinualOptions();
-    FleetServer server(*f->base, *f->bf, opts);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
     server.RegisterDevice("dev", f->qcore);
     for (int i = 0; i < 8; ++i) {
       reference.push_back(
@@ -379,7 +332,7 @@ TEST(DeadlineShedTest, BatchedShedKeepsSurvivorsBitIdentical) {
   opts.batching.max_batch = 4;
   opts.batching.max_delay_us = 200.0;
   opts.simulated_device_rtt_ms = 10.0;  // builds queue wait for the doomed
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   std::vector<std::future<InferenceResult>> survivors;
@@ -467,7 +420,7 @@ TEST(HierarchicalAdmissionTest, ShardCapComposesWithSessionCap) {
   opts.max_queue_per_session = 3;  // loose
   opts.max_queue_per_shard = 2;    // tight: refuses first
   opts.simulated_device_rtt_ms = 50.0;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("a", f->qcore);
   server.RegisterDevice("b", f->qcore);
 
@@ -502,7 +455,7 @@ TEST(AgingProgressTest, CalibrationCompletesMidFlood) {
   opts.continual = FastContinualOptions();
   opts.simulated_device_rtt_ms = 5.0;
   opts.calibration_aging_us = 2000;  // promote after 2ms of waiting
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   // Many hot devices: each device's work drains in its own session pump,
   // so the pool dispatches between pumps — the seams where an aged
   // calibration pump can overtake the queued high pumps. (One device would
@@ -647,7 +600,7 @@ TEST(OverloadChaosTest, PoolSaturationKeepsAccountingExact) {
   opts.num_threads = 2;
   opts.continual = FastContinualOptions();
   opts.max_queue_per_session = 4;
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   // Several devices: each session pump is its own pool task, so the stall
   // hook is hit once per pump, not once for the whole flood.
   constexpr int kDevices = 4;
@@ -692,7 +645,7 @@ TEST(OverloadChaosTest, ClockSkewShedsBudgetedWorkOnly) {
     FleetServerOptions opts;
     opts.num_threads = 1;
     opts.continual = FastContinualOptions();
-    FleetServer server(*f->base, *f->bf, opts);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
     server.RegisterDevice("dev", f->qcore);
     reference = server.SubmitInference("dev", f->target.test.x())
                     .get().predictions;
@@ -709,7 +662,7 @@ TEST(OverloadChaosTest, ClockSkewShedsBudgetedWorkOnly) {
   FleetServerOptions opts;
   opts.num_threads = 1;
   opts.continual = FastContinualOptions();
-  FleetServer server(*f->base, *f->bf, opts);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
   InferenceSubmitOptions budgeted;
   budgeted.latency_budget_us = 1'000'000.0;  // a generous 1s budget
@@ -745,7 +698,8 @@ TEST(OverloadChaosTest, SpuriousLimiterRefusalShedsCleanly) {
   FleetServerOptions opts;
   opts.num_threads = 1;
   opts.continual = FastContinualOptions();
-  FleetServer server(*f->base, *f->bf, opts);  // NO bounds set
+  // NO bounds set.
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
   server.RegisterDevice("dev", f->qcore);
 
   auto refused = server.TrySubmitInference("dev", f->target.test.x());

@@ -1,12 +1,10 @@
 // Tests for the fleet serving runtime: thread-pool semantics, per-session
 // determinism (bit-identical to the single-threaded ContinualDriver),
 // session isolation, concurrent correctness under a multi-threaded pool,
-// snapshot copy-on-write, and metrics accounting. The server-level tests
-// run against the FleetBackend interface and are replayed on BOTH
-// implementations — the single-pool FleetServer and the consistent-hash
-// ShardedFleetServer — so the API contract, not one concrete class, is
-// what gets pinned. (Shard-count bit-identity and rebalancing live in
-// tests/sharding_test.cc.)
+// snapshot copy-on-write, unknown-device submissions, and metrics
+// accounting. The server-level tests run on a two-shard fleet server, so
+// the contract is pinned through the router's routing. (Shard-count
+// bit-identity and rebalancing live in tests/sharding_test.cc.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,15 +17,12 @@
 #include "common/serialize.h"
 
 #include "core/pipeline.h"
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
 #include "runtime/thread_pool.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/session.h"
 #include "serving/snapshot.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
@@ -87,56 +82,8 @@ TEST(ThreadPoolTest, DestructorDrainsTasksScheduledByTasks) {
 
 // ------------------------------------------------------------ fleet fixture
 
-// One server-side preparation (train FP model + QCore, quantize, train the
-// bit-flipping net, drop shadows), shared across tests — the expensive part
-// of every serving scenario.
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;  // deployed edge form
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20240901);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(777);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20240901, 777, 8);
   return fixture;
 }
 
@@ -146,33 +93,21 @@ ContinualOptions TestContinualOptions() {
   return opts;
 }
 
-// Both implementations of the serving API; suite-level loops replay each
-// backend-generic test against every kind.
-enum class BackendKind { kSingle, kSharded };
-
-const BackendKind kAllBackends[] = {BackendKind::kSingle,
-                                    BackendKind::kSharded};
-
-const char* KindName(BackendKind kind) {
-  return kind == BackendKind::kSingle ? "FleetServer" : "ShardedFleetServer";
-}
-
-std::unique_ptr<FleetBackend> MakeBackend(BackendKind kind, FleetFixture* f,
-                                          const FleetServerOptions& opts,
-                                          int num_shards = 2) {
-  if (kind == BackendKind::kSingle) {
-    return std::make_unique<FleetServer>(*f->base, *f->bf, opts);
-  }
+// The server the FleetServerTest bodies run on: two shards by default, so
+// every contract is exercised through the router's routing too.
+std::unique_ptr<ShardedFleetServer> MakeServer(FleetFixture* f,
+                                               const FleetServerOptions& opts,
+                                               int num_shards = 2) {
   ShardedFleetServerOptions sopts;
   sopts.num_shards = num_shards;
   sopts.shard = opts;
   return std::make_unique<ShardedFleetServer>(*f->base, *f->bf, sopts);
 }
 
-std::vector<std::vector<int32_t>> CodesOf(FleetBackend* backend,
+std::vector<std::vector<int32_t>> CodesOf(ShardedFleetServer* server,
                                           const std::string& device_id) {
   std::vector<std::vector<int32_t>> codes;
-  backend->WithSessionQuiesced(device_id, [&](CalibrationSession& session) {
+  server->WithSessionQuiesced(device_id, [&](CalibrationSession& session) {
     codes = session.model()->AllCodes();
   });
   return codes;
@@ -266,7 +201,7 @@ TEST(CalibrationSessionTest, ContinuationRoundTripResumesBitIdentically) {
             original.Predict(f->target.test.x()));
 }
 
-// ------------------------------------------------------------ FleetBackend
+// ------------------------------------------------------------- FleetServer
 
 FleetServerOptions ServerOptions(int threads) {
   FleetServerOptions opts;
@@ -276,101 +211,92 @@ FleetServerOptions ServerOptions(int threads) {
   return opts;
 }
 
-TEST(FleetBackendTest, ThreadCountDoesNotChangeSessionResults) {
+TEST(FleetServerTest, ThreadCountDoesNotChangeSessionResults) {
   FleetFixture* f = GetFixture();
   const std::vector<std::string> devices = {"dev-a", "dev-b", "dev-c"};
 
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto run = [&](int threads) {
-      auto stats = std::vector<std::vector<BatchStats>>(devices.size());
-      std::vector<std::vector<std::vector<int32_t>>> codes;
-      auto server = MakeBackend(kind, f, ServerOptions(threads));
-      for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
-      std::vector<std::future<BatchStats>> futures;
-      for (size_t b = 0; b < f->batches.size(); ++b) {
-        for (const auto& d : devices) {
-          futures.push_back(
-              server->SubmitCalibration(d, f->batches[b], f->slices[b]));
-        }
-      }
-      size_t fi = 0;
-      for (size_t b = 0; b < f->batches.size(); ++b) {
-        for (size_t d = 0; d < devices.size(); ++d) {
-          stats[d].push_back(futures[fi++].get());
-        }
-      }
-      server->Drain();
+  auto run = [&](int threads) {
+    auto stats = std::vector<std::vector<BatchStats>>(devices.size());
+    std::vector<std::vector<std::vector<int32_t>>> codes;
+    auto server = MakeServer(f, ServerOptions(threads));
+    for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
+    std::vector<std::future<BatchStats>> futures;
+    for (size_t b = 0; b < f->batches.size(); ++b) {
       for (const auto& d : devices) {
-        codes.push_back(CodesOf(server.get(), d));
+        futures.push_back(
+            server->SubmitCalibration(d, f->batches[b], f->slices[b]));
       }
-      return std::make_pair(stats, codes);
-    };
-
-    auto [stats0, codes0] = run(0);  // inline reference execution
-    auto [stats4, codes4] = run(4);  // multi-threaded pool(s)
-
-    for (size_t d = 0; d < devices.size(); ++d) {
-      ASSERT_EQ(stats0[d].size(), stats4[d].size());
-      for (size_t b = 0; b < stats0[d].size(); ++b) {
-        EXPECT_FLOAT_EQ(stats0[d][b].accuracy, stats4[d][b].accuracy);
-        EXPECT_EQ(stats0[d][b].qcore_changed, stats4[d][b].qcore_changed);
-      }
-      EXPECT_EQ(codes0[d], codes4[d]);
     }
-  }
-}
-
-TEST(FleetBackendTest, SessionsAreIsolated) {
-  FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto server = MakeBackend(kind, f, ServerOptions(2));
-    server->RegisterDevice("calibrating", f->qcore);
-    server->RegisterDevice("idle", f->qcore);
-
-    server->SubmitCalibration("calibrating", f->batches[0], f->slices[0])
-        .get();
+    size_t fi = 0;
+    for (size_t b = 0; b < f->batches.size(); ++b) {
+      for (size_t d = 0; d < devices.size(); ++d) {
+        stats[d].push_back(futures[fi++].get());
+      }
+    }
     server->Drain();
+    for (const auto& d : devices) {
+      codes.push_back(CodesOf(server.get(), d));
+    }
+    return std::make_pair(stats, codes);
+  };
 
-    // The idle device still serves the untouched base model.
-    EXPECT_EQ(CodesOf(server.get(), "idle"), f->base->AllCodes());
-    // And the calibrating device diverged from it (codes actually moved).
-    EXPECT_NE(CodesOf(server.get(), "calibrating"), f->base->AllCodes());
+  auto [stats0, codes0] = run(0);  // inline reference execution
+  auto [stats4, codes4] = run(4);  // multi-threaded pool(s)
+
+  for (size_t d = 0; d < devices.size(); ++d) {
+    ASSERT_EQ(stats0[d].size(), stats4[d].size());
+    for (size_t b = 0; b < stats0[d].size(); ++b) {
+      EXPECT_FLOAT_EQ(stats0[d][b].accuracy, stats4[d][b].accuracy);
+      EXPECT_EQ(stats0[d][b].qcore_changed, stats4[d][b].qcore_changed);
+    }
+    EXPECT_EQ(codes0[d], codes4[d]);
   }
 }
 
-TEST(FleetBackendTest, WithSessionQuiescedWaitsOutQueuedWork) {
+TEST(FleetServerTest, SessionsAreIsolated) {
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    FleetServerOptions opts = ServerOptions(2);
-    opts.simulated_device_rtt_ms = 10.0;  // keep work in flight
-    auto server = MakeBackend(kind, f, opts);
-    server->RegisterDevice("dev", f->qcore);
+  auto server = MakeServer(f, ServerOptions(2));
+  server->RegisterDevice("calibrating", f->qcore);
+  server->RegisterDevice("idle", f->qcore);
 
-    // No Drain: the accessor itself must wait for the queued calibration
-    // and inference to finish before granting access.
-    auto calib = server->SubmitCalibration("dev", f->batches[0], f->slices[0]);
-    auto inf = server->SubmitInference("dev", f->target.test.x());
-    uint64_t seen_batches = 0;
-    std::vector<std::vector<int32_t>> codes;
-    server->WithSessionQuiesced("dev", [&](CalibrationSession& session) {
-      seen_batches = session.batches_processed();
-      codes = session.model()->AllCodes();
-    });
-    EXPECT_EQ(seen_batches, 1u);
-    // Both futures must already be resolved — quiescing ran the queue dry.
-    EXPECT_EQ(calib.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(inf.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_NE(codes, f->base->AllCodes());
-    server->Drain();
-  }
+  server->SubmitCalibration("calibrating", f->batches[0], f->slices[0])
+      .get();
+  server->Drain();
+
+  // The idle device still serves the untouched base model.
+  EXPECT_EQ(CodesOf(server.get(), "idle"), f->base->AllCodes());
+  // And the calibrating device diverged from it (codes actually moved).
+  EXPECT_NE(CodesOf(server.get(), "calibrating"), f->base->AllCodes());
 }
 
-TEST(FleetBackendTest, WithSessionQuiescedExcludesConcurrentSubmissions) {
+TEST(FleetServerTest, WithSessionQuiescedWaitsOutQueuedWork) {
+  FleetFixture* f = GetFixture();
+  FleetServerOptions opts = ServerOptions(2);
+  opts.simulated_device_rtt_ms = 10.0;  // keep work in flight
+  auto server = MakeServer(f, opts);
+  server->RegisterDevice("dev", f->qcore);
+
+  // No Drain: the accessor itself must wait for the queued calibration
+  // and inference to finish before granting access.
+  auto calib = server->SubmitCalibration("dev", f->batches[0], f->slices[0]);
+  auto inf = server->SubmitInference("dev", f->target.test.x());
+  uint64_t seen_batches = 0;
+  std::vector<std::vector<int32_t>> codes;
+  server->WithSessionQuiesced("dev", [&](CalibrationSession& session) {
+    seen_batches = session.batches_processed();
+    codes = session.model()->AllCodes();
+  });
+  EXPECT_EQ(seen_batches, 1u);
+  // Both futures must already be resolved — quiescing ran the queue dry.
+  EXPECT_EQ(calib.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(inf.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_NE(codes, f->base->AllCodes());
+  server->Drain();
+}
+
+TEST(FleetServerTest, WithSessionQuiescedExcludesConcurrentSubmissions) {
   // Regression for the QuiesceSession redesign: the old API returned a
   // std::unique_lock from a helper (invisible to thread-safety analysis);
   // the new contract is an annotated acquire with an explicit release in
@@ -379,127 +305,149 @@ TEST(FleetBackendTest, WithSessionQuiescedExcludesConcurrentSubmissions) {
   // (exclusion), and must then complete promptly (the release actually
   // happens — a leaked lock deadlocks this test instead of passing).
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto server = MakeBackend(kind, f, ServerOptions(2));
-    server->RegisterDevice("dev", f->qcore);
+  auto server = MakeServer(f, ServerOptions(2));
+  server->RegisterDevice("dev", f->qcore);
 
-    std::atomic<bool> submitter_started{false};
-    std::atomic<bool> inference_done{false};
-    std::thread submitter;
-    server->WithSessionQuiesced("dev", [&](CalibrationSession& session) {
-      (void)session;
-      submitter = std::thread([&]() {
-        submitter_started = true;
-        // Blocks on the session lock held by the quiesce until released.
-        auto fut = server->SubmitInference("dev", f->target.test.x());
-        fut.get();
-        inference_done = true;
-      });
-      while (!submitter_started.load()) std::this_thread::yield();
-      // Give the submitter real time to race; it must stay excluded.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      EXPECT_FALSE(inference_done.load());
+  std::atomic<bool> submitter_started{false};
+  std::atomic<bool> inference_done{false};
+  std::thread submitter;
+  server->WithSessionQuiesced("dev", [&](CalibrationSession& session) {
+    (void)session;
+    submitter = std::thread([&]() {
+      submitter_started = true;
+      // Blocks on the session lock held by the quiesce until released.
+      auto fut = server->SubmitInference("dev", f->target.test.x());
+      fut.get();
+      inference_done = true;
     });
-    submitter.join();  // hangs here if the quiesce leaked the session lock
-    EXPECT_TRUE(inference_done.load());
-    server->Drain();
-  }
+    while (!submitter_started.load()) std::this_thread::yield();
+    // Give the submitter real time to race; it must stay excluded.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(inference_done.load());
+  });
+  submitter.join();  // hangs here if the quiesce leaked the session lock
+  EXPECT_TRUE(inference_done.load());
+  server->Drain();
 }
 
-TEST(FleetBackendTest, ConcurrentInferenceAndCalibration) {
+TEST(FleetServerTest, ConcurrentInferenceAndCalibration) {
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto server = MakeBackend(kind, f, ServerOptions(4));
-    const int kDevices = 6;
-    for (int d = 0; d < kDevices; ++d) {
-      server->RegisterDevice("dev-" + std::to_string(d), f->qcore);
-    }
-
-    std::vector<std::future<InferenceResult>> inferences;
-    std::vector<std::future<BatchStats>> calibrations;
-    for (int d = 0; d < kDevices; ++d) {
-      const std::string id = "dev-" + std::to_string(d);
-      inferences.push_back(server->SubmitInference(id, f->target.test.x()));
-      calibrations.push_back(
-          server->SubmitCalibration(id, f->batches[0], f->slices[0]));
-      inferences.push_back(server->SubmitInference(id, f->target.test.x()));
-    }
-    for (auto& fu : inferences) {
-      InferenceResult r = fu.get();
-      EXPECT_EQ(static_cast<int>(r.predictions.size()),
-                f->target.test.size());
-    }
-    for (auto& fu : calibrations) {
-      BatchStats s = fu.get();
-      EXPECT_GE(s.accuracy, 0.0f);
-      EXPECT_LE(s.accuracy, 1.0f);
-    }
-    server->Drain();
-
-    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
-    EXPECT_EQ(totals.inference_requests, static_cast<uint64_t>(2 * kDevices));
-    EXPECT_EQ(totals.calibration_batches, static_cast<uint64_t>(kDevices));
-    EXPECT_EQ(server->metrics().inference_latency().count(),
-              static_cast<uint64_t>(2 * kDevices));
-    EXPECT_GT(totals.mean_accuracy(), 0.0f);
+  auto server = MakeServer(f, ServerOptions(4));
+  const int kDevices = 6;
+  for (int d = 0; d < kDevices; ++d) {
+    server->RegisterDevice("dev-" + std::to_string(d), f->qcore);
   }
+
+  std::vector<std::future<InferenceResult>> inferences;
+  std::vector<std::future<BatchStats>> calibrations;
+  for (int d = 0; d < kDevices; ++d) {
+    const std::string id = "dev-" + std::to_string(d);
+    inferences.push_back(server->SubmitInference(id, f->target.test.x()));
+    calibrations.push_back(
+        server->SubmitCalibration(id, f->batches[0], f->slices[0]));
+    inferences.push_back(server->SubmitInference(id, f->target.test.x()));
+  }
+  for (auto& fu : inferences) {
+    InferenceResult r = fu.get();
+    EXPECT_EQ(static_cast<int>(r.predictions.size()),
+              f->target.test.size());
+  }
+  for (auto& fu : calibrations) {
+    BatchStats s = fu.get();
+    EXPECT_GE(s.accuracy, 0.0f);
+    EXPECT_LE(s.accuracy, 1.0f);
+  }
+  server->Drain();
+
+  const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.inference_requests, static_cast<uint64_t>(2 * kDevices));
+  EXPECT_EQ(totals.calibration_batches, static_cast<uint64_t>(kDevices));
+  EXPECT_EQ(server->metrics().inference_latency().count(),
+            static_cast<uint64_t>(2 * kDevices));
+  EXPECT_GT(totals.mean_accuracy(), 0.0f);
 }
 
 // A calibration whose test slice is empty is never evaluated, so it must
 // not count toward the accuracy mean: one unmeasured step plus one
 // measured step average to exactly the measured accuracy.
-TEST(FleetBackendTest, AccuracyMeanSkipsUnmeasuredCalibrations) {
+TEST(FleetServerTest, AccuracyMeanSkipsUnmeasuredCalibrations) {
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto server = MakeBackend(kind, f, ServerOptions(2));
-    server->RegisterDevice("dev", f->qcore);
-    server->SubmitCalibration("dev", f->batches[0], Dataset()).get();
-    const BatchStats measured =
-        server->SubmitCalibration("dev", f->batches[1], f->slices[1]).get();
-    server->Drain();
-    ASSERT_GT(measured.accuracy, 0.0f);
+  auto server = MakeServer(f, ServerOptions(2));
+  server->RegisterDevice("dev", f->qcore);
+  server->SubmitCalibration("dev", f->batches[0], Dataset()).get();
+  const BatchStats measured =
+      server->SubmitCalibration("dev", f->batches[1], f->slices[1]).get();
+  server->Drain();
+  ASSERT_GT(measured.accuracy, 0.0f);
 
-    const ServingCounters totals = server->whiteboard().Read().FleetTotals();
-    EXPECT_EQ(totals.calibration_batches, 2u);
-    EXPECT_EQ(totals.accuracy_samples, 1u);
-    // Equal up to the counters' fixed-point micro-unit.
-    EXPECT_NEAR(totals.mean_accuracy(), measured.accuracy, 1e-6);
-  }
+  const ServingCounters totals = server->whiteboard().Read().FleetTotals();
+  EXPECT_EQ(totals.calibration_batches, 2u);
+  EXPECT_EQ(totals.accuracy_samples, 1u);
+  // Equal up to the counters' fixed-point micro-unit.
+  EXPECT_NEAR(totals.mean_accuracy(), measured.accuracy, 1e-6);
 }
 
-TEST(FleetBackendTest, SnapshotsAreCopyOnWriteAndRestorable) {
+TEST(FleetServerTest, SnapshotsAreCopyOnWriteAndRestorable) {
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    auto server = MakeBackend(kind, f, ServerOptions(2));
-    server->RegisterDevice("dev", f->qcore);
+  auto server = MakeServer(f, ServerOptions(2));
+  server->RegisterDevice("dev", f->qcore);
 
-    const uint64_t v1 = server->PublishSnapshot("dev").get();
-    server->SubmitCalibration("dev", f->batches[0], f->slices[0]).get();
-    const uint64_t v2 = server->PublishSnapshot("dev").get();
-    server->Drain();
+  const uint64_t v1 = server->PublishSnapshot("dev").get();
+  server->SubmitCalibration("dev", f->batches[0], f->slices[0]).get();
+  const uint64_t v2 = server->PublishSnapshot("dev").get();
+  server->Drain();
 
-    EXPECT_LT(v1, v2);
-    auto snap1 = server->snapshots().Get(v1);
-    auto snap2 = server->snapshots().Get(v2);
-    ASSERT_NE(snap1, nullptr);
-    ASSERT_NE(snap2, nullptr);
-    EXPECT_EQ(server->snapshots().LatestFor("dev")->version, v2);
-    EXPECT_NE(snap1->bytes, snap2->bytes);  // calibration changed the model
+  EXPECT_LT(v1, v2);
+  auto snap1 = server->snapshots().Get(v1);
+  auto snap2 = server->snapshots().Get(v2);
+  ASSERT_NE(snap1, nullptr);
+  ASSERT_NE(snap2, nullptr);
+  EXPECT_EQ(server->snapshots().LatestFor("dev")->version, v2);
+  EXPECT_NE(snap1->bytes, snap2->bytes);  // calibration changed the model
 
-    // Restoring v1 into a fresh clone reproduces the pre-calibration codes.
-    auto restored = f->base->Clone();
-    ASSERT_TRUE(SnapshotRegistry::RestoreInto(*snap1, restored.get()).ok());
-    EXPECT_EQ(restored->AllCodes(), f->base->AllCodes());
+  // Restoring v1 into a fresh clone reproduces the pre-calibration codes.
+  auto restored = f->base->Clone();
+  ASSERT_TRUE(SnapshotRegistry::RestoreInto(*snap1, restored.get()).ok());
+  EXPECT_EQ(restored->AllCodes(), f->base->AllCodes());
 
-    // Restoring v2 reproduces the session's current codes.
-    auto restored2 = f->base->Clone();
-    ASSERT_TRUE(SnapshotRegistry::RestoreInto(*snap2, restored2.get()).ok());
-    EXPECT_EQ(restored2->AllCodes(), CodesOf(server.get(), "dev"));
-  }
+  // Restoring v2 reproduces the session's current codes.
+  auto restored2 = f->base->Clone();
+  ASSERT_TRUE(SnapshotRegistry::RestoreInto(*snap2, restored2.get()).ok());
+  EXPECT_EQ(restored2->AllCodes(), CodesOf(server.get(), "dev"));
+}
+
+// A submission for a device the router does not know is the caller's
+// error, not the fleet's: both TrySubmit forms answer kNotFound and count
+// nothing (there is no device row to count on), and the known device keeps
+// serving.
+TEST(FleetServerTest, UnknownDeviceSubmissionIsNotFound) {
+  FleetFixture* f = GetFixture();
+  auto server = MakeServer(f, ServerOptions(2), /*num_shards=*/1);
+  server->RegisterDevice("dev", f->qcore);
+
+  auto inference =
+      server->TrySubmitInference("never-registered", f->target.test.x());
+  ASSERT_FALSE(inference.ok());
+  EXPECT_EQ(inference.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(inference.status().message().find("never-registered"),
+            std::string::npos);
+  auto calibration = server->TrySubmitCalibration(
+      "never-registered", f->batches[0], f->slices[0]);
+  ASSERT_FALSE(calibration.ok());
+  EXPECT_EQ(calibration.status().code(), StatusCode::kNotFound);
+
+  EXPECT_EQ(static_cast<int>(server->SubmitInference("dev", f->target.test.x())
+                                 .get()
+                                 .predictions.size()),
+            f->target.test.size());
+  server->Drain();
+  const WhiteboardImage image = server->whiteboard().Read();
+  ASSERT_EQ(image.devices.size(), 1u);
+  EXPECT_EQ(image.devices[0].device_id, "dev");
+  const ServingCounters totals = image.FleetTotals();
+  EXPECT_EQ(totals.accepted_inference, 1u);
+  EXPECT_EQ(totals.accepted_calibration, 0u);
+  EXPECT_EQ(totals.shed_inference + totals.shed_calibration, 0u);
 }
 
 TEST(FleetServerTest, FailedRestoreLeavesModelUntouched) {
@@ -517,25 +465,22 @@ TEST(FleetServerTest, FailedRestoreLeavesModelUntouched) {
   EXPECT_EQ(target->AllCodes(), before);
 }
 
-TEST(FleetBackendTest, PeriodicSnapshotsAndTrim) {
+TEST(FleetServerTest, PeriodicSnapshotsAndTrim) {
   FleetFixture* f = GetFixture();
-  for (BackendKind kind : kAllBackends) {
-    SCOPED_TRACE(KindName(kind));
-    FleetServerOptions opts = ServerOptions(2);
-    opts.snapshot_every = 1;  // snapshot after every calibration batch
-    auto server = MakeBackend(kind, f, opts);
-    server->RegisterDevice("dev", f->qcore);
-    for (size_t b = 0; b < f->batches.size(); ++b) {
-      server->SubmitCalibration("dev", f->batches[b], f->slices[b]);
-    }
-    server->Drain();
-    EXPECT_EQ(server->snapshots().size(), f->batches.size());
-    const uint64_t latest = server->snapshots().Latest()->version;
-    // Trimming keeps the device's latest version even when below the floor.
-    server->snapshots().TrimBelow(latest + 1);
-    EXPECT_EQ(server->snapshots().size(), 1u);
-    EXPECT_EQ(server->snapshots().Latest()->version, latest);
+  FleetServerOptions opts = ServerOptions(2);
+  opts.snapshot_every = 1;  // snapshot after every calibration batch
+  auto server = MakeServer(f, opts);
+  server->RegisterDevice("dev", f->qcore);
+  for (size_t b = 0; b < f->batches.size(); ++b) {
+    server->SubmitCalibration("dev", f->batches[b], f->slices[b]);
   }
+  server->Drain();
+  EXPECT_EQ(server->snapshots().size(), f->batches.size());
+  const uint64_t latest = server->snapshots().Latest()->version;
+  // Trimming keeps the device's latest version even when below the floor.
+  server->snapshots().TrimBelow(latest + 1);
+  EXPECT_EQ(server->snapshots().size(), 1u);
+  EXPECT_EQ(server->snapshots().Latest()->version, latest);
 }
 
 // ---------------------------------------- randomized interleaving property
@@ -543,7 +488,7 @@ TEST(FleetBackendTest, PeriodicSnapshotsAndTrim) {
 // Property-style determinism harness: a seeded Rng generates a random
 // interleaving of calibration and inference submissions over several
 // devices; replaying the SAME interleaving at 1, 2, and 8 pool threads
-// (batching enabled) — and on the sharded backend — must yield identical
+// (batching enabled) — and on two shards — must yield identical
 // per-device calibration stats, identical per-request predictions,
 // identical final codes, and identical snapshot versions/bytes. Catches
 // any scheduling path where concurrency leaks into results.
@@ -562,7 +507,7 @@ struct InterleavingOutcome {
 };
 
 InterleavingOutcome ReplayInterleaving(FleetFixture* f, uint64_t op_seed,
-                                       BackendKind kind, int threads) {
+                                       int num_shards, int threads) {
   const std::vector<std::string> devices = {"p0", "p1", "p2"};
   FleetServerOptions opts;
   opts.num_threads = threads;
@@ -571,7 +516,7 @@ InterleavingOutcome ReplayInterleaving(FleetFixture* f, uint64_t op_seed,
   opts.enable_batching = true;  // the batcher must not break determinism
   opts.batching.max_batch = 3;
   opts.batching.max_delay_us = 50.0;
-  auto server = MakeBackend(kind, f, opts);
+  auto server = MakeServer(f, opts, num_shards);
   for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
 
   // The op stream depends only on op_seed, never on execution timing, so
@@ -624,19 +569,19 @@ TEST(FleetServerPropertyTest, SeededInterleavingsDeterministicAcrossThreads) {
   FleetFixture* f = GetFixture();
   for (uint64_t op_seed : {1001u, 1002u, 1003u}) {
     const InterleavingOutcome ref =
-        ReplayInterleaving(f, op_seed, BackendKind::kSingle, 1);
+        ReplayInterleaving(f, op_seed, /*num_shards=*/1, /*threads=*/1);
     EXPECT_FALSE(ref.codes.empty());
     for (int threads : {2, 8}) {
       const InterleavingOutcome got =
-          ReplayInterleaving(f, op_seed, BackendKind::kSingle, threads);
+          ReplayInterleaving(f, op_seed, /*num_shards=*/1, threads);
       EXPECT_TRUE(got == ref)
           << "op_seed=" << op_seed << " threads=" << threads;
     }
-    // The sharded backend must replay the same interleaving to the same
-    // outcome — including snapshot versions, which the shards assign from
-    // one federated registry.
+    // Two shards must replay the same interleaving to the same outcome —
+    // including snapshot versions, which the shards assign from one
+    // federated registry.
     const InterleavingOutcome sharded =
-        ReplayInterleaving(f, op_seed, BackendKind::kSharded, 2);
+        ReplayInterleaving(f, op_seed, /*num_shards=*/2, /*threads=*/2);
     EXPECT_TRUE(sharded == ref) << "op_seed=" << op_seed << " sharded";
   }
 }

@@ -1,7 +1,7 @@
 // Sharding determinism suite: ShardedFleetServer must be a pure routing
 // layer — results (inference labels, per-batch calibration stats, final
 // model codes, published snapshot versions and bytes) are bit-identical to
-// a single unsharded FleetServer for any shard count, and remain
+// one inline, unbatched shard for any shard count, and remain
 // bit-identical across live rebalancing (MoveDevice / Rebalance) in the
 // middle of a stream, with and without inference batching. Also pins the
 // operational properties of the router: ring-driven placement, counter
@@ -16,70 +16,17 @@
 #include <utility>
 #include <vector>
 
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
-#include "serving/backend.h"
 #include "serving/hash_ring.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
 
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;  // deployed edge form
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-  std::vector<Tensor> probes;  // distinct single-row inference inputs
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20260101);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(909);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    for (int i = 0; i < 6; ++i) {
-      f->probes.push_back(f->target.test.x().GatherRows(
-          {i % static_cast<int>(f->target.test.size())}));
-    }
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20260101, 909, 8);
   return fixture;
 }
 
@@ -124,7 +71,7 @@ struct StreamOutcome {
 // inferences, one calibration, one trailing probe. `mid_action` (optional)
 // runs between stream batches 1 and 2, with futures still in flight —
 // that is where the rebalance tests inject MoveDevice/Rebalance.
-StreamOutcome DriveStream(FleetBackend* server,
+StreamOutcome DriveStream(ShardedFleetServer* server,
                           const std::function<void()>& mid_action = nullptr) {
   FleetFixture* f = GetFixture();
   const auto& devices = Devices();
@@ -185,10 +132,10 @@ StreamOutcome RunSharded(int num_shards, int threads, bool batching,
   return DriveStream(&server);
 }
 
-StreamOutcome RunUnsharded(int threads, bool batching) {
-  FleetFixture* f = GetFixture();
-  FleetServer server(*f->base, *f->bf, ShardOptions(threads, batching));
-  return DriveStream(&server);
+// The reference every run must match: one shard, inline execution, no
+// batching.
+StreamOutcome RunReference() {
+  return RunSharded(/*num_shards=*/1, /*threads=*/0, /*batching=*/false);
 }
 
 // Equality minus version numbers: a rebalanced run's migrations consume
@@ -206,9 +153,8 @@ void ExpectSameResults(const StreamOutcome& got, const StreamOutcome& want,
 
 // ------------------------------------------------- shard-count bit-identity
 
-TEST(ShardingDeterminismTest, ShardCounts124MatchUnshardedBitIdentically) {
-  const StreamOutcome reference = RunUnsharded(/*threads=*/0,
-                                               /*batching=*/false);
+TEST(ShardingDeterminismTest, ShardCounts124MatchReferenceBitIdentically) {
+  const StreamOutcome reference = RunReference();
   ASSERT_FALSE(reference.codes.empty());
   for (int shards : {1, 2, 4}) {
     const StreamOutcome sharded =
@@ -226,7 +172,7 @@ TEST(ShardingDeterminismTest, ShardCounts124MatchUnshardedBitIdentically) {
 // ------------------------------------------------------- live rebalancing
 
 TEST(ShardingDeterminismTest, MoveDeviceMidStreamIsBitIdentical) {
-  const StreamOutcome reference = RunUnsharded(0, false);
+  const StreamOutcome reference = RunReference();
   FleetFixture* f = GetFixture();
   for (bool batching : {false, true}) {
     ShardedFleetServerOptions opts;
@@ -258,7 +204,7 @@ TEST(ShardingDeterminismTest, MoveDeviceMidStreamIsBitIdentical) {
 }
 
 TEST(ShardingDeterminismTest, RebalanceMidStreamIsBitIdentical) {
-  const StreamOutcome reference = RunUnsharded(0, false);
+  const StreamOutcome reference = RunReference();
   // Grow 1 -> 3 mid-stream: every device that the 3-shard ring places off
   // shard 0 migrates, streams keep flowing afterwards.
   const auto grow = [](ShardedFleetServer& s) { s.Rebalance(3); };
@@ -379,7 +325,7 @@ TEST(ShardedFleetServerTest, PlacementFollowsTheRingAndCoversShards) {
 // stay bit-identical throughout (migration is still the barrier-snapshot
 // protocol, wherever the device lands).
 TEST(ShardedFleetServerTest, PlacementPinSurvivesRebalance) {
-  const StreamOutcome reference = RunUnsharded(0, false);
+  const StreamOutcome reference = RunReference();
   FleetFixture* f = GetFixture();
   ShardedFleetServerOptions opts;
   opts.num_shards = 2;

@@ -4,7 +4,7 @@
 // latest restores bit-identically; a torn tail (writer killed mid-append)
 // truncates cleanly; TrimBelow-driven compaction preserves device-latest
 // across a reopen. Fleet-level tests pin the serving-plane contract: a
-// FleetServer / ShardedFleetServer{1,2,4} killed mid-stream and
+// fleet server of 1, 2 or 4 shards killed mid-stream and
 // reconstructed over the same WAL restores every device's latest snapshot
 // (bytes bit-identical, versions monotonic across the restart) and
 // warm-starts re-registered sessions from it; ExportDelta/ImportDelta ship
@@ -19,15 +19,12 @@
 #include <vector>
 
 #include "common/serialize.h"
-#include "core/qcore_builder.h"
-#include "data/har_generator.h"
-#include "models/model_zoo.h"
-#include "serving/backend.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/snapshot.h"
 #include "serving/snapshot_store.h"
 #include "testing/fault_injector.h"
+#include "tests/fleet_fixture.h"
 
 namespace qcore {
 namespace {
@@ -416,53 +413,8 @@ TEST(SnapshotRegistryTest, NearestForPrefersOwnThenCohortNeighbor) {
 
 // ------------------------------------------------ fleet-level (ML fixture)
 
-struct FleetFixture {
-  HarSpec spec;
-  HarDomain source;
-  HarDomain target;
-  Dataset qcore;
-  std::unique_ptr<QuantizedModel> base;  // deployed edge form
-  std::unique_ptr<BitFlipNet> bf;
-  std::vector<Dataset> batches;
-  std::vector<Dataset> slices;
-};
-
 FleetFixture* GetFixture() {
-  static FleetFixture* fixture = []() {
-    auto* f = new FleetFixture();
-    f->spec = HarSpec::Usc();
-    f->spec.num_classes = 5;
-    f->spec.channels = 3;
-    f->spec.length = 24;
-    f->spec.train_per_class = 8;
-    f->spec.test_per_class = 4;
-    f->source = MakeHarDomain(f->spec, 0);
-    f->target = MakeHarDomain(f->spec, 1);
-
-    Rng rng(20260715);
-    auto model = MakeOmniScaleCnn(f->spec.channels, f->spec.num_classes,
-                                  &rng);
-    QCoreBuildOptions build;
-    build.size = 15;
-    build.train.epochs = 8;
-    build.train.sgd.lr = 0.03f;
-    auto built = BuildQCore(model.get(), f->source.train, build, &rng);
-    f->qcore = built.qcore;
-
-    f->base = std::make_unique<QuantizedModel>(*model, 4);
-    BitFlipTrainOptions bft;
-    bft.ste.epochs = 8;
-    bft.ste.batch_size = 16;
-    bft.augment_episodes = 1;
-    f->bf = std::make_unique<BitFlipNet>(
-        TrainBitFlipNet(f->base.get(), f->qcore, bft, &rng));
-    f->base->DropShadows();
-
-    Rng split_rng(4242);
-    f->batches = SplitIntoStreamBatches(f->target.train, 3, &split_rng);
-    f->slices = SplitIntoStreamBatches(f->target.test, 3, &split_rng);
-    return f;
-  }();
+  static FleetFixture* fixture = MakeFleetFixture(20260715, 4242, 8);
   return fixture;
 }
 
@@ -484,15 +436,9 @@ std::unique_ptr<SnapshotRegistry> OpenRegistry(const std::string& path) {
   return std::make_unique<SnapshotRegistry>(std::move(store).value());
 }
 
-// One backend per config: num_shards == 0 means a plain FleetServer.
-std::unique_ptr<FleetBackend> MakeRecoveryBackend(FleetFixture* f,
-                                                  int num_shards,
-                                                  FleetServerOptions opts,
-                                                  SnapshotRegistry* registry) {
-  if (num_shards == 0) {
-    return std::make_unique<FleetServer>(*f->base, *f->bf, std::move(opts),
-                                         registry);
-  }
+std::unique_ptr<ShardedFleetServer> MakeRecoveryServer(
+    FleetFixture* f, int num_shards, FleetServerOptions opts,
+    SnapshotRegistry* registry) {
   ShardedFleetServerOptions sopts;
   sopts.num_shards = num_shards;
   sopts.shard = std::move(opts);
@@ -508,11 +454,8 @@ std::unique_ptr<FleetBackend> MakeRecoveryBackend(FleetFixture* f,
 TEST(CrashRecoveryTest, ServerKilledMidStreamRecoversFromWal) {
   FleetFixture* f = GetFixture();
   const std::vector<std::string> devices = {"r0", "r1", "r2", "r3"};
-  for (int num_shards : {0, 1, 2, 4}) {
-    SCOPED_TRACE(num_shards == 0
-                     ? std::string("FleetServer")
-                     : "ShardedFleetServer{" + std::to_string(num_shards) +
-                           "}");
+  for (int num_shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
     const std::string path =
         TempLog("recovery_" + std::to_string(num_shards));
 
@@ -521,7 +464,7 @@ TEST(CrashRecoveryTest, ServerKilledMidStreamRecoversFromWal) {
     uint64_t max_version = 0;
     {
       auto registry = OpenRegistry(path);
-      auto server = MakeRecoveryBackend(
+      auto server = MakeRecoveryServer(
           f, num_shards, RecoveryServerOptions(), registry.get());
       for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
       // Stream two of three batches with interleaved publishes, so the log
@@ -558,7 +501,7 @@ TEST(CrashRecoveryTest, ServerKilledMidStreamRecoversFromWal) {
     // publishing continues the version sequence monotonically.
     FleetServerOptions opts = RecoveryServerOptions();
     opts.warm_start_from_registry = true;
-    auto server = MakeRecoveryBackend(f, num_shards, opts, recovered.get());
+    auto server = MakeRecoveryServer(f, num_shards, opts, recovered.get());
     for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
     for (size_t d = 0; d < devices.size(); ++d) {
       auto expected = f->base->Clone();
@@ -590,7 +533,7 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
   FleetServerOptions opts = RecoveryServerOptions();
   SnapshotRegistry registry;
   {
-    FleetServer server(*f->base, *f->bf, opts, &registry);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(opts), &registry);
     server.RegisterDevice("veteran", f->qcore);
     server.SubmitCalibration("veteran", f->batches[0], f->slices[0]);
     server.PublishSnapshot("veteran");
@@ -601,7 +544,7 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
   SnapshotRegistry imported;
   ASSERT_TRUE(imported.ImportDelta(registry.ExportDelta(0)).ok());
   opts.warm_start_from_registry = true;
-  FleetServer server(*f->base, *f->bf, opts, &imported);
+  ShardedFleetServer server(*f->base, *f->bf, OneShard(opts), &imported);
   server.RegisterDevice("rookie", f->qcore);
 
   auto veteran_model = f->base->Clone();
@@ -615,7 +558,8 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
 
   // Without the option, registration stays a cold start.
   FleetServerOptions cold = RecoveryServerOptions();
-  FleetServer cold_server(*f->base, *f->bf, cold, &imported);
+  ShardedFleetServer cold_server(*f->base, *f->bf, OneShard(cold),
+                                 &imported);
   cold_server.RegisterDevice("rookie", f->qcore);
   cold_server.WithSessionQuiesced("rookie", [&](CalibrationSession& s) {
     EXPECT_EQ(s.model()->AllCodes(), f->base->AllCodes());
@@ -627,7 +571,8 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
   auto foreign_store = std::make_unique<MemorySnapshotStore>();
   ASSERT_TRUE(foreign_store->Put(MakeSnap(1, "alien", 32)).ok());
   SnapshotRegistry foreign(std::move(foreign_store));
-  FleetServer fallback_server(*f->base, *f->bf, opts, &foreign);
+  ShardedFleetServer fallback_server(*f->base, *f->bf, OneShard(opts),
+                                     &foreign);
   fallback_server.RegisterDevice("rookie", f->qcore);
   fallback_server.WithSessionQuiesced("rookie", [&](CalibrationSession& s) {
     EXPECT_EQ(s.model()->AllCodes(), f->base->AllCodes());
@@ -645,7 +590,8 @@ TEST(CrashRecoveryTest, FsyncOptionDoesNotChangeLogContents) {
     auto store = DurableSnapshotStore::Open(std::move(options));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry registry(std::move(store).value());
-    FleetServer server(*f->base, *f->bf, RecoveryServerOptions(), &registry);
+    ShardedFleetServer server(*f->base, *f->bf,
+                              OneShard(RecoveryServerOptions()), &registry);
     server.RegisterDevice("dev", f->qcore);
     server.SubmitCalibration("dev", f->batches[0], f->slices[0]);
     server.PublishSnapshot("dev");
