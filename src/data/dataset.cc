@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/serialize.h"
 #include "tensor/tensor_ops.h"
@@ -71,12 +72,14 @@ void Dataset::SerializeTo(BinaryWriter* w) const {
   w->WriteI32(num_classes_);
   w->WriteI32(size());
   w->WriteInt64s(x_.shape());
-  if (empty()) return;  // shape alone reconstructs a zero-row dataset
+  if (empty()) return;  // the default dataset: no tensor, class count 0
   w->WriteFloats(x_.data(), x_.vec().size());
   std::vector<int32_t> labels(labels_.begin(), labels_.end());
   w->WriteInts(labels);
 }
 
+// Every check the Dataset and Tensor constructors would abort on is made
+// here first, so damaged bytes come back as Corruption.
 Result<Dataset> Dataset::DeserializeFrom(BinaryReader* r) {
   auto classes = r->ReadI32();
   if (!classes.ok()) return classes.status();
@@ -84,28 +87,34 @@ Result<Dataset> Dataset::DeserializeFrom(BinaryReader* r) {
   if (!count.ok()) return count.status();
   auto shape = r->ReadInt64s();
   if (!shape.ok()) return shape.status();
+  const auto inconsistent = [] {
+    return Status::Corruption("dataset record is internally inconsistent");
+  };
   if (count.value() == 0) {
-    // Two empty flavors round-trip: the default dataset (no tensor, class
-    // count 0) and a zero-row dataset that still carries its shape and
-    // class count (e.g. an exhausted stream slice).
-    if (shape.value().empty() || classes.value() <= 0) return Dataset();
-    if (shape.value()[0] != 0) {
-      return Status::Corruption("dataset record is internally inconsistent");
+    if (classes.value() != 0 || !shape.value().empty()) return inconsistent();
+    return Dataset();
+  }
+  if (count.value() < 0 || classes.value() <= 0 || shape.value().empty() ||
+      shape.value()[0] != count.value()) {
+    return inconsistent();
+  }
+  int64_t elements = 1;
+  for (int64_t d : shape.value()) {
+    if (d < 1 || elements > std::numeric_limits<int64_t>::max() / d) {
+      return inconsistent();
     }
-    return Dataset(Tensor::FromVector(std::move(shape).value(), {}), {},
-                   classes.value());
+    elements *= d;
   }
   auto values = r->ReadFloats();
   if (!values.ok()) return values.status();
   auto labels = r->ReadInts();
   if (!labels.ok()) return labels.status();
-  int64_t elements = 1;
-  for (int64_t d : shape.value()) elements *= d;
-  if (shape.value().empty() ||
-      shape.value()[0] != static_cast<int64_t>(count.value()) ||
-      labels.value().size() != static_cast<size_t>(count.value()) ||
+  if (labels.value().size() != static_cast<size_t>(count.value()) ||
       values.value().size() != static_cast<size_t>(elements)) {
-    return Status::Corruption("dataset record is internally inconsistent");
+    return inconsistent();
+  }
+  for (int32_t y : labels.value()) {
+    if (y < 0 || y >= classes.value()) return inconsistent();
   }
   Tensor x = Tensor::FromVector(std::move(shape).value(),
                                 std::move(values).value());

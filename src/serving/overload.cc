@@ -42,7 +42,6 @@ bool AdmissionNode::TryAcquireLocal(bool is_inference) {
   if (over_total || over_class) {
     class_gauge.fetch_sub(1, std::memory_order_relaxed);
     total_.fetch_sub(1, std::memory_order_relaxed);
-    refusals_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   return true;
@@ -81,9 +80,6 @@ AdmissionLevel AdmissionLimiter::TryAcquire(AdmissionNode* leaf,
   for (AdmissionNode* node = leaf; node != nullptr; node = node->parent()) {
     const bool refused_by_fault = node->level() == AdmissionLevel::kFleet &&
                                   MaybeFault(FaultPoint::kLimiterRefuse);
-    if (refused_by_fault) {
-      node->refusals_.fetch_add(1, std::memory_order_relaxed);
-    }
     if (refused_by_fault || !node->TryAcquireLocal(is_inference)) {
       // Roll back the levels already reserved (leaf up to node's child).
       for (AdmissionNode* held = leaf; held != node; held = held->parent()) {
@@ -100,16 +96,6 @@ void AdmissionLimiter::Release(AdmissionNode* leaf, bool is_inference) {
   for (AdmissionNode* node = leaf; node != nullptr; node = node->parent()) {
     node->ReleaseLocal(is_inference);
   }
-}
-
-uint64_t AdmissionLimiter::refusals(AdmissionLevel level) const {
-  if (level == AdmissionLevel::kFleet) return root_->refusals();
-  MutexLock lock(mu_);
-  uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    if (node->level() == level) total += node->refusals();
-  }
-  return total;
 }
 
 uint64_t ComputeBackoffUs(const RetryPolicy& policy, int attempt, Rng* rng) {

@@ -19,10 +19,11 @@
 //     limiters in production databases (cf. YDB's grouped memory limiter):
 //     admitting one request reserves a slot at every level leaf-to-root,
 //     any level can refuse, and a refusal rolls the partial reservation
-//     back. Refusals are counted per level, so "who is the bottleneck" is
-//     a gauge read, not a log dive. Caps of 0 mean unbounded at that
-//     level, which is how single-shard deployments keep their historical
-//     flat per-session bounds unchanged.
+//     back. TryAcquire returns the refusing level, and the serving layer
+//     counts each refusal once, on the device's whiteboard row (a session
+//     refusal as shed_queue_full, a shard or fleet one as shed_limiter).
+//     Caps of 0 mean unbounded at that level, which is how single-shard
+//     deployments keep their historical flat per-session bounds unchanged.
 //
 //  3. Retry shaping (RetryPolicy). Shed work is retried by callers, not by
 //     the server (retrying inside would invert the point of shedding).
@@ -113,7 +114,6 @@ class AdmissionNode {
 
   AdmissionLevel level() const { return level_; }
   AdmissionNode* parent() const { return parent_; }
-  const AdmissionCaps& caps() const { return caps_; }
 
   // Live reservations through this node.
   int total_depth() const { return total_.load(std::memory_order_relaxed); }
@@ -123,18 +123,14 @@ class AdmissionNode {
   int calibration_depth() const {
     return calibration_.load(std::memory_order_relaxed);
   }
-  // Reservations this node itself refused (not refusals further up).
-  uint64_t refusals() const {
-    return refusals_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class AdmissionLimiter;
 
-  // Optimistically takes one slot at THIS node; rolls back and counts a
-  // refusal when a cap is exceeded. The fetch_add-then-check pattern
-  // matches the historical per-session gauges: transiently overshooting by
-  // the number of concurrent submitters is fine, admitting past the cap is
+  // Optimistically takes one slot at THIS node; rolls back and returns
+  // false when a cap is exceeded. The fetch_add-then-check pattern matches
+  // the historical per-session gauges: transiently overshooting by the
+  // number of concurrent submitters is fine, admitting past the cap is
   // not.
   bool TryAcquireLocal(bool is_inference);
   void ReleaseLocal(bool is_inference);
@@ -145,7 +141,6 @@ class AdmissionNode {
   std::atomic<int> total_{0};
   std::atomic<int> inference_{0};
   std::atomic<int> calibration_{0};
-  std::atomic<uint64_t> refusals_{0};
 };
 
 // The admission tree. One limiter spans one admission domain: the
@@ -176,12 +171,9 @@ class AdmissionLimiter {
   AdmissionLevel TryAcquire(AdmissionNode* leaf, bool is_inference);
   void Release(AdmissionNode* leaf, bool is_inference);
 
-  // Refusals by level, summed over the whole tree.
-  uint64_t refusals(AdmissionLevel level) const;
-
  private:
   std::unique_ptr<AdmissionNode> root_;
-  mutable Mutex mu_;
+  Mutex mu_;
   // Tree growth only — acquire/release never touch this vector, they walk
   // parent pointers through nodes that are immutable once handed out.
   std::vector<std::unique_ptr<AdmissionNode>> nodes_ QCORE_GUARDED_BY(mu_);

@@ -105,7 +105,7 @@ void GemmPackedA(int64_t m, int64_t n, int64_t k, const float* packed_a,
 // variable if set, else DefaultParallelWorkers() (the CPUs this process may
 // run on, clamped). set_gemm_threads requires n >= 1; 1 disables the
 // parallel path entirely. Process-wide; reads/writes are racy-safe (a
-// relaxed atomic) but tests and drills set it once up front. Two users
+// relaxed atomic) but tests and benches set it once up front. Two users
 // share it: a wide Gemm() splits its output chunks over it, and Alg. 3
 // (core/bitflip) splits each trial's rows over the part of it that is free
 // (runtime/parallel_for FreeParallelThreads).
@@ -115,7 +115,7 @@ void set_gemm_threads(int n);
 // Crossover threshold: a GEMM goes wide only when m*n*k >= this. The
 // default (4Mi multiply-adds, ~a 161^3 cube) keeps per-sample HAR-model
 // layers single-threaded while batched forwards fan out. Exposed for bench
-// tuning and the --wide-batch drill; same contract as set_gemm_threads.
+// tuning and tests; same contract as set_gemm_threads.
 inline constexpr int64_t kDefaultGemmParallelMinWork = int64_t{1} << 22;
 int64_t gemm_parallel_min_work();
 void set_gemm_parallel_min_work(int64_t mnk);

@@ -13,8 +13,9 @@
 //     corruption. (Fsync failure and compaction crashes are pinned in
 //     tests/snapshot_store_test.cc next to the other durability tests.)
 //   * Serving fault families over a live fleet — device RTT spikes,
-//     batcher flusher stalls, barrier delays (all latency-only: results
-//     must stay bit-identical), and the shard-crash-during-migration
+//     batcher flusher stalls, barrier delays, pool saturation (all
+//     latency-only: results must stay bit-identical, also when the served
+//     forwards run wide panel GEMMs), and the shard-crash-during-migration
 //     family, whose documented degradation is a lost continuation with
 //     bit-identical model recovery from the barrier snapshot.
 //
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -37,6 +39,8 @@
 #include "serving/server.h"
 #include "serving/snapshot.h"
 #include "serving/snapshot_store.h"
+#include "tensor/kernels.h"
+#include "tensor/tensor_ops.h"
 #include "testing/fault_injector.h"
 #include "tests/fleet_fixture.h"
 
@@ -481,6 +485,111 @@ TEST(ChaosServingTest, LatencyFaultFamiliesAreBitIdentical) {
   EXPECT_TRUE(faulted == reference);
   EXPECT_GT(injector.fired(FaultPoint::kDeviceRttSpike), 0u);
   EXPECT_GT(injector.fired(FaultPoint::kBarrierDelay), 0u);
+}
+
+// Restores the process-wide kernel knobs on scope exit, so a failed
+// assertion cannot leave later tests on a lowered crossover.
+struct KernelKnobGuard {
+  KernelKnobGuard() = default;
+  KernelKnobGuard(const KernelKnobGuard&) = delete;
+  KernelKnobGuard& operator=(const KernelKnobGuard&) = delete;
+  const int threads = kernels::gemm_threads();
+  const int64_t min_work = kernels::gemm_parallel_min_work();
+  ~KernelKnobGuard() {
+    kernels::set_gemm_threads(threads);
+    kernels::set_gemm_parallel_min_work(min_work);
+  }
+};
+
+// Wide panel GEMMs under the serving pool change no bits: batched forwards
+// whose GEMMs fan out over the panel worker set from pool workers (the
+// nested case runtime/parallel_for.h exists for), under latency faults that
+// reshape grouping and scheduling, predict exactly what a single-threaded
+// reference run predicts.
+TEST(ChaosServingTest, WideServedForwardsStayBitIdenticalUnderLatencyFaults) {
+  FleetFixture* f = GetFixture();
+  KernelKnobGuard restore;
+  // A crossover low enough for this small HAR model's forwards to go wide.
+  kernels::set_gemm_parallel_min_work(int64_t{1} << 12);
+
+  // Every request has more rows than the dense head's 48-row chunk, so its
+  // GEMMs split whatever group the batcher puts it in.
+  constexpr int64_t kRows = 50;
+  const Tensor& tx = f->target.test.x();
+  const Tensor tall = ConcatRows({&tx, &tx, &tx});
+  ASSERT_EQ(tall.dim(0), 60);
+  std::vector<Tensor> requests;
+  for (int64_t r = 0; r < 12; ++r) {
+    const int64_t begin = r % (tall.dim(0) - kRows + 1);
+    requests.push_back(tall.SliceRows(begin, begin + kRows));
+  }
+
+  FleetServerOptions opts = ChaosServerOptions();
+  opts.batching.max_batch = 4;
+  opts.batching.max_delay_us = 400.0;
+  const std::vector<std::string> devices = {"wide-0", "wide-1"};
+  const auto serve = [&](int gemm_threads, uint64_t* wide_dispatches) {
+    kernels::set_gemm_threads(gemm_threads);
+    ShardedFleetServer server(*f->base, *f->bf, OneShard(opts));
+    for (const auto& d : devices) server.RegisterDevice(d, f->qcore);
+    std::vector<std::future<InferenceResult>> futures;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      futures.push_back(server.SubmitInference(devices[r % devices.size()],
+                                               requests[r]));
+    }
+    std::vector<std::vector<int>> predictions;
+    for (auto& fu : futures) predictions.push_back(fu.get().predictions);
+    server.Drain();
+    *wide_dispatches =
+        server.whiteboard().Read().FleetTotals().panel_wide_dispatches;
+    return predictions;
+  };
+
+  uint64_t reference_wide = 0;
+  const std::vector<std::vector<int>> reference = serve(1, &reference_wide);
+  EXPECT_EQ(reference_wide, 0u);
+
+  FaultInjector injector(0x3DE);
+  FaultScript rtt;
+  rtt.sticky = true;
+  rtt.probability = 0.3;
+  rtt.arg = 300;  // microseconds
+  injector.Arm(FaultPoint::kDeviceRttSpike, rtt);
+  FaultScript stall;
+  stall.sticky = true;
+  stall.probability = 0.3;
+  stall.arg = 200;
+  injector.Arm(FaultPoint::kBatcherFlusherStall, stall);
+  FaultScript saturate;
+  saturate.sticky = true;
+  saturate.probability = 0.2;
+  saturate.arg = 100;
+  injector.Arm(FaultPoint::kPoolSaturation, saturate);
+  injector.Install();
+  uint64_t wide = 0;
+  const std::vector<std::vector<int>> faulted = serve(4, &wide);
+  FaultInjector::Uninstall();
+
+  EXPECT_EQ(faulted, reference);
+  EXPECT_GT(wide, 0u) << "the served forwards never went wide";
+  // Probabilistic scripts fire a varying number of times; the hooks must
+  // at least have been crossed.
+  EXPECT_GT(injector.hits(FaultPoint::kDeviceRttSpike), 0u);
+  EXPECT_GT(injector.hits(FaultPoint::kPoolSaturation), 0u);
+
+  // Predictions forgive drift an argmax absorbs; raw logits do not.
+  kernels::set_gemm_threads(1);
+  const Tensor narrow_logits = f->base->Clone()->Forward(tall);
+  kernels::set_gemm_threads(4);
+  const kernels::GemmDispatchCounters before =
+      kernels::ThreadGemmDispatchCounters();
+  const Tensor wide_logits = f->base->Clone()->Forward(tall);
+  EXPECT_GT((kernels::ThreadGemmDispatchCounters() - before).wide, 0u);
+  ASSERT_TRUE(wide_logits.SameShape(narrow_logits));
+  EXPECT_EQ(std::memcmp(wide_logits.data(), narrow_logits.data(),
+                        sizeof(float) * static_cast<size_t>(
+                                            narrow_logits.size())),
+            0);
 }
 
 // The shard-crash family's recovery invariant: the continuation is lost

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
+#include "common/serialize.h"
 #include "data/dataset.h"
 #include "data/har_generator.h"
 #include "data/image_generator.h"
@@ -87,6 +90,64 @@ TEST(DatasetTest, ShuffledIsPermutation) {
     b.insert(s.x().at(i, 0));
   }
   EXPECT_EQ(a, b);
+}
+
+// One Dataset record as SerializeTo lays it out, with every field chosen by
+// the caller so each can be damaged alone.
+std::vector<uint8_t> DatasetRecord(int32_t classes, int32_t count,
+                                   const std::vector<int64_t>& shape,
+                                   const std::vector<float>& values,
+                                   const std::vector<int32_t>& labels) {
+  BinaryWriter w;
+  w.WriteI32(classes);
+  w.WriteI32(count);
+  w.WriteInt64s(shape);
+  if (count != 0) {
+    w.WriteFloats(values);
+    w.WriteInts(labels);
+  }
+  return w.TakeBuffer();
+}
+
+TEST(DatasetTest, SerializeRoundTripsAndDamagedRecordsAreCorruption) {
+  const Dataset d = TinyDataset();
+  BinaryWriter w;
+  d.SerializeTo(&w);
+  BinaryReader r(w.buffer());
+  auto back = Dataset::DeserializeFrom(&r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_TRUE(back.value().x().SameShape(d.x()));
+  EXPECT_EQ(std::memcmp(back.value().x().data(), d.x().data(),
+                        sizeof(float) * static_cast<size_t>(d.x().size())),
+            0);
+  EXPECT_EQ(back.value().labels(), d.labels());
+  EXPECT_EQ(back.value().num_classes(), d.num_classes());
+
+  BinaryWriter empty_writer;
+  Dataset().SerializeTo(&empty_writer);
+  BinaryReader empty_reader(empty_writer.buffer());
+  auto empty = Dataset::DeserializeFrom(&empty_reader);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty.value().empty());
+
+  const std::vector<float> four = {1, 2, 3, 4};
+  const int64_t huge = (int64_t{1} << 62) + 1;  // 2 * huge * 2 wraps to 4
+  const std::vector<std::vector<uint8_t>> damaged = {
+      DatasetRecord(2, 2, {2, 2}, four, {0, 2}),       // label == classes
+      DatasetRecord(2, 2, {2, 2}, four, {0, -1}),      // negative label
+      DatasetRecord(0, 2, {2, 2}, four, {0, 0}),       // no classes, rows
+      DatasetRecord(2, 2, {2, 0}, {}, {0, 1}),         // zero dimension
+      DatasetRecord(2, 2, {2, -1, -2}, four, {0, 1}),  // negative dims
+      DatasetRecord(2, 0, {0, 2}, {}, {}),             // zero rows, a shape
+      DatasetRecord(2, 2, {2, huge, 2}, four, {0, 1}),  // overflowing shape
+  };
+  for (size_t i = 0; i < damaged.size(); ++i) {
+    BinaryReader reader(damaged[i]);
+    auto decoded = Dataset::DeserializeFrom(&reader);
+    ASSERT_FALSE(decoded.ok()) << "record " << i;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << "record " << i;
+  }
 }
 
 // Stream-splitting property: parts partition the dataset.
