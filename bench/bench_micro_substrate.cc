@@ -200,8 +200,9 @@ BENCHMARK(BM_Conv2dBackwardNaive);
 
 // Two per-sample GEMM shapes with a row remainder, the calibration
 // workloads' own: InceptionTime's 24->8 1x1 bottleneck (F = 8 runs a 6-row
-// and a 2-row tile; the conv reads its input plane without lowering) and a
-// 3->8 3x3 stem on 16x16 images (a 27-deep reduction).
+// and a 2-row tile; unpadded, so the GEMM reads the input plane itself) and
+// a 3->8 3x3 stem on 16x16 images (a 27-deep reduction over a padded
+// plane).
 void RunConv1dBottleneck(benchmark::State& state, bool blocked) {
   Rng rng(25);
   Conv1d conv(24, 8, 1, 1, 0, &rng);
@@ -248,9 +249,9 @@ void BM_Conv2dForwardStemNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardStemNaive);
 
-// The im2col pack on its own — the lowering overhead the GEMM win has to
-// amortize — against the per-element naive loop it replaced. The 2-D shape
-// is a ResNet-tiny 3x3 layer, the 1-D one InceptionTime's k=9 Conv1d.
+// The im2col pack on its own — conv backward's lowering — against the
+// per-element naive loop it replaced. The 2-D shape is a ResNet-tiny 3x3
+// layer, the 1-D one InceptionTime's k=9 Conv1d.
 void RunIm2Col2d(benchmark::State& state,
                  decltype(&kernels::Im2Col2d) im2col) {
   Rng rng(23);
@@ -373,9 +374,10 @@ BENCHMARK(BM_MatMulCrossover)
     ->Arg(256)
     ->UseRealTime();
 
-// A conv whose im2col-lowered GEMM (m=64, n=1024, k=288 per sample) clears
-// the default crossover: the whole lowered path — im2col fan-out plus
-// panel-parallel GEMM — under an explicit thread budget.
+// A conv whose per-sample GEMM (m=64, n=1024, k=288) clears the default
+// crossover: the whole forward — padded plane plus panel-parallel GEMM,
+// each chunk packing its B panels from the plane — under an explicit
+// thread budget.
 void BM_Conv2dForwardWide(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   Rng rng(24);

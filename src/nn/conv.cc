@@ -7,18 +7,54 @@
 
 namespace qcore {
 
-// Both conv layers lower onto the blocked GEMM substrate via im2col: each
-// sample's input plane is unfolded into a column matrix once, and the
-// forward pass / all three backward products become packed GEMM calls
-// instead of scalar loops with per-element bounds checks. Samples are
-// processed independently in batch order, so per-sample results are
-// bit-identical regardless of how rows were batched (the serving batcher's
-// bit-identity property), and gradient accumulation order is fixed.
+// Forward runs one path for every kernel, stride and pad: W is packed once
+// per call, and each sample's GEMM reads its B straight from the sample's
+// input plane through a row table (kernels::PlaneB), so no im2col column
+// matrix is written. A padded conv first copies the sample into the
+// interior of a per-thread plane whose borders are zeroed once per call;
+// an unpadded one reads the input itself. B's entries are the column
+// matrix's, zeros included, so every output element keeps the same FMA
+// chain over the same operands: the forward's bits are the lowered path's.
 //
-// Forward packs W once per call and runs every sample's GEMM against the
-// packed panels. A 1x1, stride-1, unpadded conv skips the lowering: its
-// column matrix would be a copy of the input plane, so the GEMM reads the
-// plane itself. Neither changes an operand, so neither changes a bit.
+// Backward lowers each sample via im2col onto the same GEMM substrate: the
+// three backward products become packed GEMM calls, with col2im folding
+// the column gradient back. Samples are processed independently in batch
+// order, so per-sample results are bit-identical regardless of how rows
+// were batched (the serving batcher's bit-identity property), and gradient
+// accumulation order is fixed.
+
+namespace {
+
+// The forward of both conv layers over x [n, c, h, w] with a kh x kw
+// kernel; a 1-D conv is one output row (h = ho = 1, kh = 1, pad_h = 0).
+// out [n, f, ho*wo] gets the bias, then W[f, c*kh*kw] * B_i per sample.
+void PlaneConvForward(const float* x, int64_t n, int64_t c, int64_t h,
+                      int64_t w, const float* weight, const float* bias,
+                      int64_t f, int kh, int kw, int stride, int pad_h,
+                      int pad_w, int64_t ho, int64_t wo, float* out) {
+  const int64_t ck = c * kh * kw;
+  const int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
+  const int64_t howo = ho * wo;
+  const float* packed_w = kernels::PackA(f, ck, weight, ck);
+  const bool padded = pad_h > 0 || pad_w > 0;
+  float* plane =
+      padded ? kernels::PadScratch(static_cast<size_t>(c * hp * wp)) : nullptr;
+  kernels::PlaneB b{nullptr, kernels::ConvRowTable(c, hp, wp, kh, kw), wo,
+                    stride * wp, stride};
+  for (int64_t i = 0; i < n; ++i) {
+    float* oplane = out + i * f * howo;
+    for (int64_t fo = 0; fo < f; ++fo) {
+      std::fill(oplane + fo * howo, oplane + (fo + 1) * howo, bias[fo]);
+    }
+    const float* xi = x + i * c * h * w;
+    if (padded) kernels::PadPlane(xi, c, h, w, pad_h, pad_w, plane);
+    b.plane = padded ? plane : xi;
+    // out_i[F, Ho*Wo] (+)= W[F, C*kh*kw] * B_i[C*kh*kw, Ho*Wo].
+    kernels::GemmPackedA(f, howo, ck, packed_w, b, oplane, howo);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Conv1d
@@ -48,32 +84,15 @@ Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int kernel,
 Tensor Conv1d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 3);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
-  const int64_t n = x.dim(0), c = in_channels_, l = x.dim(2);
+  const int64_t n = x.dim(0), l = x.dim(2);
   QCORE_CHECK_MSG(l + 2 * pad_ >= kernel_,
                   "conv1d kernel is longer than the padded input");
   const int64_t lo = (l + 2 * pad_ - kernel_) / stride_ + 1;
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, lo});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* po = out.data();
-  const int64_t ck = c * kernel_;
-  const float* packed_w = kernels::PackA(out_channels_, ck, pw, ck);
-  const bool lower = kernel_ != 1 || stride_ != 1 || pad_ != 0;
-  float* col = lower ? kernels::ColScratch(static_cast<size_t>(ck * lo))
-                     : nullptr;
-  for (int64_t i = 0; i < n; ++i) {
-    float* oplane = po + i * out_channels_ * lo;
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      for (int64_t o = 0; o < lo; ++o) oplane[f * lo + o] = pb[f];
-    }
-    const float* xi = px + i * c * l;
-    if (lower) kernels::Im2Col1d(xi, c, l, kernel_, stride_, pad_, lo, col);
-    // out_i[F, lo] (+)= W[F, C*K] * col[C*K, lo], on top of the bias fill.
-    kernels::GemmPackedA(out_channels_, lo, ck, packed_w, lower ? col : xi,
-                         lo, oplane, lo);
-  }
+  PlaneConvForward(x.data(), n, in_channels_, 1, l, weight_.value.data(),
+                   bias_.value.data(), out_channels_, 1, kernel_, stride_, 0,
+                   pad_, 1, lo, out.data());
   return out;
 }
 
@@ -160,36 +179,16 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int kernel,
 Tensor Conv2d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 4);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
-  const int64_t n = x.dim(0), c = in_channels_, h = x.dim(2), w = x.dim(3);
+  const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   QCORE_CHECK_MSG(h + 2 * pad_ >= kernel_ && w + 2 * pad_ >= kernel_,
                   "conv2d kernel is larger than the padded input");
   const int64_t ho = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const int64_t wo = (w + 2 * pad_ - kernel_) / stride_ + 1;
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, ho, wo});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* po = out.data();
-  const int64_t ckk = c * kernel_ * kernel_;
-  const int64_t howo = ho * wo;
-  const float* packed_w = kernels::PackA(out_channels_, ckk, pw, ckk);
-  const bool lower = kernel_ != 1 || stride_ != 1 || pad_ != 0;
-  float* col = lower ? kernels::ColScratch(static_cast<size_t>(ckk * howo))
-                     : nullptr;
-  for (int64_t i = 0; i < n; ++i) {
-    float* oplane = po + i * out_channels_ * howo;
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      for (int64_t o = 0; o < howo; ++o) oplane[f * howo + o] = pb[f];
-    }
-    const float* xi = px + i * c * h * w;
-    if (lower) {
-      kernels::Im2Col2d(xi, c, h, w, kernel_, stride_, pad_, ho, wo, col);
-    }
-    // out_i[F, Ho*Wo] (+)= W[F, C*K*K] * col[C*K*K, Ho*Wo].
-    kernels::GemmPackedA(out_channels_, howo, ckk, packed_w,
-                         lower ? col : xi, howo, oplane, howo);
-  }
+  PlaneConvForward(x.data(), n, in_channels_, h, w, weight_.value.data(),
+                   bias_.value.data(), out_channels_, kernel_, kernel_,
+                   stride_, pad_, pad_, ho, wo, out.data());
   return out;
 }
 

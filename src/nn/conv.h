@@ -1,7 +1,9 @@
-// 1-D and 2-D convolution layers, lowered per sample onto the blocked GEMM
-// substrate via im2col/col2im (tensor/kernels.h). The scalar direct-loop
-// implementations survive as qcore::naive::Conv{1,2}dForward/Backward — the
-// oracle for kernels_test and the baseline for the perf CI gate.
+// 1-D and 2-D convolution layers on the blocked GEMM substrate
+// (tensor/kernels.h): forward reads each sample's (padded) input plane as
+// the GEMM's B through a row table, backward lowers per sample via
+// im2col/col2im. The scalar direct-loop implementations survive as
+// qcore::naive::Conv{1,2}dForward/Backward — the oracle for kernels_test
+// and the baseline for the perf CI gate.
 #ifndef QCORE_NN_CONV_H_
 #define QCORE_NN_CONV_H_
 
@@ -48,8 +50,9 @@ class Conv1d : public Layer {
   Parameter weight_;
   Parameter bias_;
   // Training-mode Forward's input, for Backward. Eval-mode Forward writes
-  // no member: its im2col columns go to the calling thread's
-  // kernels::ColScratch, so threads may evaluate one layer at once.
+  // no member: its padded planes and row tables live in the calling
+  // thread's kernels::PadScratch / ConvRowTable buffers, so threads may
+  // evaluate one layer at once.
   Tensor cached_input_;
 };
 

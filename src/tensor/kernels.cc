@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "common/aligned.h"
 #include "runtime/parallel_for.h"
@@ -70,6 +71,64 @@ QCORE_KERNEL_INLINE void PackPanelB(int64_t kc, int64_t nr, const float* b,
       int64_t j = 0;
       for (; j < nr; ++j) dst[j] = b[j * ldb + p];
       for (; j < kNR; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
+// Packs the kc x nr panel of a PlaneB whose first column is output j into
+// pb (layout pb[p*kNR + jj]), zero-padding columns [nr, kNR); rows holds
+// the panel's kc row starts. The panel's columns split into runs of
+// outputs that share an output row, and at stride 1 a run that continues
+// the previous one in the plane joins it (a 1x1 conv over an unpadded
+// plane copies whole panels). The runs depend only on the columns, so they
+// are found once; each is then copied for every panel row from
+// plane + rows[p]. A contiguous run of 16 or 8 floats, the whole or half a
+// panel (output rows 16 or 8 wide), copies as two or one vector per row.
+QCORE_KERNEL_INLINE void PackPanelPlane(int64_t kc, int64_t nr,
+                                        const PlaneB& b, const int64_t* rows,
+                                        int64_t j, float* pb) {
+  struct Run {
+    int64_t dst, src, len;
+  };
+  Run runs[kNR];
+  int count = 0;
+  for (int64_t jj = 0; jj < nr;) {
+    const int64_t oy = (j + jj) / b.wo;
+    const int64_t ox = (j + jj) % b.wo;
+    const int64_t len = std::min(nr - jj, b.wo - ox);
+    const int64_t src = oy * b.row_step + ox * b.stride;
+    if (count > 0 && b.stride == 1 &&
+        runs[count - 1].src + runs[count - 1].len == src) {
+      runs[count - 1].len += len;
+    } else {
+      runs[count++] = {jj, src, len};
+    }
+    jj += len;
+  }
+  for (int r = 0; r < count; ++r) {
+    const float* src = b.plane + runs[r].src;
+    float* dst = pb + runs[r].dst;
+    const int64_t len = runs[r].len;
+    if (b.stride == 1 && len == kNR) {
+      for (int64_t p = 0; p < kc; ++p) {
+        StoreV8(dst + p * kNR, LoadV8(src + rows[p]));
+        StoreV8(dst + p * kNR + 8, LoadV8(src + rows[p] + 8));
+      }
+    } else if (b.stride == 1 && len == 8) {
+      for (int64_t p = 0; p < kc; ++p) {
+        StoreV8(dst + p * kNR, LoadV8(src + rows[p]));
+      }
+    } else {
+      for (int64_t p = 0; p < kc; ++p) {
+        const float* s = src + rows[p];
+        float* d = dst + p * kNR;
+        for (int64_t i = 0; i < len; ++i) d[i] = s[i * b.stride];
+      }
+    }
+  }
+  if (nr < kNR) {
+    for (int64_t p = 0; p < kc; ++p) {
+      std::fill(pb + p * kNR + nr, pb + (p + 1) * kNR, 0.0f);
     }
   }
 }
@@ -180,9 +239,25 @@ struct AOperand {
   }
 };
 
+// Where GemmImpl reads B from: either a matrix (trans means B is stored
+// [n, k]), or a PlaneB whose column 0 is output j0.
+struct BOperand {
+  const float* data;
+  int64_t ldb;
+  bool trans;
+  const PlaneB* plane;  // the plane form when set; data is then unused
+  int64_t j0;
+
+  // The same operand from column c0 on.
+  BOperand FromCol(int64_t c0) const {
+    if (plane != nullptr) return {data, ldb, trans, plane, j0 + c0};
+    return {data + (trans ? c0 * ldb : c0), ldb, trans, plane, j0};
+  }
+};
+
 QCORE_GEMM_CLONES
-void GemmImpl(int64_t m, int64_t n, int64_t k, AOperand a, const float* b,
-              int64_t ldb, bool trans_b, float* c, int64_t ldc) {
+void GemmImpl(int64_t m, int64_t n, int64_t k, AOperand a, BOperand b,
+              float* c, int64_t ldc) {
   // Pack buffers are reused across calls; each worker thread owns its own,
   // so concurrent sessions never share scratch.
   thread_local AlignedFloatVec packed_a;
@@ -206,10 +281,15 @@ void GemmImpl(int64_t m, int64_t n, int64_t k, AOperand a, const float* b,
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
       for (int64_t jr = 0; jr < nc; jr += kNR) {
-        const float* bsrc = trans_b ? b + (jc + jr) * ldb + pc
-                                    : b + pc * ldb + jc + jr;
-        PackPanelB(kc, std::min<int64_t>(kNR, nc - jr), bsrc, ldb, trans_b,
-                   pb + jr * kc);
+        const int64_t nr = std::min<int64_t>(kNR, nc - jr);
+        if (b.plane != nullptr) {
+          PackPanelPlane(kc, nr, *b.plane, b.plane->rows + pc,
+                         b.j0 + jc + jr, pb + jr * kc);
+        } else {
+          const float* bsrc = b.trans ? b.data + (jc + jr) * b.ldb + pc
+                                      : b.data + pc * b.ldb + jc + jr;
+          PackPanelB(kc, nr, bsrc, b.ldb, b.trans, pb + jr * kc);
+        }
       }
       for (int64_t ic = 0; ic < m; ic += kMC) {
         const int64_t mc = std::min(kMC, m - ic);
@@ -319,6 +399,25 @@ float* GrowScratch(AlignedFloatVec* buf, size_t floats) {
 
 }  // namespace
 
+float* PadScratch(size_t floats) {
+  thread_local AlignedFloatVec plane;
+  float* p = GrowScratch(&plane, floats);
+  std::fill(p, p + floats, 0.0f);
+  return p;
+}
+
+void PadPlane(const float* x, int64_t c, int64_t h, int64_t w, int pad_h,
+              int pad_w, float* plane) {
+  tls_gemm_dispatch.lowered_floats += static_cast<uint64_t>(c * h * w);
+  const int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t y = 0; y < h; ++y) {
+      const float* src = x + (ch * h + y) * w;
+      std::copy(src, src + w, plane + (ch * hp + y + pad_h) * wp + pad_w);
+    }
+  }
+}
+
 float* ColScratch(size_t floats) {
   thread_local AlignedFloatVec col;
   return GrowScratch(&col, floats);
@@ -334,9 +433,8 @@ namespace {
 // The one dispatch rule of both GEMM entries: wide when the budget allows,
 // the caller is outside a region and the call clears the crossover, else
 // narrow. Counts the call either way.
-void DispatchGemm(int64_t m, int64_t n, int64_t k, AOperand a,
-                  const float* b, int64_t ldb, bool trans_b, float* c,
-                  int64_t ldc) {
+void DispatchGemm(int64_t m, int64_t n, int64_t k, AOperand a, BOperand b,
+                  float* c, int64_t ldc) {
   QCORE_CHECK(m > 0 && n > 0 && k > 0);
   tls_gemm_dispatch.madds += static_cast<uint64_t>(m * n * k);
   const int threads = gemm_threads();
@@ -350,18 +448,17 @@ void DispatchGemm(int64_t m, int64_t n, int64_t k, AOperand a,
       ParallelFor(grid, threads, [&](int64_t t) {
         const int64_t r0 = (t / col_chunks) * kRowChunk;
         const int64_t c0 = (t % col_chunks) * kColChunk;
-        // Sub-matrix views for chunk (r0, c0): A from row r0 on, B from
-        // column c0 on, honoring the storage transposes. Each worker's
-        // GemmImpl packs into its own thread_local scratch.
-        const float* tb = trans_b ? b + c0 * ldb : b + c0;
+        // Views for chunk (r0, c0): A from row r0 on, B from column c0 on
+        // (a plane B learns its column origin). Each worker's GemmImpl
+        // packs into its own thread_local scratch.
         GemmImpl(std::min(kRowChunk, m - r0), std::min(kColChunk, n - c0), k,
-                 a.FromRow(r0, k), tb, ldb, trans_b, c + r0 * ldc + c0, ldc);
+                 a.FromRow(r0, k), b.FromCol(c0), c + r0 * ldc + c0, ldc);
       });
       return;
     }
   }
   tls_gemm_dispatch.narrow++;
-  GemmImpl(m, n, k, a, b, ldb, trans_b, c, ldc);
+  GemmImpl(m, n, k, a, b, c, ldc);
 }
 
 }  // namespace
@@ -369,8 +466,8 @@ void DispatchGemm(int64_t m, int64_t n, int64_t k, AOperand a,
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
           bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
           int64_t ldc) {
-  DispatchGemm(m, n, k, {a, lda, trans_a, /*packed=*/false}, b, ldb, trans_b,
-               c, ldc);
+  DispatchGemm(m, n, k, {a, lda, trans_a, /*packed=*/false},
+               {b, ldb, trans_b, /*plane=*/nullptr, 0}, c, ldc);
 }
 
 const float* PackA(int64_t m, int64_t k, const float* a, int64_t lda) {
@@ -388,9 +485,23 @@ const float* PackA(int64_t m, int64_t k, const float* a, int64_t lda) {
 }
 
 void GemmPackedA(int64_t m, int64_t n, int64_t k, const float* packed_a,
-                 const float* b, int64_t ldb, float* c, int64_t ldc) {
-  DispatchGemm(m, n, k, {packed_a, 0, /*trans=*/false, /*packed=*/true}, b,
-               ldb, /*trans_b=*/false, c, ldc);
+                 const PlaneB& b, float* c, int64_t ldc) {
+  QCORE_CHECK(b.wo > 0 && b.stride > 0);
+  DispatchGemm(m, n, k, {packed_a, 0, /*trans=*/false, /*packed=*/true},
+               {nullptr, 0, /*trans=*/false, &b, 0}, c, ldc);
+}
+
+const int64_t* ConvRowTable(int64_t c, int64_t hp, int64_t wp, int kh,
+                            int kw) {
+  thread_local std::vector<int64_t> rows;
+  rows.resize(static_cast<size_t>(c * kh * kw));
+  int64_t* r = rows.data();
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) *r++ = (ch * hp + ky) * wp + kx;
+    }
+  }
+  return rows.data();
 }
 
 namespace {

@@ -1,14 +1,17 @@
 // Blocked/vectorized kernel substrate.
 //
 // Every GEMM-shaped workload in the tree (MatMul and both transposed
-// variants, Dense forward/backward, im2col-lowered conv forward/backward)
-// funnels into one cache-blocked, register-tiled packed kernel: Gemm().
+// variants, Dense forward/backward, conv forward, im2col-lowered conv
+// backward) funnels into one cache-blocked, register-tiled packed kernel.
 //
 // Tiling scheme (Goto-style, sized to this repo's L1/L2 targets):
 //   - B is packed into kNR-wide column panels, A into kMR-tall row panels;
 //     panels are zero-padded to full width so the microkernel is branch-free.
-//     A caller that runs many GEMMs against one A (a conv layer's weights,
-//     once per sample) packs it once with PackA and calls GemmPackedA.
+//     A conv forward packs its weights once with PackA and runs each
+//     sample's GEMM through GemmPackedA, whose B is the sample's padded
+//     input plane read through a row table (PlaneB): the packer copies each
+//     B panel row straight from the plane, so the forward writes no im2col
+//     column matrix.
 //   - Loop nest: jc (kNC columns, keeps the packed B block under L2) ->
 //     pc (kKC of the reduction dim; one A panel + one B panel fit L1) ->
 //     ic (kMC rows of packed A, L2-resident) -> NR/MR register tiles.
@@ -83,11 +86,37 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 // a per-thread buffer, valid until the calling thread packs again.
 const float* PackA(int64_t m, int64_t k, const float* a, int64_t lda);
 
-// Gemm() with trans_a == trans_b == false and A already packed by PackA
-// (same m and k). Same dispatch rule, counters and bits as Gemm() on the
-// unpacked A: packing is a copy, so who packed A changes no operand.
+// B of a conv forward's per-sample GEMM, read in place from the sample's
+// input plane [c, hp, wp], zero-padded by the caller (a 1-D plane has
+// hp = 1). Row p, the tap (ch, ky, kx), starts at rows[p] in the plane
+// (ConvRowTable); column j, the output (oy, ox) = (j / wo, j % wo), sits at
+// oy * row_step + ox * stride past it, with row_step = stride * wp. A 1-D
+// conv is one output row (wo = n), so its column j sits at j * stride.
+// B[p][j] is then exactly the im2col column matrix's entry, padding zeros
+// included.
+struct PlaneB {
+  const float* plane;
+  const int64_t* rows;  // k entries
+  int64_t wo;
+  int64_t row_step;
+  int64_t stride;
+};
+
+// C[m, n] += A * B with A packed by PackA (same m and k) and B a PlaneB.
+// Each kNR-wide B panel row is copied straight from the plane: one copy
+// per run of outputs that share an output row (a whole panel when it lies
+// inside one), strided when stride > 1. Same dispatch rule and counters as
+// Gemm(), and the same bits as Gemm() on the unpacked A and the column
+// matrix: packing is a copy, so it changes no operand.
 void GemmPackedA(int64_t m, int64_t n, int64_t k, const float* packed_a,
-                 const float* b, int64_t ldb, float* c, int64_t ldc);
+                 const PlaneB& b, float* c, int64_t ldc);
+
+// The row table of a conv over [c, hp, wp] planes with a kh x kw kernel:
+// rows[(ch*kh + ky)*kw + kx] = (ch*hp + ky)*wp + kx, the column order of
+// [F, C, kh, kw] weights. A per-thread buffer, valid until the calling
+// thread asks for another table.
+const int64_t* ConvRowTable(int64_t c, int64_t hp, int64_t wp, int kh,
+                            int kw);
 
 // ------------------------- Deterministic multithreaded dispatch ------------
 //
@@ -124,8 +153,12 @@ void set_gemm_parallel_min_work(int64_t mnk);
 // Gemm()/GemmPackedA() calls that cleared the crossover and fanned out,
 // narrow the calls that ran sequentially, panel_tasks the total output
 // chunks submitted by wide calls, madds the multiply-adds (m*n*k) of every
-// call, lowered_floats the column-matrix floats Im2Col1d/2d wrote on this
-// thread (the conv lowering's work). Thread-local so
+// call, lowered_floats the floats this thread copied to lay a conv input
+// out for its GEMMs: the samples a forward copies into padded planes
+// (PadPlane; none at pad 0) and backward's Im2Col1d/2d column matrices.
+// PadScratch's border zeroing is left out: it runs once per call, so it
+// depends on how a caller splits rows into calls, and these counts are the
+// work a request does however it was split. Thread-local so
 // a serving exec thread can sample before/after one forward pass and
 // attribute the delta to exactly that request, even with concurrent
 // sessions on other pool threads (ServingMetrics and the whiteboard are
@@ -151,17 +184,26 @@ inline GemmDispatchCounters operator-(const GemmDispatchCounters& a,
 // still counts every GEMM of its request.
 void CreditGemmDispatch(const GemmDispatchCounters& work);
 
-// Per-thread conv lowering workspace: the column matrix im2col writes
-// (ColScratch) and the column gradient col2im folds back (DcolScratch).
-// Each returns at least `floats` floats owned by the calling thread, grown
-// on demand and never shrunk, so a conv layer reuses one buffer across
-// calls (reallocating it costs ~20% of a small conv forward) while threads
+// Per-thread conv workspace: the padded input plane a forward's GEMMs read
+// (PadScratch), the column matrix backward's im2col writes (ColScratch) and
+// the column gradient col2im folds back (DcolScratch). Each returns at
+// least `floats` floats owned by the calling thread, grown on demand and
+// never shrunk, so a conv layer reuses one buffer across calls
+// (reallocating it costs ~20% of a small conv forward) while threads
 // evaluating one model at once — the row slices of a bit-flip trial,
-// sessions sharing a net — never share one. The contents are unspecified;
-// callers rewrite every entry they read. Valid until the same thread asks
-// for a larger buffer of the same kind.
+// sessions sharing a net — never share one. PadScratch zeroes the floats
+// it returns (the plane's borders, which PadPlane never writes); the other
+// two leave the contents unspecified, and callers rewrite every entry they
+// read. Valid until the same thread asks for a larger buffer of the same
+// kind.
+float* PadScratch(size_t floats);
 float* ColScratch(size_t floats);
 float* DcolScratch(size_t floats);
+
+// Copies one sample x [c, h, w] into the interior of the plane
+// [c, h + 2*pad_h, w + 2*pad_w], leaving its borders as they are.
+void PadPlane(const float* x, int64_t c, int64_t h, int64_t w, int pad_h,
+              int pad_w, float* plane);
 
 // Lowers one [c, l] input plane to a column matrix col[c*kernel, lo] with
 // col[(ch*kernel + kx) * lo + o] = x[ch, o*stride + kx - pad] (0 outside).

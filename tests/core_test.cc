@@ -312,7 +312,7 @@ Dataset RandomRows(const std::vector<int64_t>& row_shape, int rows,
 struct StepRecord {
   std::vector<uint64_t> hashes;   // StepHash after each step
   std::vector<uint64_t> madds;    // GEMM multiply-adds of each step
-  std::vector<uint64_t> lowered;  // im2col floats written in each step
+  std::vector<uint64_t> lowered;  // conv-input floats padded in each step
 };
 
 // kSteps ContinualDriver steps of one deployed 4-bit model at a kernel
@@ -353,8 +353,8 @@ StepRecord RunCalibrationSteps(const Sequential& fp,
 // the QCore are the same at 1, 2 and 3 threads (3 cuts 64 rows unevenly on
 // a host with 3 or more CPUs, none busy here), on a Conv1d family with
 // parallel branches and a Conv2d family with residuals. Helper threads'
-// GEMMs and conv lowerings are credited to the caller, so a step's
-// multiply-adds and im2col floats — its deterministic work — are the same
+// GEMMs and padded conv inputs are credited to the caller, so a step's
+// multiply-adds and lowered floats — its deterministic work — are the same
 // at every budget too, and stay under ceilings pinned at the single-thread
 // counts. A change that removes work lowers a ceiling; none may raise one.
 TEST(BitFlipTest, RowSplitTrialsExactAtEveryThreadBudget) {
@@ -368,9 +368,9 @@ TEST(BitFlipTest, RowSplitTrialsExactAtEveryThreadBudget) {
   Rng rng(17);
   std::vector<Family> families;
   families.push_back({"InceptionTime", MakeInceptionTime(4, 6, &rng),
-                      {4, 16}, 214491328, 21405712});
+                      {4, 16}, 214491328, 3812016});
   families.push_back({"ResNetTiny", MakeResNetTiny(3, 6, &rng), {3, 8, 8},
-                      453093376, 40954320});
+                      453093376, 4611056});
   for (Family& f : families) {
     SCOPED_TRACE(f.name);
     // Move BatchNorm's running statistics off their initial values.

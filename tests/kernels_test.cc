@@ -13,6 +13,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -494,41 +495,59 @@ TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
   }
 }
 
-// Conv forward packs W once per call and feeds a 1x1, stride-1, unpadded
-// conv its input plane without lowering. Both must leave every output bit
-// of the general path: per sample, bias fill, Im2Col, then Gemm() on the
-// unpacked W. The grid crosses every tile height (F up to 24 = 4 * kMR),
-// tile widths with and without a remainder (Lo 6, 63, 64, 256), a reduction
-// longer than one kKC block (C*K = 270), the 1x1 shapes on and off the
-// direct path, and a 33-sample batch. It runs narrow at budget 1 and wide
+// Conv forward packs W once per call and reads each sample's B straight
+// from its (padded) input plane through a row table. That must leave every
+// output bit of the general path: per sample, bias fill, Im2Col, then
+// Gemm() on the unpacked W. The 2-D conv has a ho x wo output plane and the
+// 1-D conv as many outputs in one row. The grid crosses every tile height
+// (F up to 24 = 4 * kMR); output rows that hold a B panel (wo 16) or split
+// it (wo 3, 7, 8, 9, 20); tile widths with and without a remainder; a
+// reduction longer than one kKC block (C*K = 270 in 1-D, 2430 in 2-D);
+// kernels 1, 3, 5, 7 and 9, unpadded ones included; stride 2; outputs
+// wider than one 256-column chunk of the wide dispatch (1-D 300, 2-D
+// 20x20); and a 33-sample batch. It runs narrow at budget 1 and wide
 // (crossover 0) at budget 4.
 struct ConvGrid {
-  int64_t n, c, f, lo;
+  int64_t n, c, f, ho, wo;
   int kernel, stride, pad;
 };
 
 std::vector<ConvGrid> ConvForwardGrid() {
+  using Plane = std::pair<int64_t, int64_t>;  // ho, wo
   std::vector<ConvGrid> grid;
   for (int64_t n : {int64_t{1}, int64_t{33}}) {
     for (int64_t f : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24}) {
-      for (int64_t lo : {6, 63, 64, 256}) {
-        grid.push_back({n, 3, f, lo, 3, 1, 1});
+      for (auto [ho, wo] : {Plane{2, 3}, Plane{7, 9}, Plane{8, 8},
+                            Plane{16, 16}}) {
+        grid.push_back({n, 3, f, ho, wo, 3, 1, 1});
       }
     }
-    grid.push_back({n, 30, 8, 64, 9, 1, 4});  // C*K = 270 > kKC
+    grid.push_back({n, 30, 8, 8, 8, 9, 1, 4});  // C*K > kKC
+    for (auto [ho, wo] : {Plane{9, 7}, Plane{8, 8}, Plane{7, 9},
+                          Plane{3, 20}}) {
+      for (int kernel : {3, 5, 7}) {
+        grid.push_back({n, 4, 7, ho, wo, kernel, 1, kernel / 2});
+        grid.push_back({n, 4, 7, ho, wo, kernel, 1, 0});
+      }
+      grid.push_back({n, 4, 7, ho, wo, 3, 2, 1});
+      grid.push_back({n, 4, 7, ho, wo, 3, 2, 0});
+    }
+    grid.push_back({n, 3, 8, 15, 20, 3, 1, 1});  // 1-D: 300 outputs
+    grid.push_back({n, 3, 8, 20, 20, 3, 1, 1});  // 2-D: 20x20
+    grid.push_back({n, 3, 8, 20, 20, 5, 2, 2});
     for (int stride : {1, 2}) {
       for (int pad : {0, 1}) {
-        grid.push_back({n, 24, 8, 64, 1, stride, pad});
-        grid.push_back({n, 5, 7, 63, 1, stride, pad});
+        grid.push_back({n, 24, 8, 8, 8, 1, stride, pad});
+        grid.push_back({n, 5, 7, 7, 9, 1, stride, pad});
       }
     }
   }
   return grid;
 }
 
-// The input extent that gives lo outputs.
-int64_t InputExtent(const ConvGrid& g) {
-  return (g.lo - 1) * g.stride + g.kernel - 2 * g.pad;
+// The input extent that gives `out` outputs along one axis.
+int64_t InputExtent(const ConvGrid& g, int64_t out) {
+  return (out - 1) * g.stride + g.kernel - 2 * g.pad;
 }
 
 Tensor GeneralConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
@@ -569,15 +588,17 @@ TEST(ConvPackedPathTest, ForwardMatchesGeneralPathBitForBit) {
     if (threads > 1) kernels::set_gemm_parallel_min_work(0);
     for (const ConvGrid& g : grid) {
       SCOPED_TRACE("n=" + std::to_string(g.n) + " c=" + std::to_string(g.c) +
-                   " f=" + std::to_string(g.f) + " lo=" +
-                   std::to_string(g.lo) + " k=" + std::to_string(g.kernel) +
+                   " f=" + std::to_string(g.f) + " out=" +
+                   std::to_string(g.ho) + "x" + std::to_string(g.wo) +
+                   " k=" + std::to_string(g.kernel) +
                    " s=" + std::to_string(g.stride) +
                    " p=" + std::to_string(g.pad));
-      Rng rng(static_cast<uint64_t>(g.f * 1009 + g.lo * 31 + g.c));
+      Rng rng(static_cast<uint64_t>(g.f * 1009 + g.ho * g.wo * 31 + g.c));
       {
         Conv1d conv(g.c, g.f, g.kernel, g.stride, g.pad, &rng);
         conv.Params()[1]->value = Tensor::Randn({g.f}, &rng);
-        Tensor x = Tensor::Randn({g.n, g.c, InputExtent(g)}, &rng);
+        Tensor x =
+            Tensor::Randn({g.n, g.c, InputExtent(g, g.ho * g.wo)}, &rng);
         const Tensor want =
             GeneralConvForward(x, conv.Params()[0]->value,
                                conv.Params()[1]->value, g.kernel, g.stride,
@@ -589,22 +610,14 @@ TEST(ConvPackedPathTest, ForwardMatchesGeneralPathBitForBit) {
             << "conv1d";
       }
       {
-        // The same output count as a 2-D plane: 6 = 2x3, 63 = 7x9,
-        // 64 = 8x8, 256 = 16x16.
-        const int64_t ho = g.lo == 6 ? 2 : g.lo == 63 ? 7 : g.lo == 64 ? 8 : 16;
-        const int64_t wo = g.lo / ho;
-        // The long-reduction case becomes 30 channels x 3x3 = 270.
-        const int kernel = g.kernel == 9 ? 3 : g.kernel;
-        const int pad = g.kernel == 9 ? 1 : g.pad;
-        Conv2d conv(g.c, g.f, kernel, g.stride, pad, &rng);
+        Conv2d conv(g.c, g.f, g.kernel, g.stride, g.pad, &rng);
         conv.Params()[1]->value = Tensor::Randn({g.f}, &rng);
-        const int64_t h = (ho - 1) * g.stride + kernel - 2 * pad;
-        const int64_t w = (wo - 1) * g.stride + kernel - 2 * pad;
-        Tensor x = Tensor::Randn({g.n, g.c, h, w}, &rng);
+        Tensor x = Tensor::Randn(
+            {g.n, g.c, InputExtent(g, g.ho), InputExtent(g, g.wo)}, &rng);
         const Tensor want =
             GeneralConvForward(x, conv.Params()[0]->value,
-                               conv.Params()[1]->value, kernel, g.stride,
-                               pad, /*two_d=*/true);
+                               conv.Params()[1]->value, g.kernel, g.stride,
+                               g.pad, /*two_d=*/true);
         const Tensor got = conv.Forward(x, /*training=*/false);
         ASSERT_TRUE(got.SameShape(want));
         ASSERT_TRUE(SameBits(got.data(), want.data(),

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "nn/batchnorm.h"
@@ -118,6 +120,45 @@ TEST(GlobalAvgPoolTest, Averages) {
   Tensor y = gap.Forward(x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(y.at(0, 1), 20.0f);
+}
+
+// GAP sums four rows at once; each row must still get the one-row loop's
+// ascending double sum, bit for bit, including the rows past the last
+// group of four (7 channels) and on both layers. Each row starts with 1e16
+// and has -1e16 in its middle, so the float result depends on the order of
+// the double adds: a descending sum differs on some rows.
+TEST(GlobalAvgPoolTest, MatchesOneRowSumBitForBit) {
+  Rng rng(8);
+  Tensor x1 = Tensor::Randn({3, 7, 29}, &rng);
+  Tensor x2 = Tensor::Randn({3, 7, 5, 6}, &rng);
+  for (auto [x, len] : {std::pair{&x1, 29}, std::pair{&x2, 30}}) {
+    for (int64_t i = 0; i < x->size(); i += len) {
+      x->data()[i] = 1e16f;
+      x->data()[i + len / 2] = -1e16f;
+    }
+  }
+  GlobalAvgPool1d gap1;
+  GlobalAvgPool2d gap2;
+  const Tensor y1 = gap1.Forward(x1, false);
+  const Tensor y2 = gap2.Forward(x2, false);
+  int order_sensitive = 0;
+  for (const auto& [x, y] : {std::pair{&x1, &y1}, std::pair{&x2, &y2}}) {
+    const int64_t len = x->size() / y->size();
+    const float inv = 1.0f / static_cast<float>(len);
+    for (int64_t i = 0; i < y->size(); ++i) {
+      const float* row = x->data() + i * len;
+      double up = 0.0, down = 0.0;
+      for (int64_t t = 0; t < len; ++t) up += row[t];
+      for (int64_t t = len - 1; t >= 0; --t) down += row[t];
+      const float want = static_cast<float>(up) * inv;
+      EXPECT_EQ(std::memcmp(y->data() + i, &want, sizeof(float)), 0)
+          << "row " << i;
+      if (static_cast<float>(down) != static_cast<float>(up)) {
+        ++order_sensitive;
+      }
+    }
+  }
+  EXPECT_GT(order_sensitive, 0);
 }
 
 TEST(BatchNormTest, NormalizesTrainingBatch) {
