@@ -251,9 +251,9 @@ BENCHMARK(BM_Conv2dForwardStemNaive);
 
 // The im2col pack on its own — conv backward's lowering — against the
 // per-element naive loop it replaced. The 2-D shape is a ResNet-tiny 3x3
-// layer, the 1-D one InceptionTime's k=9 Conv1d.
-void RunIm2Col2d(benchmark::State& state,
-                 decltype(&kernels::Im2Col2d) im2col) {
+// layer, the 1-D one InceptionTime's k=9 Conv1d, which the one lowering
+// kernel runs as a one-row plane.
+void RunIm2Col2d(benchmark::State& state, bool blocked) {
   Rng rng(23);
   const int64_t c = 8, h = 16, w = 16;
   const int kernel = 3, stride = 1, pad = 1;
@@ -262,7 +262,13 @@ void RunIm2Col2d(benchmark::State& state,
   Tensor x = Tensor::Randn({c, h, w}, &rng);
   AlignedFloatVec col(static_cast<size_t>(c * kernel * kernel * ho * wo));
   for (auto _ : state) {
-    im2col(x.data(), c, h, w, kernel, stride, pad, ho, wo, col.data());
+    if (blocked) {
+      kernels::Im2Col(x.data(), c, h, w, kernel, kernel, stride, pad, pad, ho,
+                      wo, col.data());
+    } else {
+      naive::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
+                      col.data());
+    }
     benchmark::DoNotOptimize(col.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -270,8 +276,7 @@ void RunIm2Col2d(benchmark::State& state,
   ReportThreads(state, 1);
 }
 
-void RunIm2Col1d(benchmark::State& state,
-                 decltype(&kernels::Im2Col1d) im2col) {
+void RunIm2Col1d(benchmark::State& state, bool blocked) {
   Rng rng(24);
   const int64_t c = 8, l = 64;
   const int kernel = 9, stride = 1, pad = 4;
@@ -279,7 +284,12 @@ void RunIm2Col1d(benchmark::State& state,
   Tensor x = Tensor::Randn({c, l}, &rng);
   AlignedFloatVec col(static_cast<size_t>(c * kernel * lo));
   for (auto _ : state) {
-    im2col(x.data(), c, l, kernel, stride, pad, lo, col.data());
+    if (blocked) {
+      kernels::Im2Col(x.data(), c, 1, l, 1, kernel, stride, 0, pad, 1, lo,
+                      col.data());
+    } else {
+      naive::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo, col.data());
+    }
     benchmark::DoNotOptimize(col.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -288,22 +298,22 @@ void RunIm2Col1d(benchmark::State& state,
 }
 
 void BM_Im2ColPack(benchmark::State& state) {
-  RunIm2Col2d(state, kernels::Im2Col2d);
+  RunIm2Col2d(state, true);
 }
 BENCHMARK(BM_Im2ColPack);
 
 void BM_Im2ColPackNaive(benchmark::State& state) {
-  RunIm2Col2d(state, naive::Im2Col2d);
+  RunIm2Col2d(state, false);
 }
 BENCHMARK(BM_Im2ColPackNaive);
 
 void BM_Im2Col1dPack(benchmark::State& state) {
-  RunIm2Col1d(state, kernels::Im2Col1d);
+  RunIm2Col1d(state, true);
 }
 BENCHMARK(BM_Im2Col1dPack);
 
 void BM_Im2Col1dPackNaive(benchmark::State& state) {
-  RunIm2Col1d(state, naive::Im2Col1d);
+  RunIm2Col1d(state, false);
 }
 BENCHMARK(BM_Im2Col1dPackNaive);
 

@@ -94,7 +94,8 @@ SPEEDUP_FLOORS = [
     ("BM_Conv2dBackward", "BM_Conv2dBackwardNaive", 2.0),
     # The lowering alone: the committed BM_Im2ColPack baseline predates the
     # range-based copy, so only these ratios would catch a return of the
-    # per-element bounds test.
+    # per-element bounds test. Both run the one Im2Col kernel, the 1-D
+    # entry on a one-row plane, so 2.5x guards the 1-D path through it.
     ("BM_Im2Col1dPack", "BM_Im2Col1dPackNaive", 2.5),
     ("BM_Im2ColPack", "BM_Im2ColPackNaive", 1.5),
     # Per-sample GEMMs with a 2-row remainder tile: an unpadded 1x1

@@ -64,4 +64,28 @@ void AgemLearner::ObserveBatch(const Dataset& batch) {
   buffer_.AddBatch(batch, nullptr);
 }
 
+std::vector<float> FlattenGrads(const std::vector<Tensor>& grads) {
+  int64_t total = 0;
+  for (const Tensor& g : grads) total += g.size();
+  std::vector<float> flat;
+  flat.reserve(static_cast<size_t>(total));
+  for (const Tensor& g : grads) {
+    flat.insert(flat.end(), g.data(), g.data() + g.size());
+  }
+  return flat;
+}
+
+void UnflattenGrads(const std::vector<float>& flat,
+                    std::vector<Tensor>* grads) {
+  QCORE_CHECK(grads != nullptr);
+  size_t offset = 0;
+  for (Tensor& g : *grads) {
+    QCORE_CHECK_LE(offset + static_cast<size_t>(g.size()), flat.size());
+    std::copy(flat.begin() + static_cast<long>(offset),
+              flat.begin() + static_cast<long>(offset) + g.size(), g.data());
+    offset += static_cast<size_t>(g.size());
+  }
+  QCORE_CHECK_EQ(offset, flat.size());
+}
+
 }  // namespace qcore

@@ -5,6 +5,8 @@
 #ifndef QCORE_BASELINES_AGEM_H_
 #define QCORE_BASELINES_AGEM_H_
 
+#include <vector>
+
 #include "baselines/continual_learner.h"
 #include "baselines/replay_buffer.h"
 
@@ -20,6 +22,14 @@ class AgemLearner : public ContinualLearner {
  private:
   ReplayBuffer buffer_;
 };
+
+// Flattens a gradient snapshot (SteStepper::SnapshotGrads) into one vector,
+// the space the projection works in.
+std::vector<float> FlattenGrads(const std::vector<Tensor>& grads);
+
+// Writes a flat vector back into a gradient snapshot's shapes.
+void UnflattenGrads(const std::vector<float>& flat,
+                    std::vector<Tensor>* grads);
 
 }  // namespace qcore
 

@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "baselines/ste_stepper.h"
+#include "quant/ste_stepper.h"
 #include "data/dataset.h"
 #include "quant/quantized_model.h"
 

@@ -122,11 +122,24 @@ Result<HuffmanEncoded> HuffmanCoder::Encode(
 
 Result<std::vector<int32_t>> HuffmanCoder::Decode(
     const HuffmanEncoded& encoded) {
+  // A damaged header must fail here, before it sizes a buffer or indexes
+  // one: the payload must hold bit_count bits, every symbol needs at least
+  // one of them, and every length needs a code the 64-bit walk can reach.
+  if (encoded.bit_count > 8 * static_cast<uint64_t>(encoded.bits.size())) {
+    return Status::Corruption("Huffman: bit count past the payload");
+  }
+  if (encoded.symbol_count > encoded.bit_count) {
+    return Status::Corruption("Huffman: more symbols than payload bits");
+  }
   // Build (code, length) -> symbol lookup. Alphabets here are tiny (at most
   // 2^bits quantization levels), so a map walk per bit is fine.
   std::map<std::pair<uint64_t, uint32_t>, int32_t> decode_map;
   for (const auto& [symbol, len] : encoded.code_lengths) {
-    decode_map[{encoded.codes.at(symbol), len}] = symbol;
+    const auto code = encoded.codes.find(symbol);
+    if (code == encoded.codes.end() || len < 1 || len > 63) {
+      return Status::Corruption("Huffman: code table entry out of range");
+    }
+    decode_map[{code->second, len}] = symbol;
   }
 
   std::vector<int32_t> out;

@@ -134,8 +134,9 @@ struct BitFlipCalibrateOptions {
   // Step applied per predicted flip direction. A single code step at fine
   // precisions (1/127 of the range at 8 bits) moves the loss by less than
   // the acceptance test can resolve, so the ternary {-1,0,+1} *direction*
-  // is scaled to roughly a 4-bit-equivalent magnitude. Documented deviation
-  // (DESIGN.md): the paper fixes updates to one unit at every bit-width.
+  // is scaled to roughly a 4-bit-equivalent magnitude. A deviation (README,
+  // "Deviations from the paper"): the paper fixes updates to one unit at
+  // every bit-width.
   static int StepFor(const QuantParams& qp) {
     return std::max(1, (qp.qmax + 3) / 7);
   }

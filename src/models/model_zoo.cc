@@ -56,7 +56,7 @@ std::unique_ptr<Sequential> MakeInceptionTime(int in_channels,
   auto model = std::make_unique<Sequential>();
   model->Add(std::make_unique<Residual>(std::move(body), std::move(shortcut)));
   model->Add(std::make_unique<Relu>());
-  model->Add(std::make_unique<GlobalAvgPool1d>());
+  model->Add(std::make_unique<GlobalAvgPool>());
   model->Add(std::make_unique<Dense>(kBlockOut, num_classes, rng));
   return model;
 }
@@ -84,7 +84,7 @@ std::unique_ptr<Sequential> MakeOmniScaleCnn(int in_channels, int num_classes,
   auto model = std::make_unique<Sequential>();
   model->Add(os_block(in_channels));
   model->Add(os_block(block_out));
-  model->Add(std::make_unique<GlobalAvgPool1d>());
+  model->Add(std::make_unique<GlobalAvgPool>());
   model->Add(std::make_unique<Dense>(block_out, num_classes, rng));
   return model;
 }
@@ -126,7 +126,7 @@ std::unique_ptr<Sequential> MakeResNetTiny(int in_channels, int num_classes,
   model->Add(std::make_unique<Relu>());
   model->Add(std::make_unique<MaxPool2d>(2, 2));
 
-  model->Add(std::make_unique<GlobalAvgPool2d>());
+  model->Add(std::make_unique<GlobalAvgPool>());
   model->Add(std::make_unique<Dense>(kStage2, num_classes, rng));
   return model;
 }

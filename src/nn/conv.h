@@ -1,9 +1,10 @@
-// 1-D and 2-D convolution layers on the blocked GEMM substrate
-// (tensor/kernels.h): forward reads each sample's (padded) input plane as
-// the GEMM's B through a row table, backward lowers per sample via
-// im2col/col2im. The scalar direct-loop implementations survive as
-// qcore::naive::Conv{1,2}dForward/Backward — the oracle for kernels_test
-// and the baseline for the perf CI gate.
+// Convolution on the blocked GEMM substrate (tensor/kernels.h), one layer
+// for both spatial ranks: a 1-D conv runs as a 2-D one over a one-row
+// plane (kernel height 1, no vertical pad). Forward reads each sample's
+// (padded) input plane as the GEMM's B through a row table; backward
+// lowers each sample with kernels::Im2Col/Col2Im. The scalar direct-loop
+// implementations survive as qcore::naive::Conv{1,2}dForward/Backward —
+// the oracle for kernels_test and the baseline for the perf CI gate.
 #ifndef QCORE_NN_CONV_H_
 #define QCORE_NN_CONV_H_
 
@@ -15,14 +16,20 @@
 
 namespace qcore {
 
-// Temporal convolution: x [N, C, L] -> [N, F, Lo] with
-// Lo = (L + 2*pad - kernel) / stride + 1. Weight is [F, C, K], bias [F].
-class Conv1d : public Layer {
- public:
-  Conv1d(int64_t in_channels, int64_t out_channels, int kernel, int stride,
-         int pad, Rng* rng);
+// Convolution over kRank spatial axes with square kernels:
+//   Conv<1>: x [N, C, L]    -> [N, F, Lo],      weight [F, C, K];
+//   Conv<2>: x [N, C, H, W] -> [N, F, Ho, Wo],  weight [F, C, K, K];
+// each output extent (in + 2*pad - kernel) / stride + 1, bias [F].
+// Parameters are named conv1d.* / conv2d.*, the names snapshots carry.
+template <int kRank>
+class Conv : public Layer {
+  static_assert(kRank == 1 || kRank == 2, "Conv is 1-D or 2-D");
 
-  // Padding that preserves length for stride 1 and odd kernels.
+ public:
+  Conv(int64_t in_channels, int64_t out_channels, int kernel, int stride,
+       int pad, Rng* rng);
+
+  // Padding that preserves the extent for stride 1 and odd kernels.
   static int SamePad(int kernel) { return (kernel - 1) / 2; }
 
   Tensor Forward(const Tensor& x, bool training) override;
@@ -30,17 +37,17 @@ class Conv1d : public Layer {
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
-
-  int64_t in_channels() const { return in_channels_; }
-  int64_t out_channels() const { return out_channels_; }
-  int kernel() const { return kernel_; }
   const Tensor* cached_input() const override {
     return cached_input_.size() > 0 ? &cached_input_ : nullptr;
   }
 
  private:
-  Conv1d(int64_t ic, int64_t oc, int k, int s, int p)
+  Conv(int64_t ic, int64_t oc, int k, int s, int p)
       : in_channels_(ic), out_channels_(oc), kernel_(k), stride_(s), pad_(p) {}
+
+  // The kernel height and vertical pad: a 1-D kernel is one row.
+  int kh() const { return kRank == 2 ? kernel_ : 1; }
+  int pad_h() const { return kRank == 2 ? pad_ : 0; }
 
   int64_t in_channels_;
   int64_t out_channels_;
@@ -56,37 +63,11 @@ class Conv1d : public Layer {
   Tensor cached_input_;
 };
 
-// Spatial convolution with square kernels: x [N, C, H, W] -> [N, F, Ho, Wo].
-// Weight is [F, C, K, K], bias [F].
-class Conv2d : public Layer {
- public:
-  Conv2d(int64_t in_channels, int64_t out_channels, int kernel, int stride,
-         int pad, Rng* rng);
+extern template class Conv<1>;
+extern template class Conv<2>;
 
-  static int SamePad(int kernel) { return (kernel - 1) / 2; }
-
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
-  std::unique_ptr<Layer> Clone() const override;
-  std::string name() const override;
-  const Tensor* cached_input() const override {
-    return cached_input_.size() > 0 ? &cached_input_ : nullptr;
-  }
-
- private:
-  Conv2d(int64_t ic, int64_t oc, int k, int s, int p)
-      : in_channels_(ic), out_channels_(oc), kernel_(k), stride_(s), pad_(p) {}
-
-  int64_t in_channels_;
-  int64_t out_channels_;
-  int kernel_;
-  int stride_;
-  int pad_;
-  Parameter weight_;
-  Parameter bias_;
-  Tensor cached_input_;  // as in Conv1d
-};
+using Conv1d = Conv<1>;
+using Conv2d = Conv<2>;
 
 }  // namespace qcore
 

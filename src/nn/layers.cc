@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
@@ -126,72 +128,6 @@ std::unique_ptr<Layer> Flatten::Clone() const {
 }
 
 // ---------------------------------------------------------------------------
-// MaxPool1d
-// ---------------------------------------------------------------------------
-
-MaxPool1d::MaxPool1d(int kernel, int stride) : kernel_(kernel), stride_(stride) {
-  QCORE_CHECK_GT(kernel, 0);
-  QCORE_CHECK_GT(stride, 0);
-}
-
-Tensor MaxPool1d::Forward(const Tensor& x, bool training) {
-  QCORE_CHECK_EQ(x.ndim(), 3);
-  const int64_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
-  QCORE_CHECK_GE(l, kernel_);
-  const int64_t lo = (l - kernel_) / stride_ + 1;
-  Tensor out({n, c, lo});
-  if (training) {
-    cached_shape_ = x.shape();
-    argmax_.assign(static_cast<size_t>(n * c * lo), 0);
-  }
-  const float* px = x.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* row = px + (i * c + ch) * l;
-      for (int64_t o = 0; o < lo; ++o) {
-        const int64_t start = o * stride_;
-        int64_t best = start;
-        float best_v = row[start];
-        for (int k = 1; k < kernel_; ++k) {
-          if (row[start + k] > best_v) {
-            best_v = row[start + k];
-            best = start + k;
-          }
-        }
-        po[(i * c + ch) * lo + o] = best_v;
-        if (training) {
-          argmax_[static_cast<size_t>((i * c + ch) * lo + o)] =
-              (i * c + ch) * l + best;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool1d::Backward(const Tensor& grad_out) {
-  QCORE_CHECK(!cached_shape_.empty());
-  Tensor grad_in(cached_shape_);
-  float* pg = grad_in.data();
-  const float* po = grad_out.data();
-  QCORE_CHECK_EQ(static_cast<size_t>(grad_out.size()), argmax_.size());
-  for (size_t i = 0; i < argmax_.size(); ++i) {
-    pg[argmax_[i]] += po[i];
-  }
-  return grad_in;
-}
-
-std::unique_ptr<Layer> MaxPool1d::Clone() const {
-  return std::make_unique<MaxPool1d>(kernel_, stride_);
-}
-
-std::string MaxPool1d::name() const {
-  return "maxpool1d(k=" + std::to_string(kernel_) +
-         ",s=" + std::to_string(stride_) + ")";
-}
-
-// ---------------------------------------------------------------------------
 // MaxPool2d
 // ---------------------------------------------------------------------------
 
@@ -265,7 +201,7 @@ std::string MaxPool2d::name() const {
 }
 
 // ---------------------------------------------------------------------------
-// GlobalAvgPool1d
+// GlobalAvgPool
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -298,66 +234,40 @@ void RowMeans(const float* x, int64_t rows, int64_t len, float* out) {
   }
 }
 
+// The extent each channel's mean runs over: the product of the axes past
+// the channel axis of [N, C, spatial...].
+int64_t SpatialSize(const std::vector<int64_t>& shape) {
+  return std::accumulate(shape.begin() + 2, shape.end(), int64_t{1},
+                         std::multiplies<>());
+}
+
 }  // namespace
 
-Tensor GlobalAvgPool1d::Forward(const Tensor& x, bool training) {
-  QCORE_CHECK_EQ(x.ndim(), 3);
-  const int64_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
+Tensor GlobalAvgPool::Forward(const Tensor& x, bool training) {
+  QCORE_CHECK_GE(x.ndim(), 3);
   if (training) cached_shape_ = x.shape();
-  Tensor out({n, c});
-  RowMeans(x.data(), n * c, l, out.data());
+  Tensor out({x.dim(0), x.dim(1)});
+  RowMeans(x.data(), out.size(), SpatialSize(x.shape()), out.data());
   return out;
 }
 
-Tensor GlobalAvgPool1d::Backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
   QCORE_CHECK(!cached_shape_.empty());
-  const int64_t l = cached_shape_[2];
+  const int64_t len = SpatialSize(cached_shape_);
   Tensor grad_in(cached_shape_);
   float* pg = grad_in.data();
   const float* po = grad_out.data();
-  const float inv = 1.0f / static_cast<float>(l);
+  const float inv = 1.0f / static_cast<float>(len);
   const int64_t rows = grad_out.size();
   for (int64_t i = 0; i < rows; ++i) {
     const float g = po[i] * inv;
-    for (int64_t t = 0; t < l; ++t) pg[i * l + t] = g;
+    for (int64_t t = 0; t < len; ++t) pg[i * len + t] = g;
   }
   return grad_in;
 }
 
-std::unique_ptr<Layer> GlobalAvgPool1d::Clone() const {
-  return std::make_unique<GlobalAvgPool1d>();
-}
-
-// ---------------------------------------------------------------------------
-// GlobalAvgPool2d
-// ---------------------------------------------------------------------------
-
-Tensor GlobalAvgPool2d::Forward(const Tensor& x, bool training) {
-  QCORE_CHECK_EQ(x.ndim(), 4);
-  const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (training) cached_shape_ = x.shape();
-  Tensor out({n, c});
-  RowMeans(x.data(), n * c, h * w, out.data());
-  return out;
-}
-
-Tensor GlobalAvgPool2d::Backward(const Tensor& grad_out) {
-  QCORE_CHECK(!cached_shape_.empty());
-  const int64_t hw = cached_shape_[2] * cached_shape_[3];
-  Tensor grad_in(cached_shape_);
-  float* pg = grad_in.data();
-  const float* po = grad_out.data();
-  const float inv = 1.0f / static_cast<float>(hw);
-  const int64_t rows = grad_out.size();
-  for (int64_t i = 0; i < rows; ++i) {
-    const float g = po[i] * inv;
-    for (int64_t t = 0; t < hw; ++t) pg[i * hw + t] = g;
-  }
-  return grad_in;
-}
-
-std::unique_ptr<Layer> GlobalAvgPool2d::Clone() const {
-  return std::make_unique<GlobalAvgPool2d>();
+std::unique_ptr<Layer> GlobalAvgPool::Clone() const {
+  return std::make_unique<GlobalAvgPool>();
 }
 
 }  // namespace qcore

@@ -1,4 +1,5 @@
-// Basic layers: Dense, ReLU, Flatten, max/global-average pooling.
+// Basic layers: Dense, ReLU, Flatten, 2-D max pooling and global average
+// pooling (one layer for both spatial ranks).
 #ifndef QCORE_NN_LAYERS_H_
 #define QCORE_NN_LAYERS_H_
 
@@ -63,23 +64,6 @@ class Flatten : public Layer {
   std::vector<int64_t> cached_shape_;
 };
 
-// Max pooling over the time axis of [N, C, L]. Output length is
-// floor((L - kernel) / stride) + 1 (no padding).
-class MaxPool1d : public Layer {
- public:
-  MaxPool1d(int kernel, int stride);
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> Clone() const override;
-  std::string name() const override;
-
- private:
-  int kernel_;
-  int stride_;
-  std::vector<int64_t> cached_shape_;
-  std::vector<int64_t> argmax_;  // flat input index of each output element
-};
-
 // Max pooling over the spatial axes of [N, C, H, W] (square kernel).
 class MaxPool2d : public Layer {
  public:
@@ -96,27 +80,16 @@ class MaxPool2d : public Layer {
   std::vector<int64_t> argmax_;
 };
 
-// [N, C, L] -> [N, C]: mean over the time axis.
-class GlobalAvgPool1d : public Layer {
+// [N, C, spatial...] -> [N, C]: the mean over every axis past the channel
+// axis (time for [N, C, L], space for [N, C, H, W]), as BatchNorm's
+// statistics are per channel over all remaining axes.
+class GlobalAvgPool : public Layer {
  public:
-  GlobalAvgPool1d() = default;
+  GlobalAvgPool() = default;
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
-  std::string name() const override { return "gap1d"; }
-
- private:
-  std::vector<int64_t> cached_shape_;
-};
-
-// [N, C, H, W] -> [N, C]: mean over the spatial axes.
-class GlobalAvgPool2d : public Layer {
- public:
-  GlobalAvgPool2d() = default;
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> Clone() const override;
-  std::string name() const override { return "gap2d"; }
+  std::string name() const override { return "gap"; }
 
  private:
   std::vector<int64_t> cached_shape_;

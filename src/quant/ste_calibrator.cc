@@ -5,6 +5,7 @@
 #include "nn/batchnorm.h"
 #include "nn/loss.h"
 #include "nn/training.h"
+#include "quant/ste_stepper.h"
 
 namespace qcore {
 
@@ -12,35 +13,10 @@ float SteCalibrate(QuantizedModel* qm, const Tensor& x,
                    const std::vector<int>& labels, const SteOptions& options,
                    Rng* rng, const SteStepObserver& observer) {
   QCORE_CHECK(qm != nullptr && rng != nullptr);
-  QCORE_CHECK_MSG(qm->has_shadows(),
-                  "STE calibration requires shadow masters (server mode)");
   QCORE_CHECK_EQ(x.dim(0), static_cast<int64_t>(labels.size()));
   QCORE_CHECK_GT(options.epochs, 0);
-
-  Layer* model = qm->model();
-  if (options.freeze_bn) SetBatchNormFrozen(model, true);
-
-  // Split parameters: quantized tensors update their shadows manually;
-  // everything else (biases, BN affine) uses a regular SGD instance.
-  std::vector<Parameter*> quantized_params;
-  for (int i = 0; i < qm->num_quantized(); ++i) {
-    quantized_params.push_back(qm->quantized(i).param);
-  }
-  std::vector<Parameter*> other_params;
-  for (Parameter* p : model->Params()) {
-    if (std::find(quantized_params.begin(), quantized_params.end(), p) ==
-        quantized_params.end()) {
-      other_params.push_back(p);
-    }
-  }
-  Sgd other_sgd(options.sgd);
-
-  // Momentum buffers for the shadow masters.
-  std::vector<Tensor> velocity;
-  velocity.reserve(static_cast<size_t>(qm->num_quantized()));
-  for (int i = 0; i < qm->num_quantized(); ++i) {
-    velocity.emplace_back(qm->quantized(i).shadow.shape());
-  }
+  SteStepper stepper(qm, options.sgd, SteMode::kServerShadow);
+  SetBatchNormFrozen(qm->model(), true);
 
   const int n = static_cast<int>(x.dim(0));
   std::vector<int> order(static_cast<size_t>(n));
@@ -71,29 +47,12 @@ float SteCalibrate(QuantizedModel* qm, const Tensor& x,
         }
       }
 
-      // Forward at quantized weights (params hold dequant(codes) already).
-      Tensor logits = model->Forward(bx, /*training=*/true);
+      // Forward at quantized weights (params hold dequant(codes) already);
+      // the step applies the gradient computed there to the shadows.
+      Tensor logits = stepper.ForwardTrain(bx);
       const float batch_loss = loss.Forward(logits, by);
-      model->Backward(loss.Backward());
-
-      // STE: gradient computed at quantized weights is applied to shadows.
-      for (int t = 0; t < qm->num_quantized(); ++t) {
-        auto& qt = qm->quantized(t);
-        Tensor& vel = velocity[static_cast<size_t>(t)];
-        float* shadow = qt.shadow.data();
-        float* pv = vel.data();
-        const float* grad = qt.param->grad.data();
-        const int64_t count = qt.shadow.size();
-        for (int64_t e = 0; e < count; ++e) {
-          const float g =
-              grad[e] + options.sgd.weight_decay * shadow[e];
-          pv[e] = options.sgd.momentum * pv[e] + g;
-          shadow[e] -= options.sgd.lr * pv[e];
-        }
-        qt.param->ZeroGrad();
-      }
-      other_sgd.Step(other_params);
-      qm->RequantizeFromShadow();
+      stepper.Backward(loss.Backward());
+      stepper.Step();
 
       if (observer) {
         SteStepInfo info;
@@ -111,7 +70,7 @@ float SteCalibrate(QuantizedModel* qm, const Tensor& x,
     last_epoch_loss = static_cast<float>(epoch_loss / std::max(batches, 1));
   }
 
-  if (options.freeze_bn) SetBatchNormFrozen(model, false);
+  SetBatchNormFrozen(qm->model(), false);
   return last_epoch_loss;
 }
 

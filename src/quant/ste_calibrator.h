@@ -24,9 +24,6 @@ struct SteOptions {
   int epochs = 20;
   int batch_size = 32;
   SgdOptions sgd = {.lr = 0.01f, .momentum = 0.9f, .weight_decay = 0.0f};
-  // Freeze BatchNorm running statistics during calibration (recommended:
-  // calibration sets are tiny, batch statistics would be destructive).
-  bool freeze_bn = true;
 };
 
 // Observation handed to the per-step callback after each BP step.
@@ -43,7 +40,10 @@ struct SteStepInfo {
 
 using SteStepObserver = std::function<void(const SteStepInfo&)>;
 
-// Runs STE calibration of `qm` on (x, labels). Requires shadows (server-side
+// Runs STE calibration of `qm` on (x, labels): per minibatch, a forward, a
+// backward and one SteStepper step in SteMode::kServerShadow. BatchNorm
+// running statistics stay frozen throughout (calibration sets are tiny, so
+// batch statistics would be destructive). Requires shadows (server-side
 // mode). Returns the mean loss of the final epoch.
 float SteCalibrate(QuantizedModel* qm, const Tensor& x,
                    const std::vector<int>& labels, const SteOptions& options,

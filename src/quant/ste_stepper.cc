@@ -1,4 +1,4 @@
-#include "baselines/ste_stepper.h"
+#include "quant/ste_stepper.h"
 
 #include <algorithm>
 
@@ -8,17 +8,20 @@ SteStepper::SteStepper(QuantizedModel* qm, SgdOptions options, SteMode mode)
     : qm_(qm), options_(options), mode_(mode), other_sgd_(options) {
   QCORE_CHECK(qm_ != nullptr);
   QCORE_CHECK_MSG(qm_->has_shadows(),
-                  "BP baselines require shadow masters (server mode)");
-  all_params_ = qm_->model()->Params();
+                  "STE steps require shadow masters (server mode)");
   std::vector<Parameter*> quantized;
   for (int i = 0; i < qm_->num_quantized(); ++i) {
     quantized.push_back(qm_->quantized(i).param);
-    shadow_velocity_.emplace_back(qm_->quantized(i).shadow.shape());
   }
+  all_params_ = qm_->model()->Params();
   for (Parameter* p : all_params_) {
     if (std::find(quantized.begin(), quantized.end(), p) == quantized.end()) {
       other_params_.push_back(p);
     }
+  }
+  shadow_velocity_.reserve(quantized.size());
+  for (int i = 0; i < qm_->num_quantized(); ++i) {
+    shadow_velocity_.emplace_back(qm_->quantized(i).shadow.shape());
   }
 }
 
@@ -52,17 +55,18 @@ void SteStepper::ZeroGrads() {
 void SteStepper::Step() {
   for (int t = 0; t < qm_->num_quantized(); ++t) {
     auto& qt = qm_->quantized(t);
-    Tensor& vel = shadow_velocity_[static_cast<size_t>(t)];
     float* shadow = qt.shadow.data();
-    float* pv = vel.data();
+    float* pv = shadow_velocity_[static_cast<size_t>(t)].data();
     const float* grad = qt.param->grad.data();
-    const float* dequant = qt.param->value.data();
     const int64_t count = qt.shadow.size();
+    // Edge mode: no persistent master — the step starts from the current
+    // de-quantized value, so updates smaller than half a quantization step
+    // are rounded away by the re-quantization below.
+    if (mode_ == SteMode::kEdgeRequantize) {
+      const float* dequant = qt.param->value.data();
+      std::copy(dequant, dequant + count, shadow);
+    }
     for (int64_t e = 0; e < count; ++e) {
-      // Edge mode: no persistent master — the step starts from the current
-      // de-quantized value, so updates smaller than half a quantization step
-      // are rounded away below.
-      if (mode_ == SteMode::kEdgeRequantize) shadow[e] = dequant[e];
       const float g = grad[e] + options_.weight_decay * shadow[e];
       pv[e] = options_.momentum * pv[e] + g;
       shadow[e] -= options_.lr * pv[e];
@@ -77,30 +81,6 @@ void SteStepper::Step() {
     for (Parameter* p : other_params_) p->ZeroGrad();
   }
   qm_->RequantizeFromShadow();
-}
-
-std::vector<float> FlattenGrads(const std::vector<Tensor>& grads) {
-  int64_t total = 0;
-  for (const Tensor& g : grads) total += g.size();
-  std::vector<float> flat;
-  flat.reserve(static_cast<size_t>(total));
-  for (const Tensor& g : grads) {
-    flat.insert(flat.end(), g.data(), g.data() + g.size());
-  }
-  return flat;
-}
-
-void UnflattenGrads(const std::vector<float>& flat,
-                    std::vector<Tensor>* grads) {
-  QCORE_CHECK(grads != nullptr);
-  size_t offset = 0;
-  for (Tensor& g : *grads) {
-    QCORE_CHECK_LE(offset + static_cast<size_t>(g.size()), flat.size());
-    std::copy(flat.begin() + static_cast<long>(offset),
-              flat.begin() + static_cast<long>(offset) + g.size(), g.data());
-    offset += static_cast<size_t>(g.size());
-  }
-  QCORE_CHECK_EQ(offset, flat.size());
 }
 
 }  // namespace qcore

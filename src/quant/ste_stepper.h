@@ -1,10 +1,12 @@
-// Low-level STE stepping used by the BP-based continual-learning baselines.
-// Unlike SteCalibrate (which owns the whole loop), the stepper exposes
-// forward / custom-loss backward / step as separate operations so baselines
-// can implement composite losses (DER's logit replay, ER-ACE's asymmetric
-// cross-entropy) and gradient surgery (A-GEM's projection).
-#ifndef QCORE_BASELINES_STE_STEPPER_H_
-#define QCORE_BASELINES_STE_STEPPER_H_
+// One STE update step (paper Sec. 2.3, Eq. 1): the one place quantized
+// tensors update their shadow masters and re-quantize. SteCalibrate's
+// server-side loop steps through it, and so do the BP-based
+// continual-learning baselines. It exposes forward / custom-loss backward /
+// step as separate operations so baselines can implement composite losses
+// (DER's logit replay, ER-ACE's asymmetric cross-entropy) and gradient
+// surgery (A-GEM's projection).
+#ifndef QCORE_QUANT_STE_STEPPER_H_
+#define QCORE_QUANT_STE_STEPPER_H_
 
 #include <vector>
 
@@ -49,8 +51,9 @@ class SteStepper {
   void ZeroGrads();
 
   // Applies one STE update: quantized tensors update their shadow masters
-  // and re-quantize; other parameters take a plain SGD step. Gradients are
-  // cleared afterwards.
+  // (momentum SGD), other parameters take a plain SGD step (server mode)
+  // or stay fixed (edge mode), then every quantized tensor re-quantizes
+  // from its shadow. Gradients are cleared afterwards.
   void Step();
 
  private:
@@ -63,13 +66,6 @@ class SteStepper {
   Sgd other_sgd_;
 };
 
-// Flattens a gradient snapshot into one vector (for A-GEM's projection).
-std::vector<float> FlattenGrads(const std::vector<Tensor>& grads);
-
-// Writes a flat vector back into a gradient snapshot's shapes.
-void UnflattenGrads(const std::vector<float>& flat,
-                    std::vector<Tensor>* grads);
-
 }  // namespace qcore
 
-#endif  // QCORE_BASELINES_STE_STEPPER_H_
+#endif  // QCORE_QUANT_STE_STEPPER_H_

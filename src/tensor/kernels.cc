@@ -569,46 +569,25 @@ inline void FoldTap(const float* crow, int64_t shift, int stride, TapRange r,
 // The lowering keeps the naive loops' (channel, tap, position) order and
 // only drops the positions whose source is padding, so every column entry
 // and every col2im sum is bit-identical to qcore::naive's (kernels_test's
-// LoweringTest compares them with memcmp).
+// LoweringTest compares them with memcmp). A 1-D plane's one row is the
+// whole in-bounds row range, so it runs exactly the 1-D loops.
 
-void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* col) {
-  tls_gemm_dispatch.lowered_floats += static_cast<uint64_t>(c * kernel * lo);
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float* xrow = x + ch * l;
-    for (int kx = 0; kx < kernel; ++kx) {
-      LowerTap(xrow, kx - pad, stride, InBoundsRange(l, kx, stride, pad, lo),
-               lo, col + (ch * kernel + kx) * lo);
-    }
-  }
-}
-
-void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* x) {
-  for (int64_t ch = 0; ch < c; ++ch) {
-    float* xrow = x + ch * l;
-    for (int kx = 0; kx < kernel; ++kx) {
-      FoldTap(col + (ch * kernel + kx) * lo, kx - pad, stride,
-              InBoundsRange(l, kx, stride, pad, lo), xrow);
-    }
-  }
-}
-
-void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* col) {
+void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int kh, int kw,
+            int stride, int pad_h, int pad_w, int64_t ho, int64_t wo,
+            float* col) {
   tls_gemm_dispatch.lowered_floats +=
-      static_cast<uint64_t>(c * kernel * kernel * ho * wo);
+      static_cast<uint64_t>(c * kh * kw * ho * wo);
   for (int64_t ch = 0; ch < c; ++ch) {
     const float* xplane = x + ch * h * w;
-    for (int ky = 0; ky < kernel; ++ky) {
-      const TapRange rows = InBoundsRange(h, ky, stride, pad, ho);
-      for (int kx = 0; kx < kernel; ++kx) {
-        const TapRange cols = InBoundsRange(w, kx, stride, pad, wo);
-        float* cplane = col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
+    for (int ky = 0; ky < kh; ++ky) {
+      const TapRange rows = InBoundsRange(h, ky, stride, pad_h, ho);
+      for (int kx = 0; kx < kw; ++kx) {
+        const TapRange cols = InBoundsRange(w, kx, stride, pad_w, wo);
+        float* cplane = col + ((ch * kh + ky) * kw + kx) * ho * wo;
         std::fill(cplane, cplane + rows.begin * wo, 0.0f);
         for (int64_t oy = rows.begin; oy < rows.end; ++oy) {
-          const int64_t sy = oy * stride + ky - pad;
-          LowerTap(xplane + sy * w, kx - pad, stride, cols, wo,
+          const int64_t sy = oy * stride + ky - pad_h;
+          LowerTap(xplane + sy * w, kx - pad_w, stride, cols, wo,
                    cplane + oy * wo);
         }
         std::fill(cplane + rows.end * wo, cplane + ho * wo, 0.0f);
@@ -617,19 +596,19 @@ void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
   }
 }
 
-void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* x) {
+void Col2Im(const float* col, int64_t c, int64_t h, int64_t w, int kh,
+            int kw, int stride, int pad_h, int pad_w, int64_t ho, int64_t wo,
+            float* x) {
   for (int64_t ch = 0; ch < c; ++ch) {
     float* xplane = x + ch * h * w;
-    for (int ky = 0; ky < kernel; ++ky) {
-      const TapRange rows = InBoundsRange(h, ky, stride, pad, ho);
-      for (int kx = 0; kx < kernel; ++kx) {
-        const TapRange cols = InBoundsRange(w, kx, stride, pad, wo);
-        const float* cplane =
-            col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
+    for (int ky = 0; ky < kh; ++ky) {
+      const TapRange rows = InBoundsRange(h, ky, stride, pad_h, ho);
+      for (int kx = 0; kx < kw; ++kx) {
+        const TapRange cols = InBoundsRange(w, kx, stride, pad_w, wo);
+        const float* cplane = col + ((ch * kh + ky) * kw + kx) * ho * wo;
         for (int64_t oy = rows.begin; oy < rows.end; ++oy) {
-          const int64_t sy = oy * stride + ky - pad;
-          FoldTap(cplane + oy * wo, kx - pad, stride, cols, xplane + sy * w);
+          const int64_t sy = oy * stride + ky - pad_h;
+          FoldTap(cplane + oy * wo, kx - pad_w, stride, cols, xplane + sy * w);
         }
       }
     }

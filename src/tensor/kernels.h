@@ -1,8 +1,9 @@
 // Blocked/vectorized kernel substrate.
 //
 // Every GEMM-shaped workload in the tree (MatMul and both transposed
-// variants, Dense forward/backward, conv forward, im2col-lowered conv
-// backward) funnels into one cache-blocked, register-tiled packed kernel.
+// variants, Dense forward/backward, conv forward, and conv backward,
+// lowered by the one Im2Col/Col2Im pair that serves both spatial ranks)
+// funnels into one cache-blocked, register-tiled packed kernel.
 //
 // Tiling scheme (Goto-style, sized to this repo's L1/L2 targets):
 //   - B is packed into kNR-wide column panels, A into kMR-tall row panels;
@@ -155,7 +156,7 @@ void set_gemm_parallel_min_work(int64_t mnk);
 // chunks submitted by wide calls, madds the multiply-adds (m*n*k) of every
 // call, lowered_floats the floats this thread copied to lay a conv input
 // out for its GEMMs: the samples a forward copies into padded planes
-// (PadPlane; none at pad 0) and backward's Im2Col1d/2d column matrices.
+// (PadPlane; none at pad 0) and backward's Im2Col column matrices.
 // PadScratch's border zeroing is left out: it runs once per call, so it
 // depends on how a caller splits rows into calls, and these counts are the
 // work a request does however it was split. Thread-local so
@@ -205,26 +206,23 @@ float* DcolScratch(size_t floats);
 void PadPlane(const float* x, int64_t c, int64_t h, int64_t w, int pad_h,
               int pad_w, float* plane);
 
-// Lowers one [c, l] input plane to a column matrix col[c*kernel, lo] with
-// col[(ch*kernel + kx) * lo + o] = x[ch, o*stride + kx - pad] (0 outside).
-// Each tap's in-bounds output range is computed once, so a column row is
-// zeros, a plain copy (contiguous at stride 1), then zeros. Single-threaded;
-// bit-identical to naive::Im2Col1d.
-void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* col);
+// Lowers one [c, h, w] input plane to the column matrix of a kh x kw
+// kernel: col[((ch*kh + ky)*kw + kx) * (ho*wo) + oy*wo + ox] =
+// x[ch, oy*stride + ky - pad_h, ox*stride + kx - pad_w] (0 outside). A 1-D
+// input is one row: h = ho = kh = 1 and pad_h = 0. Each tap's in-bounds
+// output range is computed once, so a column row is zeros, a plain copy
+// (contiguous at stride 1), then zeros. Single-threaded; bit-identical to
+// naive::Im2Col1d/2d.
+void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int kh, int kw,
+            int stride, int pad_h, int pad_w, int64_t ho, int64_t wo,
+            float* col);
 
-// Scatter-add inverse of Im2Col1d: x[c, l] += unfolded col. Iteration is
-// (ch, kx, o) ascending over each tap's in-bounds range, so overlapping taps
-// accumulate in naive::Col2Im1d's order.
-void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* x);
-
-// 2-D variants over [c, h, w] planes with square kernels:
-// col[((ch*kernel + ky)*kernel + kx) * (ho*wo) + oy*wo + ox].
-void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* col);
-void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* x);
+// Scatter-add inverse of Im2Col: x[c, h, w] += unfolded col. Iteration is
+// (ch, ky, kx, oy, ox) ascending over each tap's in-bounds range, so
+// overlapping taps accumulate in naive::Col2Im1d/2d's order.
+void Col2Im(const float* col, int64_t c, int64_t h, int64_t w, int kh,
+            int kw, int stride, int pad_h, int pad_w, int64_t ho, int64_t wo,
+            float* x);
 
 }  // namespace kernels
 
@@ -237,8 +235,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 
-// The seed's im2col/col2im, with a bounds test on every element; same
-// contracts as the kernels:: lowering they are the bit-exact oracle for.
+// The seed's im2col/col2im, with a bounds test on every element: the
+// bit-exact oracles of kernels::Im2Col/Col2Im, which 1-D matches on a
+// one-row plane (h = ho = kh = 1, pad_h = 0, w = l, wo = lo).
 void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* col);
 void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "baselines/agem.h"
 #include "baselines/camel.h"
 #include "baselines/continual_learner.h"
 #include "baselines/coresets.h"
@@ -133,6 +134,25 @@ struct LearnerFixture {
                     topt, &rng);
   }
 };
+
+// A-GEM projects in the flattened gradient space and writes the result
+// back into the snapshot's shapes; the round trip must be exact.
+TEST(AgemTest, GradFlattenRoundTrip) {
+  Rng rng(75);
+  const std::vector<Tensor> grads = {Tensor::Randn({4, 3, 5}, &rng),
+                                     Tensor::Randn({4}, &rng),
+                                     Tensor::Randn({2, 6}, &rng)};
+  const std::vector<float> flat = FlattenGrads(grads);
+  ASSERT_EQ(flat.size(), 76u);
+  std::vector<Tensor> rebuilt = grads;
+  for (Tensor& g : rebuilt) g.SetZero();
+  UnflattenGrads(flat, &rebuilt);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    for (int64_t e = 0; e < grads[i].size(); ++e) {
+      EXPECT_EQ(grads[i][e], rebuilt[i][e]);
+    }
+  }
+}
 
 TEST(LearnersTest, EveryBaselineRunsAndMutatesCodes) {
   LearnerFixture f;

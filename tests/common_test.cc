@@ -169,6 +169,27 @@ TEST(HuffmanTest, EmptyInputRejected) {
   EXPECT_FALSE(enc.ok());
 }
 
+// Decode promises a Status on a corrupt stream. The first three damaged
+// headers once crashed it instead: a bit count past the payload read past
+// `bits`, a length without a code threw from the table lookup, and a
+// symbol count of 2^62 threw from the output reservation. The fourth has a
+// code length no 64-bit code can carry.
+TEST(HuffmanTest, DamagedHeadersFailAsCorruption) {
+  auto enc = HuffmanCoder::Encode({1, 1, 1, 2, 2, 3, -1, -1, -1, -1});
+  ASSERT_TRUE(enc.ok());
+  std::vector<HuffmanEncoded> damaged(4, enc.value());
+  damaged[0].bit_count = 8 * damaged[0].bits.size() + 64;
+  damaged[0].symbol_count = damaged[0].bit_count;
+  damaged[1].codes.erase(3);
+  damaged[2].symbol_count = uint64_t{1} << 62;
+  damaged[3].code_lengths[3] = 64;
+  for (size_t i = 0; i < damaged.size(); ++i) {
+    auto dec = HuffmanCoder::Decode(damaged[i]);
+    ASSERT_FALSE(dec.ok()) << "case " << i;
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << "case " << i;
+  }
+}
+
 TEST(HuffmanTest, SkewedDistributionCompresses) {
   // 900 zeros + a few other symbols: payload must beat fixed-width coding.
   std::vector<int32_t> symbols(900, 0);

@@ -1,6 +1,6 @@
 // Property tests for the blocked kernel substrate (tensor/kernels.h):
-// blocked GEMM and im2col-lowered conv against the retained naive
-// references across awkward shapes, plus determinism and alignment
+// blocked GEMM, the conv lowering and both conv ranks against the retained
+// naive references across awkward shapes, plus determinism and alignment
 // guarantees the serving layer depends on.
 #include <gtest/gtest.h>
 #include <sched.h>
@@ -226,10 +226,10 @@ TEST(Im2ColTest, IdentityWhenKernelOneStrideOne) {
   Rng rng(5);
   Tensor x = Tensor::Randn({3, 11}, &rng);
   AlignedFloatVec col(static_cast<size_t>(3 * 11));
-  kernels::Im2Col1d(x.data(), 3, 11, 1, 1, 0, 11, col.data());
+  kernels::Im2Col(x.data(), 3, 1, 11, 1, 1, 1, 0, 0, 1, 11, col.data());
   for (int64_t i = 0; i < x.size(); ++i) ASSERT_EQ(col[i], x[i]);
   Tensor back = Tensor::Zeros({3, 11});
-  kernels::Col2Im1d(col.data(), 3, 11, 1, 1, 0, 11, back.data());
+  kernels::Col2Im(col.data(), 3, 1, 11, 1, 1, 1, 0, 0, 1, 11, back.data());
   for (int64_t i = 0; i < x.size(); ++i) ASSERT_EQ(back[i], x[i]);
 }
 
@@ -240,7 +240,8 @@ TEST(Im2ColTest, PaddingProducesZeroColumns) {
   const int64_t lo = (l + 2 * pad - kernel) / stride + 1;
   Tensor x = Tensor::Full({c, l}, 1.0f);
   AlignedFloatVec col(static_cast<size_t>(c * kernel * lo), -1.0f);
-  kernels::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo, col.data());
+  kernels::Im2Col(x.data(), c, 1, l, 1, kernel, stride, 0, pad, 1, lo,
+                  col.data());
   for (int64_t ch = 0; ch < c; ++ch) {
     for (int kx = 0; kx < kernel; ++kx) {
       for (int64_t o = 0; o < lo; ++o) {
@@ -258,9 +259,9 @@ TEST(Im2ColTest, PaddingProducesZeroColumns) {
 
 // The range-based lowering must reproduce the naive per-element loops bit
 // for bit: every column entry (including each padding zero) and every
-// col2im sum. The column buffers start as NaN, so an entry the kernel
-// leaves unwritten differs; col2im starts from a random x, so a different
-// accumulation order would round differently.
+// col2im sum, the 1-D grid on one-row planes. The column buffers start as
+// NaN, so an entry the kernel leaves unwritten differs; col2im starts from
+// a random x, so a different accumulation order would round differently.
 bool SameBits(const float* a, const float* b, size_t n) {
   return std::memcmp(a, b, n * sizeof(float)) == 0;
 }
@@ -278,8 +279,8 @@ TEST(LoweringTest, Lowering1dMatchesNaiveBitForBit) {
             const size_t n = static_cast<size_t>(c * kernel * lo);
             Tensor x = Tensor::Randn({c, l}, &rng);
             AlignedFloatVec got(n, NAN), want(n, NAN);
-            kernels::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo,
-                              got.data());
+            kernels::Im2Col(x.data(), c, 1, l, 1, kernel, stride, 0, pad, 1,
+                            lo, got.data());
             naive::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo,
                             want.data());
             ASSERT_TRUE(SameBits(got.data(), want.data(), n))
@@ -289,8 +290,8 @@ TEST(LoweringTest, Lowering1dMatchesNaiveBitForBit) {
             Tensor col = Tensor::Randn({c * kernel, lo}, &rng);
             Tensor x_got = Tensor::Randn({c, l}, &rng);
             Tensor x_want = x_got;
-            kernels::Col2Im1d(col.data(), c, l, kernel, stride, pad, lo,
-                              x_got.data());
+            kernels::Col2Im(col.data(), c, 1, l, 1, kernel, stride, 0, pad,
+                            1, lo, x_got.data());
             naive::Col2Im1d(col.data(), c, l, kernel, stride, pad, lo,
                             x_want.data());
             ASSERT_TRUE(SameBits(x_got.data(), x_want.data(),
@@ -322,8 +323,8 @@ TEST(LoweringTest, Lowering2dMatchesNaiveBitForBit) {
                   static_cast<size_t>(c * kernel * kernel * ho * wo);
               Tensor x = Tensor::Randn({c, h, w}, &rng);
               AlignedFloatVec got(n, NAN), want(n, NAN);
-              kernels::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
-                                got.data());
+              kernels::Im2Col(x.data(), c, h, w, kernel, kernel, stride, pad,
+                              pad, ho, wo, got.data());
               naive::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
                               want.data());
               ASSERT_TRUE(SameBits(got.data(), want.data(), n))
@@ -334,8 +335,8 @@ TEST(LoweringTest, Lowering2dMatchesNaiveBitForBit) {
                   Tensor::Randn({c * kernel * kernel, ho * wo}, &rng);
               Tensor x_got = Tensor::Randn({c, h, w}, &rng);
               Tensor x_want = x_got;
-              kernels::Col2Im2d(col.data(), c, h, w, kernel, stride, pad, ho,
-                                wo, x_got.data());
+              kernels::Col2Im(col.data(), c, h, w, kernel, kernel, stride,
+                              pad, pad, ho, wo, x_got.data());
               naive::Col2Im2d(col.data(), c, h, w, kernel, stride, pad, ho, wo,
                               x_want.data());
               ASSERT_TRUE(SameBits(x_got.data(), x_want.data(),
@@ -497,8 +498,9 @@ TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
 
 // Conv forward packs W once per call and reads each sample's B straight
 // from its (padded) input plane through a row table. That must leave every
-// output bit of the general path: per sample, bias fill, Im2Col, then
-// Gemm() on the unpacked W. The 2-D conv has a ho x wo output plane and the
+// output bit of the general path: per sample, bias fill, the naive im2col
+// (so the reference runs none of the layer's own lowering), then Gemm() on
+// the unpacked W. The 2-D conv has a ho x wo output plane and the
 // 1-D conv as many outputs in one row. The grid crosses every tile height
 // (F up to 24 = 4 * kMR); output rows that hold a B panel (wo 16) or split
 // it (wo 3, 7, 8, 9, 20); tile widths with and without a remainder; a
@@ -568,10 +570,9 @@ Tensor GeneralConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
     }
     const float* xi = x.data() + i * c * h * wd;
     if (two_d) {
-      kernels::Im2Col2d(xi, c, h, wd, kernel, stride, pad, ho, wo,
-                        col.data());
+      naive::Im2Col2d(xi, c, h, wd, kernel, stride, pad, ho, wo, col.data());
     } else {
-      kernels::Im2Col1d(xi, c, h, kernel, stride, pad, ho, col.data());
+      naive::Im2Col1d(xi, c, h, kernel, stride, pad, ho, col.data());
     }
     kernels::Gemm(f, ho * wo, ck, w.data(), ck, /*trans_a=*/false,
                   col.data(), ho * wo, /*trans_b=*/false, oplane, ho * wo);
@@ -624,6 +625,110 @@ TEST(ConvPackedPathTest, ForwardMatchesGeneralPathBitForBit) {
                              static_cast<size_t>(want.size())))
             << "conv2d";
       }
+    }
+  }
+}
+
+// Conv backward lowers each sample onto two Gemm() calls. It must equal,
+// bit for bit, the general path built from the naive lowering, so the
+// reference runs none of the layer's own: per sample, the bias gradient's
+// double row sums, the naive im2col, dW += dY_i * col^T and
+// dcol = W^T * dY_i on the same operands, then the naive col2im.
+struct ConvGrads {
+  Tensor grad_in, dw, db;
+};
+
+ConvGrads GeneralConvBackward(const Tensor& x, const Tensor& w,
+                              const Tensor& g, int kernel, int stride, int pad,
+                              bool two_d) {
+  const int64_t n = x.dim(0), c = x.dim(1), f = w.dim(0);
+  const int64_t h = x.dim(2), wd = two_d ? x.dim(3) : 1;
+  const int64_t ho = g.dim(2), wo = two_d ? g.dim(3) : 1;
+  const int64_t ck = c * kernel * (two_d ? kernel : 1);
+  const int64_t howo = ho * wo;
+  ConvGrads out{Tensor(x.shape()), Tensor(w.shape()), Tensor({f})};
+  AlignedFloatVec col(static_cast<size_t>(ck * howo));
+  AlignedFloatVec dcol(col.size());
+  for (int64_t i = 0; i < n; ++i) {
+    const float* gi = g.data() + i * f * howo;
+    for (int64_t fo = 0; fo < f; ++fo) {
+      double s = 0.0;
+      for (int64_t o = 0; o < howo; ++o) s += gi[fo * howo + o];
+      out.db[fo] += static_cast<float>(s);
+    }
+    const float* xi = x.data() + i * c * h * wd;
+    float* gin = out.grad_in.data() + i * c * h * wd;
+    if (two_d) {
+      naive::Im2Col2d(xi, c, h, wd, kernel, stride, pad, ho, wo, col.data());
+    } else {
+      naive::Im2Col1d(xi, c, h, kernel, stride, pad, ho, col.data());
+    }
+    kernels::Gemm(f, ck, howo, gi, howo, /*trans_a=*/false, col.data(), howo,
+                  /*trans_b=*/true, out.dw.data(), ck);
+    std::fill(dcol.begin(), dcol.end(), 0.0f);
+    kernels::Gemm(ck, howo, f, w.data(), ck, /*trans_a=*/true, gi, howo,
+                  /*trans_b=*/false, dcol.data(), howo);
+    if (two_d) {
+      naive::Col2Im2d(dcol.data(), c, h, wd, kernel, stride, pad, ho, wo, gin);
+    } else {
+      naive::Col2Im1d(dcol.data(), c, h, kernel, stride, pad, ho, gin);
+    }
+  }
+  return out;
+}
+
+// One training forward and backward of a fresh conv (zero gradients)
+// against GeneralConvBackward.
+void ExpectBackwardMatchesGeneralPath(Layer* conv, const Tensor& x,
+                                      int kernel, int stride, int pad,
+                                      bool two_d, Rng* rng) {
+  const Tensor y = conv->Forward(x, /*training=*/true);
+  const Tensor g = Tensor::Randn(y.shape(), rng);
+  const ConvGrads want = GeneralConvBackward(x, conv->Params()[0]->value, g,
+                                             kernel, stride, pad, two_d);
+  const Tensor got = conv->Backward(g);
+  const auto expect_same = [](const Tensor& got_t, const Tensor& want_t,
+                              const char* name) {
+    ASSERT_TRUE(got_t.SameShape(want_t)) << name;
+    EXPECT_TRUE(SameBits(got_t.data(), want_t.data(),
+                         static_cast<size_t>(want_t.size())))
+        << name;
+  };
+  expect_same(got, want.grad_in, "grad_in");
+  expect_same(conv->Params()[0]->grad, want.dw, "dW");
+  expect_same(conv->Params()[1]->grad, want.db, "db");
+}
+
+TEST(ConvBackwardTest, MatchesGeneralPathBitForBit) {
+  GemmKnobGuard guard;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("gemm_threads " + std::to_string(threads));
+    kernels::set_gemm_threads(threads);
+    if (threads > 1) kernels::set_gemm_parallel_min_work(0);
+    for (const ConvCase& cc : kConv1dCases) {
+      SCOPED_TRACE("conv1d n=" + std::to_string(cc.n) + " c=" +
+                   std::to_string(cc.c) + " l=" + std::to_string(cc.l) +
+                   " k=" + std::to_string(cc.kernel) +
+                   " s=" + std::to_string(cc.stride) +
+                   " p=" + std::to_string(cc.pad));
+      Rng rng(cc.n * 31 + cc.c * 7 + cc.kernel);
+      Conv1d conv(cc.c, 4, cc.kernel, cc.stride, cc.pad, &rng);
+      ExpectBackwardMatchesGeneralPath(
+          &conv, Tensor::Randn({cc.n, cc.c, cc.l}, &rng), cc.kernel,
+          cc.stride, cc.pad, /*two_d=*/false, &rng);
+    }
+    for (const Conv2dCase& cc : kConv2dCases) {
+      SCOPED_TRACE("conv2d n=" + std::to_string(cc.n) + " c=" +
+                   std::to_string(cc.c) + " in=" + std::to_string(cc.h) +
+                   "x" + std::to_string(cc.w) +
+                   " k=" + std::to_string(cc.kernel) +
+                   " s=" + std::to_string(cc.stride) +
+                   " p=" + std::to_string(cc.pad));
+      Rng rng(cc.n * 17 + cc.c * 5 + cc.kernel);
+      Conv2d conv(cc.c, 5, cc.kernel, cc.stride, cc.pad, &rng);
+      ExpectBackwardMatchesGeneralPath(
+          &conv, Tensor::Randn({cc.n, cc.c, cc.h, cc.w}, &rng), cc.kernel,
+          cc.stride, cc.pad, /*two_d=*/true, &rng);
     }
   }
 }

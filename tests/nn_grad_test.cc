@@ -116,13 +116,6 @@ TEST(GradCheckTest, Conv2dStride2NoPad) {
   CheckGradients(&layer, x, &rng);
 }
 
-TEST(GradCheckTest, MaxPool1d) {
-  Rng rng(7);
-  MaxPool1d layer(2, 2);
-  Tensor x = Tensor::Randn({2, 3, 8}, &rng);
-  CheckGradients(&layer, x, &rng);
-}
-
 TEST(GradCheckTest, MaxPool2d) {
   Rng rng(8);
   MaxPool2d layer(2, 2);
@@ -132,12 +125,11 @@ TEST(GradCheckTest, MaxPool2d) {
 
 TEST(GradCheckTest, GlobalAvgPools) {
   Rng rng(9);
-  GlobalAvgPool1d gap1;
+  GlobalAvgPool gap;
   Tensor x1 = Tensor::Randn({2, 3, 7}, &rng);
-  CheckGradients(&gap1, x1, &rng);
-  GlobalAvgPool2d gap2;
+  CheckGradients(&gap, x1, &rng);
   Tensor x2 = Tensor::Randn({2, 3, 4, 4}, &rng);
-  CheckGradients(&gap2, x2, &rng);
+  CheckGradients(&gap, x2, &rng);
 }
 
 TEST(GradCheckTest, Flatten) {
@@ -180,7 +172,7 @@ TEST(GradCheckTest, SequentialStack) {
   Sequential seq;
   seq.Add(std::make_unique<Conv1d>(2, 4, 3, 1, 1, &rng));
   seq.Add(std::make_unique<Relu>());
-  seq.Add(std::make_unique<GlobalAvgPool1d>());
+  seq.Add(std::make_unique<GlobalAvgPool>());
   seq.Add(std::make_unique<Dense>(4, 3, &rng));
   Tensor x = Tensor::Randn({3, 2, 8}, &rng);
   CheckGradients(&seq, x, &rng);

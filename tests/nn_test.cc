@@ -71,7 +71,7 @@ TEST(Conv1dDeathTest, RejectsInputShorterThanKernel) {
   Rng rng(3);
   Conv1d layer(1, 1, /*kernel=*/3, /*stride=*/2, /*pad=*/0, &rng);
   Tensor x({1, 1, 2});
-  EXPECT_DEATH(layer.Forward(x, false), "kernel is longer than the padded");
+  EXPECT_DEATH(layer.Forward(x, false), "kernel is larger than the padded");
   EXPECT_DEATH(naive::Conv1dForward(x, layer.Params()[0]->value,
                                     layer.Params()[1]->value, 2, 0),
                "QCORE_CHECK failed");
@@ -104,18 +104,28 @@ TEST(Conv2dTest, AveragingKernel) {
   EXPECT_FLOAT_EQ(y[0], 2.5f);
 }
 
+// 2x2 windows, stride 2: a plain maximum, a tie (the first maximum in
+// row-major window order wins, so only it gets the gradient) and an
+// all-negative window.
 TEST(MaxPoolTest, SelectsMaximum) {
-  MaxPool1d pool(2, 2);
-  Tensor x = Tensor::FromVector({1, 1, 6}, {1, 5, 2, 2, 9, 0});
-  Tensor y = pool.Forward(x, false);
-  ASSERT_EQ(y.dim(2), 3);
-  EXPECT_FLOAT_EQ(y[0], 5.0f);
-  EXPECT_FLOAT_EQ(y[1], 2.0f);
-  EXPECT_FLOAT_EQ(y[2], 9.0f);
+  MaxPool2d pool(2, 2);
+  Tensor x = Tensor::FromVector({1, 1, 2, 6}, {1, 5, 7, 7, -3, -1,  //
+                                               2, 2, 7, 0, -2, -4});
+  Tensor y = pool.Forward(x, /*training=*/true);
+  ASSERT_EQ(y.shape(), (std::vector<int64_t>{1, 1, 1, 3}));
+  EXPECT_EQ(y[0], 5.0f);
+  EXPECT_EQ(y[1], 7.0f);
+  EXPECT_EQ(y[2], -1.0f);
+  Tensor g = pool.Backward(Tensor::Full(y.shape(), 1.0f));
+  const std::vector<float> want = {0, 1, 1, 0, 0, 1,  //
+                                   0, 0, 0, 0, 0, 0};
+  for (int64_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i], want[static_cast<size_t>(i)]) << "flat index " << i;
+  }
 }
 
 TEST(GlobalAvgPoolTest, Averages) {
-  GlobalAvgPool1d gap;
+  GlobalAvgPool gap;
   Tensor x = Tensor::FromVector({1, 2, 3}, {1, 2, 3, 10, 20, 30});
   Tensor y = gap.Forward(x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0), 2.0f);
@@ -124,7 +134,7 @@ TEST(GlobalAvgPoolTest, Averages) {
 
 // GAP sums four rows at once; each row must still get the one-row loop's
 // ascending double sum, bit for bit, including the rows past the last
-// group of four (7 channels) and on both layers. Each row starts with 1e16
+// group of four (7 channels) and on both ranks. Each row starts with 1e16
 // and has -1e16 in its middle, so the float result depends on the order of
 // the double adds: a descending sum differs on some rows.
 TEST(GlobalAvgPoolTest, MatchesOneRowSumBitForBit) {
@@ -137,10 +147,9 @@ TEST(GlobalAvgPoolTest, MatchesOneRowSumBitForBit) {
       x->data()[i + len / 2] = -1e16f;
     }
   }
-  GlobalAvgPool1d gap1;
-  GlobalAvgPool2d gap2;
-  const Tensor y1 = gap1.Forward(x1, false);
-  const Tensor y2 = gap2.Forward(x2, false);
+  GlobalAvgPool gap;
+  const Tensor y1 = gap.Forward(x1, false);
+  const Tensor y2 = gap.Forward(x2, false);
   int order_sensitive = 0;
   for (const auto& [x, y] : {std::pair{&x1, &y1}, std::pair{&x2, &y2}}) {
     const int64_t len = x->size() / y->size();
@@ -280,7 +289,7 @@ TEST(CloneTest, SequentialCloneMatchesOutputs) {
   seq.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
   seq.Add(std::make_unique<BatchNorm>(3));
   seq.Add(std::make_unique<Relu>());
-  seq.Add(std::make_unique<GlobalAvgPool1d>());
+  seq.Add(std::make_unique<GlobalAvgPool>());
   seq.Add(std::make_unique<Dense>(3, 2, &rng));
   (void)seq.Forward(Tensor::Randn({8, 2, 6}, &rng), true);  // move BN stats
 
@@ -367,7 +376,7 @@ TEST(ModelIoTest, SaveLoadRoundTrip) {
   Sequential model;
   model.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
   model.Add(std::make_unique<BatchNorm>(3));
-  model.Add(std::make_unique<GlobalAvgPool1d>());
+  model.Add(std::make_unique<GlobalAvgPool>());
   model.Add(std::make_unique<Dense>(3, 2, &rng));
   (void)model.Forward(Tensor::Randn({8, 2, 6}, &rng), true);
 
@@ -378,7 +387,7 @@ TEST(ModelIoTest, SaveLoadRoundTrip) {
   Sequential other;
   other.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng2));
   other.Add(std::make_unique<BatchNorm>(3));
-  other.Add(std::make_unique<GlobalAvgPool1d>());
+  other.Add(std::make_unique<GlobalAvgPool>());
   other.Add(std::make_unique<Dense>(3, 2, &rng2));
   ASSERT_TRUE(LoadModel(&other, path).ok());
 

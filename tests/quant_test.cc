@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "baselines/ste_stepper.h"
 #include "nn/composite.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -13,6 +12,7 @@
 #include "quant/quantized_model.h"
 #include "quant/quantizer.h"
 #include "quant/ste_calibrator.h"
+#include "quant/ste_stepper.h"
 
 namespace qcore {
 namespace {
@@ -330,28 +330,6 @@ TEST(SteStepperTest, ServerModeAccumulatesTinyUpdates) {
     stepper.Step();
   }
   EXPECT_NE(qm.quantized(0).codes, before);
-}
-
-TEST(SteStepperTest, GradFlattenRoundTrip) {
-  Rng rng(75);
-  auto fp = TinyModel(&rng);
-  QuantizedModel qm(*fp, 4);
-  SteStepper stepper(&qm, {.lr = 0.01f, .momentum = 0.0f, .weight_decay = 0});
-  Problem p = MakeProblem(&rng, 30);
-  SoftmaxCrossEntropy ce;
-  Tensor logits = stepper.ForwardTrain(p.x);
-  ce.Forward(logits, p.y);
-  stepper.Backward(ce.Backward());
-  std::vector<Tensor> grads = stepper.SnapshotGrads();
-  std::vector<float> flat = FlattenGrads(grads);
-  std::vector<Tensor> rebuilt = grads;
-  for (Tensor& g : rebuilt) g.SetZero();
-  UnflattenGrads(flat, &rebuilt);
-  for (size_t i = 0; i < grads.size(); ++i) {
-    for (int64_t e = 0; e < grads[i].size(); ++e) {
-      EXPECT_FLOAT_EQ(grads[i][e], rebuilt[i][e]);
-    }
-  }
 }
 
 }  // namespace
