@@ -15,6 +15,7 @@
 #include "core/bitflip.h"
 #include "models/model_zoo.h"
 #include "nn/batchnorm.h"
+#include "nn/composite.h"
 #include "nn/conv.h"
 #include "quant/quantized_model.h"
 #include "quant/quantizer.h"
@@ -452,6 +453,31 @@ void BM_QuantizedForwardInceptionTime(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizedForwardInceptionTime);
+
+// The fused eval plan against the layer-by-layer forward it replaced
+// (LayeredEvalForward, kept as the tests' oracle), on the 4-bit
+// InceptionTime of calib_har: 32 rows, 1 kernel thread. The plan writes
+// each activation once (conv epilogues, concat branches written into their
+// slices, add+ReLU in one pass); check_perf_regression.py floors the ratio.
+void RunEvalForwardInceptionTime(benchmark::State& state, bool fused) {
+  Rng rng(7);
+  auto model = MakeInceptionTime(9, 19, &rng);
+  QuantizedModel qm(*model, 4);
+  Tensor x = Tensor::Randn({32, 9, 64}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fused ? qm.model()->Forward(x, false)
+                                   : LayeredEvalForward(qm.model(), x));
+  }
+  ReportThreads(state, 1);
+}
+void BM_EvalForwardInceptionTime(benchmark::State& state) {
+  RunEvalForwardInceptionTime(state, /*fused=*/true);
+}
+void BM_EvalForwardInceptionTimeLayered(benchmark::State& state) {
+  RunEvalForwardInceptionTime(state, /*fused=*/false);
+}
+BENCHMARK(BM_EvalForwardInceptionTime);
+BENCHMARK(BM_EvalForwardInceptionTimeLayered);
 
 void BM_QuantizedForwardResNetTiny(benchmark::State& state) {
   Rng rng(8);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/epilogue.h"
+
 namespace qcore {
 
 namespace {
@@ -33,10 +35,22 @@ BatchNorm::BatchNorm(int64_t channels, float momentum, float eps)
   running_var_ = Tensor::Full({channels}, 1.0f);
 }
 
+void BatchNorm::EvalScaleShift(std::vector<float>* scale,
+                               std::vector<float>* shift) const {
+  scale->resize(static_cast<size_t>(channels_));
+  shift->resize(static_cast<size_t>(channels_));
+  for (int64_t ch = 0; ch < channels_; ++ch) {
+    const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
+    const float s = gamma_.value[ch] * inv_std;
+    (*scale)[static_cast<size_t>(ch)] = s;
+    (*shift)[static_cast<size_t>(ch)] = beta_.value[ch] - s * running_mean_[ch];
+  }
+}
+
 Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   const NcsView v = ViewOf(x);
   QCORE_CHECK_EQ(v.c, channels_);
-  Tensor out(x.shape());
+  Tensor out = Tensor::Uninitialized(x.shape());
   const float* px = x.data();
   float* po = out.data();
   const float* pg = gamma_.value.data();
@@ -47,7 +61,7 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
     // the normalization as a fixed per-channel affine transform.
     cached_shape_ = x.shape();
     cached_frozen_ = true;
-    cached_xhat_ = Tensor(x.shape());
+    cached_xhat_ = Tensor::Uninitialized(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
     float* pxh = cached_xhat_.data();
     for (int64_t ch = 0; ch < channels_; ++ch) {
@@ -68,7 +82,7 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   } else if (training) {
     cached_shape_ = x.shape();
     cached_frozen_ = false;
-    cached_xhat_ = Tensor(x.shape());
+    cached_xhat_ = Tensor::Uninitialized(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
     float* pxh = cached_xhat_.data();
     const double count = static_cast<double>(v.n * v.s);
@@ -107,16 +121,11 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
       }
     }
   } else {
-    for (int64_t ch = 0; ch < channels_; ++ch) {
-      const float mean = running_mean_[ch];
-      const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-      const float scale = pg[ch] * inv_std;
-      const float shift = pb[ch] - scale * mean;
-      for (int64_t i = 0; i < v.n; ++i) {
-        const float* row = px + (i * v.c + ch) * v.s;
-        float* orow = po + (i * v.c + ch) * v.s;
-        for (int64_t t = 0; t < v.s; ++t) orow[t] = scale * row[t] + shift;
-      }
+    std::vector<float> scale, shift;
+    EvalScaleShift(&scale, &shift);
+    for (int64_t i = 0; i < v.n; ++i) {
+      ScaleShiftRows(px + i * v.c * v.s, scale.data(), shift.data(), v.c,
+                     v.s, po + i * v.c * v.s);
     }
   }
   return out;

@@ -1,6 +1,9 @@
 // Batch normalization over the channel axis. Supports [N, C] (dense),
 // [N, C, L] (temporal), and [N, C, H, W] (spatial) inputs: statistics are
-// computed per channel over all remaining axes.
+// computed per channel over all remaining axes. Eval mode applies the
+// folded per-channel affine scale * x + shift; EvalScaleShift is its one
+// formula, which the fused eval plan (nn/incremental_forward) also uses to
+// run a BatchNorm inside the epilogue of the conv before it.
 #ifndef QCORE_NN_BATCHNORM_H_
 #define QCORE_NN_BATCHNORM_H_
 
@@ -25,6 +28,11 @@ class BatchNorm : public Layer {
   }
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
+
+  // The eval-mode affine per channel: scale = gamma / sqrt(var + eps) and
+  // shift = beta - scale * mean, from the running statistics.
+  void EvalScaleShift(std::vector<float>* scale,
+                      std::vector<float>* shift) const;
 
   // Freeze mode: training-mode Forward normalizes with the *running*
   // statistics (treated as constants in Backward) and does not update them.

@@ -1,5 +1,6 @@
 #include "nn/composite.h"
 
+#include "nn/incremental_forward.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -15,6 +16,8 @@ Sequential& Sequential::Add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Sequential::Forward(const Tensor& x, bool training) {
+  // An empty Sequential is the identity, a leaf to the eval plan.
+  if (!training && !layers_.empty()) return EvalForward(this, x);
   Tensor h = x;
   for (auto& layer : layers_) h = layer->Forward(h, training);
   return h;
@@ -65,6 +68,7 @@ Residual::Residual(std::unique_ptr<Layer> body,
 }
 
 Tensor Residual::Forward(const Tensor& x, bool training) {
+  if (!training) return EvalForward(this, x);
   Tensor main = body_->Forward(x, training);
   Tensor skip = shortcut_ ? shortcut_->Forward(x, training) : x;
   QCORE_CHECK_MSG(main.SameShape(skip),
@@ -131,7 +135,7 @@ Tensor ConcatChannels(const std::vector<const Tensor*>& parts) {
 
   std::vector<int64_t> out_shape = first.shape();
   out_shape[1] = total_channels;
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   const int64_t n = out_shape[0];
   int64_t spatial = 1;
   for (size_t d = 2; d < out_shape.size(); ++d) spatial *= out_shape[d];
@@ -151,6 +155,7 @@ Tensor ConcatChannels(const std::vector<const Tensor*>& parts) {
 }
 
 Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
+  if (!training) return EvalForward(this, x);
   std::vector<Tensor> outs;
   outs.reserve(branches_.size());  // keeps the pointers in `parts` valid
   std::vector<const Tensor*> parts;
@@ -158,10 +163,8 @@ Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
     outs.push_back(branch->Forward(x, training));
     parts.push_back(&outs.back());
   }
-  if (training) {  // Backward's split; eval writes no member
-    branch_channels_.clear();
-    for (const Tensor* part : parts) branch_channels_.push_back(part->dim(1));
-  }
+  branch_channels_.clear();  // Backward's split
+  for (const Tensor* part : parts) branch_channels_.push_back(part->dim(1));
   return ConcatChannels(parts);
 }
 
@@ -222,6 +225,43 @@ std::unique_ptr<Layer> ParallelConcat::Clone() const {
 
 std::string ParallelConcat::name() const {
   return "parallel_concat[" + std::to_string(branches_.size()) + "]";
+}
+
+// ---------------------------------------------------------------------------
+// LayeredEvalForward
+// ---------------------------------------------------------------------------
+
+Tensor LayeredEvalForward(Layer* root, const Tensor& x) {
+  QCORE_CHECK(root != nullptr);
+  if (auto* residual = dynamic_cast<Residual*>(root)) {
+    Tensor main = LayeredEvalForward(residual->body(), x);
+    const Tensor skip = residual->shortcut() != nullptr
+                            ? LayeredEvalForward(residual->shortcut(), x)
+                            : x;
+    QCORE_CHECK_MSG(main.SameShape(skip),
+                    "residual body/shortcut shape mismatch");
+    AddInPlace(&main, skip);
+    return main;
+  }
+  std::vector<Layer*> children;
+  root->ForEachChild([&](Layer* child) { children.push_back(child); });
+  if (dynamic_cast<ParallelConcat*>(root) != nullptr) {
+    std::vector<Tensor> outs;
+    outs.reserve(children.size());  // keeps the pointers in `parts` valid
+    std::vector<const Tensor*> parts;
+    for (Layer* branch : children) {
+      outs.push_back(LayeredEvalForward(branch, x));
+      parts.push_back(&outs.back());
+    }
+    return ConcatChannels(parts);
+  }
+  if (dynamic_cast<Sequential*>(root) != nullptr) {
+    Tensor h = x;
+    for (Layer* child : children) h = LayeredEvalForward(child, h);
+    return h;
+  }
+  QCORE_CHECK_MSG(children.empty(), "LayeredEvalForward: unknown composite");
+  return root->Forward(x, /*training=*/false);
 }
 
 }  // namespace qcore

@@ -1,7 +1,14 @@
 // Composite layers: Sequential (the model container), Residual (skip
 // connections for ResNet/InceptionTime), and ParallelConcat (multi-branch
 // blocks with channel concatenation, used by InceptionTime/OmniScaleCNN).
-// nn/incremental_forward walks the same three wirings.
+//
+// Their training-mode Forward runs the children one layer at a time and
+// keeps what Backward needs. Their eval-mode Forward is the fused eval plan
+// (nn/incremental_forward.h), the one eval forward: a conv writes its
+// output once with the BatchNorm/ReLU after it applied, a ParallelConcat
+// branch writes straight into its channel slice, and a Residual's add and
+// the ReLU after it are one pass. LayeredEvalForward keeps the layer-by-
+// layer eval as the reference the plan is tested and benchmarked against.
 #ifndef QCORE_NN_COMPOSITE_H_
 #define QCORE_NN_COMPOSITE_H_
 
@@ -72,7 +79,9 @@ Tensor ConcatChannels(const std::vector<const Tensor*>& parts);
 
 // Runs each branch on the same input and concatenates branch outputs along
 // the channel axis (axis 1). All branches must produce outputs that agree on
-// every axis except channels. Works for [N, C, L] and [N, C, H, W].
+// every axis except channels. Works for [N, C, L] and [N, C, H, W]. In eval
+// mode each branch must end in a Conv (optionally followed by BatchNorm or
+// ReLU layers): the plan writes that conv's output into the branch's slice.
 class ParallelConcat : public Layer {
  public:
   explicit ParallelConcat(std::vector<std::unique_ptr<Layer>> branches);
@@ -91,6 +100,12 @@ class ParallelConcat : public Layer {
   std::vector<std::unique_ptr<Layer>> branches_;
   std::vector<int64_t> branch_channels_;  // channels of each branch output
 };
+
+// root->Forward(x, /*training=*/false) computed layer by layer: each leaf's
+// own eval Forward, ConcatChannels for a ParallelConcat and an add for a
+// Residual, one pass and one fresh tensor per layer. The fused eval plan
+// must equal it bit for bit; tests and the perf gate compare against it.
+Tensor LayeredEvalForward(Layer* root, const Tensor& x);
 
 }  // namespace qcore
 

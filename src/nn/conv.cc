@@ -29,12 +29,14 @@ namespace qcore {
 
 namespace {
 
-// The forward over x [n, c, h, w]: out [n, f, ho*wo] gets the bias, then
-// W[f, c*kh*kw] * B_i per sample.
+// The forward over x [n, c, h, w]: sample i's [f, ho*wo] block, channels
+// [offset, offset + f) of out [n, total, ho*wo], gets the bias, then
+// W[f, c*kh*kw] * B_i, then the epilogue (if any) while it is in cache.
 void PlaneConvForward(const float* x, int64_t n, int64_t c, int64_t h,
                       int64_t w, const float* weight, const float* bias,
                       int64_t f, int kh, int kw, int stride, int pad_h,
-                      int pad_w, int64_t ho, int64_t wo, float* out) {
+                      int pad_w, int64_t ho, int64_t wo, int64_t offset,
+                      int64_t total, const Epilogue* epilogue, float* out) {
   const int64_t ck = c * kh * kw;
   const int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
   const int64_t howo = ho * wo;
@@ -45,7 +47,7 @@ void PlaneConvForward(const float* x, int64_t n, int64_t c, int64_t h,
   kernels::PlaneB b{nullptr, kernels::ConvRowTable(c, hp, wp, kh, kw), wo,
                     stride * wp, stride};
   for (int64_t i = 0; i < n; ++i) {
-    float* oplane = out + i * f * howo;
+    float* oplane = out + (i * total + offset) * howo;
     for (int64_t fo = 0; fo < f; ++fo) {
       std::fill(oplane + fo * howo, oplane + (fo + 1) * howo, bias[fo]);
     }
@@ -54,6 +56,7 @@ void PlaneConvForward(const float* x, int64_t n, int64_t c, int64_t h,
     b.plane = padded ? plane : xi;
     // out_i[F, Ho*Wo] (+)= W[F, C*kh*kw] * B_i[C*kh*kw, Ho*Wo].
     kernels::GemmPackedA(f, howo, ck, packed_w, b, oplane, howo);
+    if (epilogue != nullptr) epilogue->Apply(oplane, f, howo);
   }
 }
 
@@ -126,21 +129,38 @@ Conv<kRank>::Conv(int64_t in_channels, int64_t out_channels, int kernel,
 }
 
 template <int kRank>
-Tensor Conv<kRank>::Forward(const Tensor& x, bool training) {
+std::vector<int64_t> Conv<kRank>::OutputShape(const Tensor& x) const {
   QCORE_CHECK_EQ(x.ndim(), kRank + 2);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
-  const int64_t n = x.dim(0);
   const auto [h, w] = PlaneOf<kRank>(x);
   QCORE_CHECK_MSG(h + 2 * pad_h() >= kh() && w + 2 * pad_ >= kernel_,
                   "conv kernel is larger than the padded input");
   const int64_t ho = (h + 2 * pad_h() - kh()) / stride_ + 1;
   const int64_t wo = (w + 2 * pad_ - kernel_) / stride_ + 1;
+  if (kRank == 2) return {x.dim(0), out_channels_, ho, wo};
+  return {x.dim(0), out_channels_, wo};
+}
+
+template <int kRank>
+void Conv<kRank>::ForwardInto(const Tensor& x, int64_t channel_offset,
+                              int64_t total_channels,
+                              const Epilogue* epilogue, float* out) const {
+  const std::vector<int64_t> shape = OutputShape(x);
+  QCORE_CHECK(channel_offset >= 0 &&
+              channel_offset + out_channels_ <= total_channels);
+  const auto [h, w] = PlaneOf<kRank>(x);
+  const int64_t ho = kRank == 2 ? shape[2] : 1;
+  PlaneConvForward(x.data(), x.dim(0), in_channels_, h, w,
+                   weight_.value.data(), bias_.value.data(), out_channels_,
+                   kh(), kernel_, stride_, pad_h(), pad_, ho, shape.back(),
+                   channel_offset, total_channels, epilogue, out);
+}
+
+template <int kRank>
+Tensor Conv<kRank>::Forward(const Tensor& x, bool training) {
+  Tensor out = Tensor::Uninitialized(OutputShape(x));
   if (training) cached_input_ = x;
-  Tensor out(kRank == 2 ? std::vector<int64_t>{n, out_channels_, ho, wo}
-                        : std::vector<int64_t>{n, out_channels_, wo});
-  PlaneConvForward(x.data(), n, in_channels_, h, w, weight_.value.data(),
-                   bias_.value.data(), out_channels_, kh(), kernel_, stride_,
-                   pad_h(), pad_, ho, wo, out.data());
+  ForwardInto(x, 0, out_channels_, /*epilogue=*/nullptr, out.data());
   return out;
 }
 

@@ -1,10 +1,15 @@
 // Convolution on the blocked GEMM substrate (tensor/kernels.h), one layer
 // for both spatial ranks: a 1-D conv runs as a 2-D one over a one-row
-// plane (kernel height 1, no vertical pad). Forward reads each sample's
-// (padded) input plane as the GEMM's B through a row table; backward
-// lowers each sample with kernels::Im2Col/Col2Im. The scalar direct-loop
-// implementations survive as qcore::naive::Conv{1,2}dForward/Backward —
-// the oracle for kernels_test and the baseline for the perf CI gate.
+// plane (kernel height 1, no vertical pad). The forward is one function,
+// ForwardInto: it reads each sample's (padded) input plane as the GEMM's B
+// through a row table, can write the sample's channels into a slice of a
+// wider output (a ParallelConcat branch), and can run an Epilogue (the
+// BatchNorm/ReLU after the conv) on each sample's block right after its
+// GEMM. Forward calls it with no epilogue; the fused eval plan
+// (nn/incremental_forward) calls it with both. Backward lowers each sample
+// with kernels::Im2Col/Col2Im. The scalar direct-loop implementations
+// survive as qcore::naive::Conv{1,2}dForward/Backward — the oracle for
+// kernels_test and the baseline for the perf CI gate.
 #ifndef QCORE_NN_CONV_H_
 #define QCORE_NN_CONV_H_
 
@@ -12,9 +17,25 @@
 #include <string>
 #include <vector>
 
+#include "nn/epilogue.h"
 #include "nn/layer.h"
 
 namespace qcore {
+
+// The conv of either rank, as the eval plan drives it.
+class ConvLayer : public Layer {
+ public:
+  virtual int64_t out_channels() const = 0;
+  // The [N, F, spatial...] output for x; checks x against the layer.
+  virtual std::vector<int64_t> OutputShape(const Tensor& x) const = 0;
+  // The forward: writes sample i's F output channels at channels
+  // [offset, offset + F) of `out`, an [N, total_channels, spatial...]
+  // buffer, then runs `epilogue` (may be null) on that [F, spatial] block.
+  // Writes every element of the slice and no layer state.
+  virtual void ForwardInto(const Tensor& x, int64_t channel_offset,
+                           int64_t total_channels, const Epilogue* epilogue,
+                           float* out) const = 0;
+};
 
 // Convolution over kRank spatial axes with square kernels:
 //   Conv<1>: x [N, C, L]    -> [N, F, Lo],      weight [F, C, K];
@@ -22,7 +43,7 @@ namespace qcore {
 // each output extent (in + 2*pad - kernel) / stride + 1, bias [F].
 // Parameters are named conv1d.* / conv2d.*, the names snapshots carry.
 template <int kRank>
-class Conv : public Layer {
+class Conv : public ConvLayer {
   static_assert(kRank == 1 || kRank == 2, "Conv is 1-D or 2-D");
 
  public:
@@ -40,6 +61,12 @@ class Conv : public Layer {
   const Tensor* cached_input() const override {
     return cached_input_.size() > 0 ? &cached_input_ : nullptr;
   }
+
+  int64_t out_channels() const override { return out_channels_; }
+  std::vector<int64_t> OutputShape(const Tensor& x) const override;
+  void ForwardInto(const Tensor& x, int64_t channel_offset,
+                   int64_t total_channels, const Epilogue* epilogue,
+                   float* out) const override;
 
  private:
   Conv(int64_t ic, int64_t oc, int k, int s, int p)

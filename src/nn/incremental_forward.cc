@@ -1,110 +1,207 @@
 #include "nn/incremental_forward.h"
 
+#include <algorithm>
+
+#include "nn/batchnorm.h"
 #include "nn/composite.h"
-#include "tensor/tensor_ops.h"
+#include "nn/conv.h"
+#include "nn/layers.h"
 
 namespace qcore {
+
+namespace {
+
+// Appends `layers` (BatchNorm/ReLU over `total` channels) to `epilogue`,
+// restricted to channels [first, first + count).
+void AppendEpilogue(const std::vector<Layer*>& layers, int64_t first,
+                    int64_t count, int64_t total, Epilogue* epilogue) {
+  for (Layer* layer : layers) {
+    const auto* bn = dynamic_cast<const BatchNorm*>(layer);
+    if (bn == nullptr) {
+      epilogue->AddRelu();
+      continue;
+    }
+    std::vector<float> scale, shift;
+    bn->EvalScaleShift(&scale, &shift);
+    QCORE_CHECK_EQ(static_cast<int64_t>(scale.size()), total);
+    epilogue->AddScaleShift(
+        std::vector<float>(scale.begin() + first,
+                           scale.begin() + first + count),
+        std::vector<float>(shift.begin() + first,
+                           shift.begin() + first + count));
+  }
+}
+
+}  // namespace
 
 IncrementalForward::IncrementalForward(
     Layer* root, const Tensor& x, const std::vector<Layer*>& mutable_leaves)
     : x_(x) {
   QCORE_CHECK(root != nullptr);
-  Build(root, kNoParent);
+  nodes_.reserve(64);  // every zoo model; more only grows the vector
+  Build(root, kNone, mutable_leaves);
   for (Layer* leaf : mutable_leaves) {
-    auto it = leaf_node_.find(leaf);
-    QCORE_CHECK_MSG(it != leaf_node_.end(), "mutable leaf not in the model");
-    for (size_t n = it->second; n != kNoParent; n = nodes_[n].parent) {
+    QCORE_CHECK_MSG(std::any_of(mutable_node_.begin(), mutable_node_.end(),
+                                [&](const auto& e) { return e.first == leaf; }),
+                    "mutable leaf not in the model");
+  }
+  for (const auto& [leaf, id] : mutable_node_) {
+    for (size_t n = id; n != kNone; n = nodes_[n].parent) {
       nodes_[n].holds_mutable = true;
     }
   }
-  for (const Node& node : nodes_) {
+  // Parents precede their children in nodes_, so a node's own keep is
+  // final when its children's are set.
+  nodes_[0].keep = true;  // the logits Evaluate() returns
+  for (Node& node : nodes_) {
     const std::vector<size_t>& kids = node.children;
     for (size_t i = 0; i < kids.size(); ++i) {
       bool reread = false;
       if (node.kind == Kind::kSequential) {
         reread = i + 1 < kids.size() && nodes_[kids[i + 1]].holds_mutable;
-      } else {
-        for (size_t j = 0; j < kids.size(); ++j) {
-          if (j != i && nodes_[kids[j]].holds_mutable) reread = true;
-        }
+      } else if (node.kind == Kind::kResidual) {
+        reread = kids.size() == 2 && nodes_[kids[1 - i]].holds_mutable;
+      } else if (nodes_[kids[i]].holds_mutable) {
+        node.keep = true;  // a concat whose branch reruns alone
       }
       nodes_[kids[i]].keep = reread;
     }
+    // A Sequential's result is its last child's.
+    if (node.kind == Kind::kSequential && node.keep) {
+      nodes_[kids.back()].keep = true;
+    }
   }
-  nodes_[0].keep = true;  // the logits Evaluate() returns
+  for (Node& node : nodes_) {
+    if (node.kind != Kind::kConv) continue;
+    const int64_t f = static_cast<ConvLayer*>(node.layer)->out_channels();
+    AppendEpilogue(node.fused, 0, f, f, &node.epilogue);
+    if (node.concat != kNone) {
+      const Node& cat = nodes_[node.concat];
+      AppendEpilogue(cat.fused, node.channel_offset, f, cat.channels,
+                     &node.epilogue);
+    }
+  }
 }
 
-size_t IncrementalForward::Build(Layer* layer, size_t parent) {
+size_t IncrementalForward::Build(Layer* layer, size_t parent,
+                                 const std::vector<Layer*>& mutable_leaves) {
   const size_t id = nodes_.size();
   nodes_.emplace_back();
   nodes_[id].layer = layer;
   nodes_[id].parent = parent;
+  std::vector<Layer*> layers;
+  layer->ForEachChild([&](Layer* child) { layers.push_back(child); });
+  Kind kind = Kind::kLeaf;
+  if (layers.empty()) {
+    if (dynamic_cast<ConvLayer*>(layer) != nullptr) kind = Kind::kConv;
+    if (std::find(mutable_leaves.begin(), mutable_leaves.end(), layer) !=
+        mutable_leaves.end()) {
+      mutable_node_.emplace_back(layer, id);
+    }
+  } else if (dynamic_cast<Sequential*>(layer) != nullptr) {
+    kind = Kind::kSequential;
+  } else if (dynamic_cast<Residual*>(layer) != nullptr) {
+    kind = Kind::kResidual;
+  } else {
+    QCORE_CHECK_MSG(dynamic_cast<ParallelConcat*>(layer) != nullptr,
+                    "IncrementalForward: unknown composite layer");
+    kind = Kind::kConcat;
+  }
+  nodes_[id].kind = kind;
+  // Whether `next`, the layer after node `prev` in a Sequential, runs fused
+  // into it: BatchNorm/ReLU after a conv or a concat (an epilogue), one
+  // ReLU after a residual (its join). A mutable layer stays a node.
+  auto fuses = [&](const Node& prev, Layer* next) {
+    if (std::find(mutable_leaves.begin(), mutable_leaves.end(), next) !=
+        mutable_leaves.end()) {
+      return false;
+    }
+    const bool relu = dynamic_cast<Relu*>(next) != nullptr;
+    if (prev.kind == Kind::kResidual) return relu && prev.fused.empty();
+    return (prev.kind == Kind::kConv || prev.kind == Kind::kConcat) &&
+           (relu || dynamic_cast<BatchNorm*>(next) != nullptr);
+  };
   // Build() appends the subtrees to nodes_, so collect the children here
   // rather than through a reference into it.
   std::vector<size_t> children;
-  Kind kind = Kind::kLeaf;
-  if (auto* residual = dynamic_cast<Residual*>(layer)) {
-    kind = Kind::kResidual;
-    children.push_back(Build(residual->body(), id));
-    if (residual->shortcut() != nullptr) {
-      children.push_back(Build(residual->shortcut(), id));
+  for (size_t i = 0; i < layers.size(); ++i) {
+    const size_t child = Build(layers[i], id, mutable_leaves);
+    children.push_back(child);
+    while (kind == Kind::kSequential && i + 1 < layers.size() &&
+           fuses(nodes_[child], layers[i + 1])) {
+      nodes_[child].fused.push_back(layers[++i]);
     }
-  } else {
-    if (dynamic_cast<Sequential*>(layer) != nullptr) {
-      kind = Kind::kSequential;
-    } else if (dynamic_cast<ParallelConcat*>(layer) != nullptr) {
-      kind = Kind::kConcat;
-    }
-    layer->ForEachChild([&](Layer* child) {
-      QCORE_CHECK_MSG(kind != Kind::kLeaf,
-                      "IncrementalForward: unknown composite layer");
-      children.push_back(Build(child, id));
-    });
-    if (kind == Kind::kLeaf) leaf_node_[layer] = id;
   }
-  nodes_[id].kind = kind;
+  if (kind == Kind::kConcat) {
+    int64_t offset = 0;
+    for (size_t branch : children) {
+      size_t tail = branch;
+      while (nodes_[tail].kind == Kind::kSequential) {
+        tail = nodes_[tail].children.back();
+      }
+      QCORE_CHECK_MSG(nodes_[tail].kind == Kind::kConv,
+                      "ParallelConcat eval: each branch must end in a conv");
+      nodes_[tail].concat = id;
+      nodes_[tail].channel_offset = offset;
+      offset += static_cast<ConvLayer*>(nodes_[tail].layer)->out_channels();
+    }
+    nodes_[id].channels = offset;
+  }
   nodes_[id].children = std::move(children);
   return id;
 }
 
 void IncrementalForward::MarkDirty(Layer* leaf) {
-  auto it = leaf_node_.find(leaf);
-  QCORE_CHECK_MSG(
-      it != leaf_node_.end() && nodes_[it->second].holds_mutable,
-      "MarkDirty on a leaf not declared mutable");
+  auto it = std::find_if(mutable_node_.begin(), mutable_node_.end(),
+                         [&](const auto& entry) { return entry.first == leaf; });
+  QCORE_CHECK_MSG(it != mutable_node_.end(),
+                  "MarkDirty on a leaf not declared mutable");
   // A dirty node's ancestors are dirty, so the walk stops at the first one.
-  for (size_t n = it->second; n != kNoParent && !nodes_[n].dirty;
+  for (size_t n = it->second; n != kNone && !nodes_[n].dirty;
        n = nodes_[n].parent) {
     nodes_[n].dirty = true;
   }
 }
 
 const Tensor& IncrementalForward::Evaluate() {
-  if (nodes_[0].dirty) nodes_[0].output = Run(0, x_, /*new_input=*/false);
-  return nodes_[0].output;
+  if (nodes_[0].dirty) Run(0, x_, /*new_input=*/false);
+  return Result(0);
 }
 
-const Tensor& IncrementalForward::ChildOutput(size_t id, const Tensor& in,
-                                              bool new_input,
-                                              Tensor* scratch) {
-  Node& node = nodes_[id];
-  if (!new_input && !node.dirty) {
-    QCORE_CHECK(node.keep);
-    return node.output;
+size_t IncrementalForward::Owner(size_t id) const {
+  while (nodes_[id].kind == Kind::kSequential) {
+    id = nodes_[id].children.back();
   }
-  Tensor& out = node.keep ? node.output : *scratch;
-  out = Tensor();  // stale: free it before the rerun allocates
-  out = Run(id, in, new_input);
-  return out;
+  return id;
 }
 
-Tensor IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
+void IncrementalForward::Release(size_t id) {
+  Node& owner = nodes_[Owner(id)];
+  if (!owner.keep) owner.output = Tensor();
+}
+
+const Tensor& IncrementalForward::Output(size_t id, const Tensor& in,
+                                         bool new_input) {
+  if (new_input || nodes_[id].dirty) {
+    Run(id, in, new_input);
+  } else {
+    QCORE_CHECK(nodes_[Owner(id)].keep);
+  }
+  return Result(id);
+}
+
+void IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
   Node& node = nodes_[id];
   node.dirty = false;
   const std::vector<size_t>& kids = node.children;
   switch (node.kind) {
     case Kind::kLeaf:
-      return node.layer->Forward(in, /*training=*/false);
+      node.output = Tensor();  // stale: free it before the rerun allocates
+      node.output = node.layer->Forward(in, /*training=*/false);
+      return;
+    case Kind::kConv:
+      RunConv(&node, in);
+      return;
     case Kind::kSequential: {
       // Children before the first dirty one saw the same input and
       // parameters last time: start from the kept output of the one before.
@@ -112,45 +209,73 @@ Tensor IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
       while (!new_input && first < kids.size() && !nodes_[kids[first]].dirty) {
         ++first;
       }
+      QCORE_CHECK_LT(first, kids.size());
       const Tensor* h = &in;
       if (first > 0) {
-        QCORE_CHECK(nodes_[kids[first - 1]].keep);
-        h = &nodes_[kids[first - 1]].output;
+        QCORE_CHECK(nodes_[Owner(kids[first - 1])].keep);
+        h = &Result(kids[first - 1]);
       }
-      Tensor scratch;
       for (size_t i = first; i < kids.size(); ++i) {
-        Tensor next;
-        h = &ChildOutput(kids[i], *h, new_input || i > first, &next);
-        if (h == &next) {
-          scratch = std::move(next);
-          h = &scratch;
-        }
+        Run(kids[i], *h, new_input || i > first);
+        if (i > first) Release(kids[i - 1]);
+        h = &Result(kids[i]);
       }
-      return h == &scratch ? std::move(scratch) : *h;
+      return;
     }
     case Kind::kResidual: {
-      Tensor body_scratch, shortcut_scratch;
-      const Tensor& main = ChildOutput(kids[0], in, new_input, &body_scratch);
+      const Tensor& main = Output(kids[0], in, new_input);
       const Tensor& skip =
-          kids.size() > 1
-              ? ChildOutput(kids[1], in, new_input, &shortcut_scratch)
-              : in;
+          kids.size() > 1 ? Output(kids[1], in, new_input) : in;
       QCORE_CHECK_MSG(main.SameShape(skip),
                       "residual body/shortcut shape mismatch");
-      if (&main != &body_scratch) return Add(main, skip);  // body's is kept
-      AddInPlace(&body_scratch, skip);
-      return body_scratch;
-    }
-    case Kind::kConcat: {
-      std::vector<Tensor> scratch(kids.size());
-      std::vector<const Tensor*> parts;
-      for (size_t i = 0; i < kids.size(); ++i) {
-        parts.push_back(&ChildOutput(kids[i], in, new_input, &scratch[i]));
+      const bool relu = !node.fused.empty();
+      if (nodes_[Owner(kids[0])].keep) {
+        node.output = Tensor();
+        node.output = Tensor::Uninitialized(main.shape());
+        AddInto(main.data(), skip.data(), main.size(), relu,
+                node.output.data());
+      } else {
+        node.output = Take(kids[0]);  // the body's output, joined in place
+        AddInto(node.output.data(), skip.data(), node.output.size(), relu,
+                node.output.data());
       }
-      return ConcatChannels(parts);
+      if (kids.size() > 1) Release(kids[1]);
+      return;
     }
+    case Kind::kConcat:
+      // Each branch that reruns writes its own slice of node.output; the
+      // first to run allocates it.
+      for (size_t branch : kids) {
+        if (new_input || nodes_[branch].dirty) Run(branch, in, new_input);
+      }
+      QCORE_CHECK(node.output.size() > 0);
+      return;
   }
-  return Tensor();
+}
+
+void IncrementalForward::RunConv(Node* node, const Tensor& in) {
+  const auto* conv = static_cast<const ConvLayer*>(node->layer);
+  std::vector<int64_t> shape = conv->OutputShape(in);
+  Tensor* out = &node->output;
+  if (node->concat == kNone) {
+    *out = Tensor();  // stale: free it before the rerun allocates
+    *out = Tensor::Uninitialized(shape);
+  } else {
+    out = &nodes_[node->concat].output;
+    shape[1] = nodes_[node->concat].channels;
+    if (out->size() == 0) *out = Tensor::Uninitialized(shape);
+    QCORE_CHECK_MSG(out->shape() == shape,
+                    "ParallelConcat branches disagree on a non-channel axis");
+  }
+  conv->ForwardInto(in, node->channel_offset, shape[1],
+                    node->epilogue.empty() ? nullptr : &node->epilogue,
+                    out->data());
+}
+
+Tensor EvalForward(Layer* root, const Tensor& x) {
+  IncrementalForward plan(root, x, {});
+  (void)plan.Evaluate();
+  return plan.Take(0);
 }
 
 }  // namespace qcore

@@ -1,27 +1,50 @@
-// Eval-mode forward for a model whose parameters change one leaf layer at a
-// time — the validation of bit-flip proposals (core/bitflip, Alg. 3). After
-// a change it reruns only the layers the change can reach: the changed
-// leaf, the rest of each enclosing Sequential after it, and the join of each
-// enclosing Residual or ParallelConcat. Every other layer (earlier layers,
-// sibling branches, the other side of a residual) reuses the output it
-// produced last time.
+// The eval forward: one plan over a Sequential/Residual/ParallelConcat
+// tree that every eval-mode forward runs. A composite's Forward(x,
+// /*training=*/false) — and through it serving Predict/PredictBatched,
+// EvaluateAccuracy and the bit-flip net's Predict — runs it once with every
+// node dirty (EvalForward); the validation of bit-flip proposals
+// (core/bitflip, Alg. 3) keeps one per trial slice and reruns it
+// incrementally.
 //
-// The result is exact, not approximate: a layer's eval-mode Forward is a
-// pure function of its input, its parameters and the BatchNorm running
-// statistics, so a reused output is the one a full forward would compute,
-// and Evaluate() is bit-identical to root->Forward(x, /*training=*/false).
+// Fusions, so that each activation is written once:
+//  - A conv followed by BatchNorm and/or ReLU layers runs them on each
+//    sample's [F, spatial] block right after that sample's GEMM
+//    (ConvLayer::ForwardInto with an Epilogue).
+//  - Each ParallelConcat branch's last conv writes straight into its
+//    channel slice of the concat output, and the BatchNorm/ReLU layers
+//    after the concat run in each branch's epilogue on that branch's
+//    channels (BatchNorm is per channel, so BatchNorm of the concat is the
+//    concat of the branches' normalized slices).
+//  - A Residual's add and the ReLU after it run in one pass.
+//  - Outputs are allocated without zero-filling: every element is written.
+// Every element sees the same operations in the same order as the
+// layer-by-layer forward (LayeredEvalForward, nn/composite.h), so the
+// result equals it bit for bit.
 //
-// Memory: a layer's output is kept only if a later evaluation re-reads it.
+// Incremental reruns: when only the parameters of declared mutable leaves
+// change between evaluations, a later evaluation reruns only the layers a
+// change can reach: the changed leaf, the rest of each enclosing
+// Sequential after it, and the join of each enclosing Residual; in a
+// ParallelConcat only the changed branch reruns, rewriting its own slice
+// (already normalized) of the kept concat output. Every other layer
+// reuses the output it produced last time. This is exact: a layer's eval
+// output is a pure function of its input, its parameters and the
+// BatchNorm running statistics, so a reused output is the one a full
+// forward would compute.
+//
+// Memory: a node's output is kept only if a later evaluation re-reads it.
 // In a Sequential that is child i's output when child i+1 holds a mutable
-// leaf (it is that child's input). In a Residual or ParallelConcat it is a
-// child's output when another child holds one (it is joined unchanged).
-// Everything is freed with the object.
+// leaf (it is that child's input); in a Residual a child's output when the
+// other child holds one (it is joined unchanged); a ParallelConcat keeps
+// its output when a branch holds one (its slices are updated in place).
+// Everything else is freed once read, and everything with the object.
 #ifndef QCORE_NN_INCREMENTAL_FORWARD_H_
 #define QCORE_NN_INCREMENTAL_FORWARD_H_
 
-#include <map>
+#include <utility>
 #include <vector>
 
+#include "nn/epilogue.h"
 #include "nn/layer.h"
 
 namespace qcore {
@@ -48,32 +71,54 @@ class IncrementalForward {
   const Tensor& Evaluate();
 
  private:
-  static constexpr size_t kNoParent = static_cast<size_t>(-1);
-  enum class Kind { kLeaf, kSequential, kResidual, kConcat };
+  friend Tensor EvalForward(Layer* root, const Tensor& x);
+
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+  enum class Kind { kLeaf, kConv, kSequential, kResidual, kConcat };
   struct Node {
     Kind kind = Kind::kLeaf;
     Layer* layer = nullptr;
-    size_t parent = kNoParent;
+    size_t parent = kNone;
     // Forward order; a Residual's are {body} or {body, shortcut}.
     std::vector<size_t> children;
+    // The BatchNorm/ReLU layers after a conv or concat, or the ReLU after
+    // a residual, that run fused into this node.
+    std::vector<Layer*> fused;
+    // A conv's passes: its fused layers, then its concat's on its slice.
+    Epilogue epilogue;
+    size_t concat = kNone;  // a conv that writes a slice of this concat
+    int64_t channel_offset = 0;  // a conv's first channel in that output
+    int64_t channels = 0;        // a concat's output channels
     bool holds_mutable = false;  // a mutable leaf is in this subtree
     bool dirty = true;           // output not computed for the current params
     bool keep = false;           // `output` is re-read by a later evaluation
     Tensor output;
   };
 
-  size_t Build(Layer* layer, size_t parent);
-  // The output of node `id` on input `in`. Requires new_input or dirty.
-  Tensor Run(size_t id, const Tensor& in, bool new_input);
-  // A child's output: its kept one if neither its input nor a leaf under it
-  // changed, else freshly run (into its `output` if kept, else *scratch).
-  const Tensor& ChildOutput(size_t id, const Tensor& in, bool new_input,
-                            Tensor* scratch);
+  size_t Build(Layer* layer, size_t parent,
+               const std::vector<Layer*>& mutable_leaves);
+  // Computes node `id` on input `in`. Requires new_input or dirty.
+  void Run(size_t id, const Tensor& in, bool new_input);
+  void RunConv(Node* node, const Tensor& in);
+  // A child's result: kept if neither its input nor a leaf under it
+  // changed, else run afresh.
+  const Tensor& Output(size_t id, const Tensor& in, bool new_input);
+  // The node that holds `id`'s result: a Sequential's is its last child's
+  // (a Sequential node has children; an empty one is a leaf).
+  size_t Owner(size_t id) const;
+  const Tensor& Result(size_t id) const { return nodes_[Owner(id)].output; }
+  // Frees `id`'s result unless a later evaluation re-reads it.
+  void Release(size_t id);
+  Tensor Take(size_t id) { return std::move(nodes_[Owner(id)].output); }
 
   const Tensor& x_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
-  std::map<const Layer*, size_t> leaf_node_;
+  std::vector<std::pair<const Layer*, size_t>> mutable_node_;
 };
+
+// root->Forward(x, /*training=*/false): the plan run once with every node
+// dirty. The composites' eval Forward.
+Tensor EvalForward(Layer* root, const Tensor& x);
 
 }  // namespace qcore
 

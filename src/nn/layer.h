@@ -34,7 +34,9 @@ class Layer {
   virtual ~Layer() = default;
 
   // Computes the layer output. `training` toggles batch-statistics layers
-  // (BatchNorm). Implementations cache whatever Backward needs.
+  // (BatchNorm). Implementations cache whatever Backward needs. An eval
+  // forward (training == false) writes no layer state; a composite's runs
+  // the fused eval plan (nn/incremental_forward.h).
   virtual Tensor Forward(const Tensor& x, bool training) = 0;
 
   // Given dLoss/dOutput, accumulates parameter gradients and returns

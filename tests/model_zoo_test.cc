@@ -1,8 +1,10 @@
 // Tests for models/: every architecture builds, forwards with the right
 // shapes, backprops, clones faithfully, can be trained a little, is
-// re-evaluated exactly by nn/incremental_forward, and can be evaluated by
-// several threads at once (Alg. 3's row-split trials, sessions sharing a
-// net). CI runs this suite under ThreadSanitizer.
+// evaluated by the fused eval plan (nn/incremental_forward) bit for bit as
+// the layer-by-layer forward (LayeredEvalForward) computes it, in full and
+// incrementally, and can be evaluated by several threads at once (Alg. 3's
+// row-split trials, sessions sharing a net). CI runs this suite under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +14,10 @@
 #include "core/bitflip.h"
 #include "models/model_zoo.h"
 #include "nn/batchnorm.h"
+#include "nn/composite.h"
+#include "nn/conv.h"
 #include "nn/incremental_forward.h"
+#include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/training.h"
 #include "quant/quantized_model.h"
@@ -83,82 +88,124 @@ TEST_P(ModelZooTest, CloneReproducesOutputs) {
   for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
 }
 
-// IncrementalForward against the full eval forward, bit for bit, through
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+// Runs `body` at kernel budgets 1, 2 and 3, with every GEMM wide enough to
+// split at 2 and 3, then restores the knobs.
+template <typename Body>
+void AtEveryBudget(Body body) {
+  const int saved_threads = kernels::gemm_threads();
+  const int64_t saved_min_work = kernels::gemm_parallel_min_work();
+  for (int threads : {1, 2, 3}) {
+    SCOPED_TRACE("gemm_threads " + std::to_string(threads));
+    kernels::set_gemm_threads(threads);
+    kernels::set_gemm_parallel_min_work(threads > 1 ? 0 : saved_min_work);
+    body();
+  }
+  kernels::set_gemm_threads(saved_threads);
+  kernels::set_gemm_parallel_min_work(saved_min_work);
+}
+
+// The eval forward (the fused plan) equals the layer-by-layer forward bit
+// for bit on each zoo model and on the bit-flip net's wiring (conv, ReLU,
+// flatten, dense; core/bitflip.cc), 4-bit as deployed.
+TEST_P(ModelZooTest, EvalForwardMatchesLayeredForward) {
+  Rng rng(6);
+  auto model = Build(GetParam(), &rng);
+  const Tensor x = InputFor(GetParam(), &rng, /*n=*/16);
+  (void)model->Forward(x, true);  // move BN running stats off their init
+  QuantizedModel qm(*model, 4);
+  Sequential bf_net;
+  bf_net.Add(std::make_unique<Conv1d>(1, 4, 3, 1, 1, &rng));
+  bf_net.Add(std::make_unique<Relu>());
+  bf_net.Add(std::make_unique<Flatten>());
+  bf_net.Add(std::make_unique<Dense>(4 * kBitFlipFeatureDim, 3, &rng));
+  QuantizedModel bf_qm(bf_net, 4);
+  const Tensor features = Tensor::Randn({40, 1, kBitFlipFeatureDim}, &rng);
+  AtEveryBudget([&] {
+    EXPECT_TRUE(BitEqual(qm.model()->Forward(x, /*training=*/false),
+                         LayeredEvalForward(qm.model(), x)));
+    EXPECT_TRUE(BitEqual(bf_qm.model()->Forward(features, false),
+                         LayeredEvalForward(bf_qm.model(), features)));
+  });
+}
+
+// IncrementalForward against the layered forward, bit for bit, through
 // random bit-flip trials on the 4-bit model: each trial changes a few codes
 // of one tensor and is then kept or undone at random; an undo marks the
 // tensor dirty again, as Alg. 3 does. Trial 0 changes the last tensor (the
 // Dense head), trial 1 the first; after an undo the next trial takes a
 // different tensor.
-TEST_P(ModelZooTest, IncrementalForwardMatchesFullForward) {
+TEST_P(ModelZooTest, IncrementalForwardMatchesLayeredForward) {
   Rng rng(6);
   auto model = Build(GetParam(), &rng);
   const Tensor x = InputFor(GetParam(), &rng, /*n=*/64);
   (void)model->Forward(x, true);  // move BN running stats off their init
-  QuantizedModel qm(*model, 4);
-  const int num_tensors = qm.num_quantized();
-  ASSERT_GE(num_tensors, 2);
-  std::vector<Layer*> owners;
-  for (int t = 0; t < num_tensors; ++t) {
-    owners.push_back(qm.quantized(t).owner);
-  }
-  IncrementalForward walker(qm.model(), x, owners);
-  auto expect_full_forward = [&](const std::string& what) {
-    const Tensor& got = walker.Evaluate();
-    const Tensor want = qm.model()->Forward(x, /*training=*/false);
-    ASSERT_TRUE(got.SameShape(want)) << what;
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          sizeof(float) * static_cast<size_t>(want.size())),
-              0)
-        << what;
-  };
-  expect_full_forward("first evaluation");
+  const Rng::State trials_from = rng.SaveState();
+  AtEveryBudget([&] {
+    QuantizedModel qm(*model, 4);
+    const int num_tensors = qm.num_quantized();
+    ASSERT_GE(num_tensors, 2);
+    std::vector<Layer*> owners;
+    for (int t = 0; t < num_tensors; ++t) {
+      owners.push_back(qm.quantized(t).owner);
+    }
+    IncrementalForward walker(qm.model(), x, owners);
+    auto expect_layered = [&](const std::string& what) {
+      EXPECT_TRUE(BitEqual(walker.Evaluate(),
+                           LayeredEvalForward(qm.model(), x)))
+          << what;
+    };
+    expect_layered("first evaluation");
 
-  int previous = -1;
-  bool undone = false;
-  int switched_after_undo = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    int t = rng.NextInt(0, num_tensors - 1);
-    if (trial == 0) t = num_tensors - 1;
-    if (trial == 1) t = 0;
-    if (trial > 1 && undone) {
-      t = (previous + rng.NextInt(1, num_tensors - 1)) % num_tensors;
-    }
-    if (undone && t != previous) ++switched_after_undo;
-    QuantizedModel::QuantizedTensor& qt = qm.quantized(t);
-    const std::vector<int32_t> saved = qt.codes;
-    for (int k = 0; k < 4; ++k) {
-      const int e = rng.NextInt(0, static_cast<int>(qt.codes.size()) - 1);
-      qm.ApplyCodeDelta(t, e, rng.NextBool(0.5) ? 3 : -3);
-    }
-    walker.MarkDirty(qt.owner);
-    if (trial == 0) {
-      // A change to the Dense head reruns the head alone: one GEMM. The
-      // comparison below then reads the remembered logits.
-      const kernels::GemmDispatchCounters before =
-          kernels::ThreadGemmDispatchCounters();
-      (void)walker.Evaluate();
-      const kernels::GemmDispatchCounters after =
-          kernels::ThreadGemmDispatchCounters();
-      EXPECT_EQ((after.wide + after.narrow) - (before.wide + before.narrow),
-                1u);
-    }
-    expect_full_forward("trial " + std::to_string(trial) + " on tensor " +
-                        std::to_string(t));
-    undone = rng.NextBool(0.5);
-    if (undone) {
-      qt.codes = saved;
-      qm.SyncParamFromCodes(t);
+    Rng trial_rng(0);  // the same trials at every budget
+    trial_rng.RestoreState(trials_from);
+    int previous = -1;
+    bool undone = false;
+    int switched_after_undo = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      int t = trial_rng.NextInt(0, num_tensors - 1);
+      if (trial == 0) t = num_tensors - 1;
+      if (trial == 1) t = 0;
+      if (trial > 1 && undone) {
+        t = (previous + trial_rng.NextInt(1, num_tensors - 1)) % num_tensors;
+      }
+      if (undone && t != previous) ++switched_after_undo;
+      QuantizedModel::QuantizedTensor& qt = qm.quantized(t);
+      const std::vector<int32_t> saved = qt.codes;
+      for (int k = 0; k < 4; ++k) {
+        const int e =
+            trial_rng.NextInt(0, static_cast<int>(qt.codes.size()) - 1);
+        qm.ApplyCodeDelta(t, e, trial_rng.NextBool(0.5) ? 3 : -3);
+      }
       walker.MarkDirty(qt.owner);
+      if (trial == 0) {
+        // A change to the Dense head reruns the head alone: one GEMM. The
+        // comparison below then reads the remembered logits.
+        const kernels::GemmDispatchCounters before =
+            kernels::ThreadGemmDispatchCounters();
+        (void)walker.Evaluate();
+        const kernels::GemmDispatchCounters after =
+            kernels::ThreadGemmDispatchCounters();
+        EXPECT_EQ((after.wide + after.narrow) - (before.wide + before.narrow),
+                  1u);
+      }
+      expect_layered("trial " + std::to_string(trial) + " on tensor " +
+                     std::to_string(t));
+      undone = trial_rng.NextBool(0.5);
+      if (undone) {
+        qt.codes = saved;
+        qm.SyncParamFromCodes(t);
+        walker.MarkDirty(qt.owner);
+      }
+      previous = t;
     }
-    previous = t;
-  }
-  EXPECT_GT(switched_after_undo, 0);
-}
-
-bool BitEqual(const Tensor& a, const Tensor& b) {
-  return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+    EXPECT_GT(switched_after_undo, 0);
+  });
 }
 
 // Eval-mode Forward writes no layer state, so two threads may run it on one

@@ -253,6 +253,67 @@ TEST(SetBatchNormFrozenTest, WalksTree) {
   EXPECT_EQ(frozen_count, 1);
 }
 
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+// A composite root's eval Forward is the fused plan; it equals the layer-
+// by-layer forward bit for bit for a Residual root (a projection shortcut,
+// a body ending conv -> BatchNorm), a Residual whose ReLU runs in its join,
+// the BatchNorm-only residual of SetBatchNormFrozenTest, and a
+// ParallelConcat whose BatchNorm/ReLU run in its branches' epilogues (one
+// branch with an epilogue of its own).
+TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
+  Rng rng(17);
+  auto conv_bn = [&](int64_t in, int64_t out, int k, bool relu) {
+    auto seq = std::make_unique<Sequential>();
+    seq->Add(std::make_unique<Conv1d>(in, out, k, 1, Conv1d::SamePad(k),
+                                      &rng));
+    seq->Add(std::make_unique<BatchNorm>(out));
+    if (relu) seq->Add(std::make_unique<Relu>());
+    return seq;
+  };
+  auto body = conv_bn(2, 3, 3, /*relu=*/true);
+  body->Add(std::make_unique<Conv1d>(3, 3, 3, 1, 1, &rng));
+  body->Add(std::make_unique<BatchNorm>(3));
+  Residual projection(std::move(body), conv_bn(2, 3, 1, /*relu=*/false));
+
+  Sequential joined;
+  joined.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
+  joined.Add(std::make_unique<Residual>(conv_bn(3, 3, 5, false), nullptr));
+  joined.Add(std::make_unique<Relu>());
+  auto bn_only = std::make_unique<Sequential>();
+  bn_only->Add(std::make_unique<BatchNorm>(3));
+  joined.Add(std::make_unique<Residual>(std::move(bn_only), nullptr));
+
+  std::vector<std::unique_ptr<Layer>> branches;
+  branches.push_back(std::make_unique<Conv1d>(2, 2, 3, 1, 1, &rng));
+  branches.push_back(conv_bn(2, 3, 1, /*relu=*/true));
+  Sequential concat;
+  concat.Add(std::make_unique<ParallelConcat>(std::move(branches)));
+  concat.Add(std::make_unique<BatchNorm>(5));
+  concat.Add(std::make_unique<Relu>());
+
+  for (Layer* root : std::vector<Layer*>{&projection, &joined, &concat}) {
+    SCOPED_TRACE(root->name());
+    (void)root->Forward(Tensor::Randn({16, 2, 7}, &rng), true);  // BN stats
+    const Tensor x = Tensor::Randn({5, 2, 7}, &rng);
+    EXPECT_TRUE(BitEqual(root->Forward(x, false), LayeredEvalForward(root, x)));
+  }
+}
+
+TEST(EvalPlanDeathTest, ConcatBranchMustEndInConv) {
+  Rng rng(18);
+  std::vector<std::unique_ptr<Layer>> branches;
+  branches.push_back(std::make_unique<Conv1d>(2, 2, 3, 1, 1, &rng));
+  branches.push_back(std::make_unique<Relu>());
+  ParallelConcat concat(std::move(branches));
+  const Tensor x = Tensor::Randn({2, 2, 5}, &rng);
+  EXPECT_DEATH(concat.Forward(x, false), "each branch must end in a conv");
+}
+
 TEST(SgdTest, PlainStepMovesAgainstGradient) {
   Parameter p("w", Tensor::FromVector({2}, {1.0f, -1.0f}));
   p.grad = Tensor::FromVector({2}, {0.5f, -0.5f});
