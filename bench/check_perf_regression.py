@@ -107,15 +107,15 @@ SPEEDUP_FLOORS = [
     ("BM_Conv1dForwardBottleneck", "BM_Conv1dForwardBottleneckNaive", 8.0),
     ("BM_Conv2dForwardStem", "BM_Conv2dForwardStemNaive", 11.0),
     # The fused eval plan against the layer-by-layer forward it replaced
-    # (LayeredEvalForward), 32-row InceptionTime at 1 thread. Three runs of
-    # the pair with the CI repetitions read 1.53x, 1.78x and 1.63x on a
-    # shared 4-vCPU host; a return to layered eval reads 1.0x. The layered
-    # side allocates a fresh activation per layer, so its time moves with
-    # the heap state the earlier entries leave (one run after the
-    # QuantizedForward entries read 1.0x): this floor catches a lost fusion
-    # only when the pair runs as the CI filter orders it.
-    ("BM_EvalForwardInceptionTime", "BM_EvalForwardInceptionTimeLayered",
-     1.25),
+    # (LayeredEvalForward), one-row InceptionTime at 1 thread, both sides
+    # past glibc's trim threshold so page faults do not decide the ratio.
+    # Four runs of the CI command on a shared 4-vCPU host read 1.72x,
+    # 1.38x, 1.47x and 1.40x; a return to layered eval reads 1.0x, and a
+    # plan that allocated its node vectors per call (~10 us) read 1.00x
+    # and 1.16x in a probe. The 32-row pair read 1.08-1.31x in the same
+    # runs, too close to 1.0x to floor.
+    ("BM_EvalForwardInceptionTime/1", "BM_EvalForwardInceptionTimeLayered/1",
+     1.2),
 ]
 
 REGRESSION_TOLERANCE = 0.15  # fail if >15% slower than baseline

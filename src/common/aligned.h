@@ -3,17 +3,12 @@
 // against packed panels; starting every float buffer on a cache-line
 // boundary keeps those loads split-free and makes the panels exactly
 // cache-line-tiled. std::vector with this allocator is otherwise a drop-in
-// replacement for std::vector<float>, except that resize(n) and vector(n)
-// leave new elements default-initialized (indeterminate for float), so a
-// buffer about to be written in full costs no zero pass. assign(n, v),
-// resize(n, v) and vector(n, v) still write v.
+// replacement for std::vector<float>.
 #ifndef QCORE_COMMON_ALIGNED_H_
 #define QCORE_COMMON_ALIGNED_H_
 
 #include <cstddef>
 #include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace qcore {
@@ -39,16 +34,6 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) {
     ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
-  }
-
-  // Default-initialization where std::allocator value-initializes.
-  template <typename U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>

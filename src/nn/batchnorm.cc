@@ -35,22 +35,18 @@ BatchNorm::BatchNorm(int64_t channels, float momentum, float eps)
   running_var_ = Tensor::Full({channels}, 1.0f);
 }
 
-void BatchNorm::EvalScaleShift(std::vector<float>* scale,
-                               std::vector<float>* shift) const {
-  scale->resize(static_cast<size_t>(channels_));
-  shift->resize(static_cast<size_t>(channels_));
+void BatchNorm::EvalScaleShift(float* scale, float* shift) const {
   for (int64_t ch = 0; ch < channels_; ++ch) {
     const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-    const float s = gamma_.value[ch] * inv_std;
-    (*scale)[static_cast<size_t>(ch)] = s;
-    (*shift)[static_cast<size_t>(ch)] = beta_.value[ch] - s * running_mean_[ch];
+    scale[ch] = gamma_.value[ch] * inv_std;
+    shift[ch] = beta_.value[ch] - scale[ch] * running_mean_[ch];
   }
 }
 
 Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   const NcsView v = ViewOf(x);
   QCORE_CHECK_EQ(v.c, channels_);
-  Tensor out = Tensor::Uninitialized(x.shape());
+  Tensor out(x.shape());
   const float* px = x.data();
   float* po = out.data();
   const float* pg = gamma_.value.data();
@@ -61,7 +57,7 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
     // the normalization as a fixed per-channel affine transform.
     cached_shape_ = x.shape();
     cached_frozen_ = true;
-    cached_xhat_ = Tensor::Uninitialized(x.shape());
+    cached_xhat_ = Tensor(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
     float* pxh = cached_xhat_.data();
     for (int64_t ch = 0; ch < channels_; ++ch) {
@@ -82,7 +78,7 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   } else if (training) {
     cached_shape_ = x.shape();
     cached_frozen_ = false;
-    cached_xhat_ = Tensor::Uninitialized(x.shape());
+    cached_xhat_ = Tensor(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
     float* pxh = cached_xhat_.data();
     const double count = static_cast<double>(v.n * v.s);
@@ -121,11 +117,13 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
       }
     }
   } else {
-    std::vector<float> scale, shift;
-    EvalScaleShift(&scale, &shift);
+    std::vector<float> affine(static_cast<size_t>(2 * channels_));
+    float* scale = affine.data();
+    float* shift = scale + channels_;
+    EvalScaleShift(scale, shift);
     for (int64_t i = 0; i < v.n; ++i) {
-      ScaleShiftRows(px + i * v.c * v.s, scale.data(), shift.data(), v.c,
-                     v.s, po + i * v.c * v.s);
+      ScaleShiftRows(px + i * v.c * v.s, scale, shift, v.c, v.s,
+                     po + i * v.c * v.s);
     }
   }
   return out;

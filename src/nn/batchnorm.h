@@ -29,10 +29,12 @@ class BatchNorm : public Layer {
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
 
-  // The eval-mode affine per channel: scale = gamma / sqrt(var + eps) and
-  // shift = beta - scale * mean, from the running statistics.
-  void EvalScaleShift(std::vector<float>* scale,
-                      std::vector<float>* shift) const;
+  int64_t channels() const { return channels_; }
+
+  // The eval-mode affine per channel, into channels() floats each:
+  // scale = gamma / sqrt(var + eps) and shift = beta - scale * mean, from
+  // the running statistics.
+  void EvalScaleShift(float* scale, float* shift) const;
 
   // Freeze mode: training-mode Forward normalizes with the *running*
   // statistics (treated as constants in Backward) and does not update them.

@@ -135,7 +135,7 @@ Tensor ConcatChannels(const std::vector<const Tensor*>& parts) {
 
   std::vector<int64_t> out_shape = first.shape();
   out_shape[1] = total_channels;
-  Tensor out = Tensor::Uninitialized(out_shape);
+  Tensor out(out_shape);
   const int64_t n = out_shape[0];
   int64_t spatial = 1;
   for (size_t d = 2; d < out_shape.size(); ++d) spatial *= out_shape[d];

@@ -158,7 +158,7 @@ void Conv<kRank>::ForwardInto(const Tensor& x, int64_t channel_offset,
 
 template <int kRank>
 Tensor Conv<kRank>::Forward(const Tensor& x, bool training) {
-  Tensor out = Tensor::Uninitialized(OutputShape(x));
+  Tensor out(OutputShape(x));
   if (training) cached_input_ = x;
   ForwardInto(x, 0, out_channels_, /*epilogue=*/nullptr, out.data());
   return out;

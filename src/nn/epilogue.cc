@@ -30,22 +30,23 @@ void AddInto(const float* a, const float* b, int64_t n, bool relu,
   }
 }
 
-void Epilogue::AddScaleShift(std::vector<float> scale,
-                             std::vector<float> shift) {
-  QCORE_CHECK(!scale.empty() && scale.size() == shift.size());
-  steps_.push_back({std::move(scale), std::move(shift)});
+void Epilogue::AddScaleShift(const float* scale, const float* shift) {
+  QCORE_CHECK(scale != nullptr && shift != nullptr && count_ < kMaxSteps);
+  steps_[count_++] = {scale, shift};
 }
 
-void Epilogue::AddRelu() { steps_.push_back({}); }
+void Epilogue::AddRelu() {
+  QCORE_CHECK_LT(count_, kMaxSteps);
+  steps_[count_++] = {};
+}
 
 void Epilogue::Apply(float* block, int64_t channels, int64_t spatial) const {
-  for (const Step& step : steps_) {
-    if (step.scale.empty()) {
+  for (int i = 0; i < count_; ++i) {
+    const Step& step = steps_[i];
+    if (step.scale == nullptr) {
       ReluInto(block, channels * spatial, block);
     } else {
-      QCORE_CHECK_EQ(static_cast<int64_t>(step.scale.size()), channels);
-      ScaleShiftRows(block, step.scale.data(), step.shift.data(), channels,
-                     spatial, block);
+      ScaleShiftRows(block, step.scale, step.shift, channels, spatial, block);
     }
   }
 }

@@ -15,7 +15,6 @@
 #define QCORE_NN_EPILOGUE_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace qcore {
 
@@ -33,22 +32,28 @@ void AddInto(const float* a, const float* b, int64_t n, bool relu,
              float* out);
 
 // The BatchNorm/ReLU layers that follow a conv, as passes over one sample's
-// [channels, spatial] output block, applied in layer order.
+// [channels, spatial] output block, applied in layer order. A BatchNorm
+// step points at per-channel scale/shift arrays its owner keeps alive, so
+// an epilogue allocates nothing.
 class Epilogue {
  public:
-  // A BatchNorm: scale and shift per channel of the block.
-  void AddScaleShift(std::vector<float> scale, std::vector<float> shift);
+  static constexpr int kMaxSteps = 4;
+
+  // A BatchNorm: scale[c] and shift[c] for each channel c of the block.
+  void AddScaleShift(const float* scale, const float* shift);
   void AddRelu();
-  bool empty() const { return steps_.empty(); }
+  bool empty() const { return count_ == 0; }
 
   // Runs every step in place on block [channels, spatial].
   void Apply(float* block, int64_t channels, int64_t spatial) const;
 
  private:
   struct Step {
-    std::vector<float> scale, shift;  // both empty for a ReLU
+    const float* scale = nullptr;  // null for a ReLU
+    const float* shift = nullptr;
   };
-  std::vector<Step> steps_;
+  Step steps_[kMaxSteps];
+  int count_ = 0;
 };
 
 }  // namespace qcore

@@ -9,31 +9,6 @@
 
 namespace qcore {
 
-namespace {
-
-// Appends `layers` (BatchNorm/ReLU over `total` channels) to `epilogue`,
-// restricted to channels [first, first + count).
-void AppendEpilogue(const std::vector<Layer*>& layers, int64_t first,
-                    int64_t count, int64_t total, Epilogue* epilogue) {
-  for (Layer* layer : layers) {
-    const auto* bn = dynamic_cast<const BatchNorm*>(layer);
-    if (bn == nullptr) {
-      epilogue->AddRelu();
-      continue;
-    }
-    std::vector<float> scale, shift;
-    bn->EvalScaleShift(&scale, &shift);
-    QCORE_CHECK_EQ(static_cast<int64_t>(scale.size()), total);
-    epilogue->AddScaleShift(
-        std::vector<float>(scale.begin() + first,
-                           scale.begin() + first + count),
-        std::vector<float>(shift.begin() + first,
-                           shift.begin() + first + count));
-  }
-}
-
-}  // namespace
-
 IncrementalForward::IncrementalForward(
     Layer* root, const Tensor& x, const std::vector<Layer*>& mutable_leaves)
     : x_(x) {
@@ -54,33 +29,26 @@ IncrementalForward::IncrementalForward(
   // final when its children's are set.
   nodes_[0].keep = true;  // the logits Evaluate() returns
   for (Node& node : nodes_) {
-    const std::vector<size_t>& kids = node.children;
-    for (size_t i = 0; i < kids.size(); ++i) {
+    for (size_t c = node.first_child; c != kNone; c = nodes_[c].next_sibling) {
       bool reread = false;
       if (node.kind == Kind::kSequential) {
-        reread = i + 1 < kids.size() && nodes_[kids[i + 1]].holds_mutable;
+        const size_t next = nodes_[c].next_sibling;
+        reread = next != kNone && nodes_[next].holds_mutable;
       } else if (node.kind == Kind::kResidual) {
-        reread = kids.size() == 2 && nodes_[kids[1 - i]].holds_mutable;
-      } else if (nodes_[kids[i]].holds_mutable) {
+        const size_t other =
+            c == node.first_child ? nodes_[c].next_sibling : node.first_child;
+        reread = other != kNone && nodes_[other].holds_mutable;
+      } else if (nodes_[c].holds_mutable) {
         node.keep = true;  // a concat whose branch reruns alone
       }
-      nodes_[kids[i]].keep = reread;
+      nodes_[c].keep = reread;
     }
     // A Sequential's result is its last child's.
     if (node.kind == Kind::kSequential && node.keep) {
-      nodes_[kids.back()].keep = true;
+      nodes_[node.last_child].keep = true;
     }
   }
-  for (Node& node : nodes_) {
-    if (node.kind != Kind::kConv) continue;
-    const int64_t f = static_cast<ConvLayer*>(node.layer)->out_channels();
-    AppendEpilogue(node.fused, 0, f, f, &node.epilogue);
-    if (node.concat != kNone) {
-      const Node& cat = nodes_[node.concat];
-      AppendEpilogue(cat.fused, node.channel_offset, f, cat.channels,
-                     &node.epilogue);
-    }
-  }
+  BuildEpilogues();
 }
 
 size_t IncrementalForward::Build(Layer* layer, size_t parent,
@@ -89,10 +57,10 @@ size_t IncrementalForward::Build(Layer* layer, size_t parent,
   nodes_.emplace_back();
   nodes_[id].layer = layer;
   nodes_[id].parent = parent;
-  std::vector<Layer*> layers;
-  layer->ForEachChild([&](Layer* child) { layers.push_back(child); });
+  bool composite = false;
+  layer->ForEachChild([&composite](Layer*) { composite = true; });
   Kind kind = Kind::kLeaf;
-  if (layers.empty()) {
+  if (!composite) {
     if (dynamic_cast<ConvLayer*>(layer) != nullptr) kind = Kind::kConv;
     if (std::find(mutable_leaves.begin(), mutable_leaves.end(), layer) !=
         mutable_leaves.end()) {
@@ -108,47 +76,109 @@ size_t IncrementalForward::Build(Layer* layer, size_t parent,
     kind = Kind::kConcat;
   }
   nodes_[id].kind = kind;
-  // Whether `next`, the layer after node `prev` in a Sequential, runs fused
+  if (!composite) return id;
+  // Build() appends the subtrees to nodes_, so nodes are reached by index
+  // rather than through a reference into it.
+  Scope scope{id, &mutable_leaves};
+  layer->ForEachChild(
+      [this, &scope](Layer* child) { AddChild(&scope, child); });
+  nodes_[id].channels = scope.channels;
+  return id;
+}
+
+void IncrementalForward::AddChild(Scope* scope, Layer* layer) {
+  const std::vector<Layer*>& mutable_leaves = *scope->mutable_leaves;
+  const Kind kind = nodes_[scope->id].kind;
+  // Whether `layer`, the one after node `prev` in a Sequential, runs fused
   // into it: BatchNorm/ReLU after a conv or a concat (an epilogue), one
   // ReLU after a residual (its join). A mutable layer stays a node.
-  auto fuses = [&](const Node& prev, Layer* next) {
-    if (std::find(mutable_leaves.begin(), mutable_leaves.end(), next) !=
-        mutable_leaves.end()) {
-      return false;
-    }
-    const bool relu = dynamic_cast<Relu*>(next) != nullptr;
-    if (prev.kind == Kind::kResidual) return relu && prev.fused.empty();
-    return (prev.kind == Kind::kConv || prev.kind == Kind::kConcat) &&
-           (relu || dynamic_cast<BatchNorm*>(next) != nullptr);
-  };
-  // Build() appends the subtrees to nodes_, so collect the children here
-  // rather than through a reference into it.
-  std::vector<size_t> children;
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const size_t child = Build(layers[i], id, mutable_leaves);
-    children.push_back(child);
-    while (kind == Kind::kSequential && i + 1 < layers.size() &&
-           fuses(nodes_[child], layers[i + 1])) {
-      nodes_[child].fused.push_back(layers[++i]);
+  if (kind == Kind::kSequential && scope->prev != kNone) {
+    Node& prev = nodes_[scope->prev];
+    const bool relu = dynamic_cast<Relu*>(layer) != nullptr;
+    const bool fuses =
+        prev.num_fused < kMaxFused &&
+        std::find(mutable_leaves.begin(), mutable_leaves.end(), layer) ==
+            mutable_leaves.end() &&
+        (prev.kind == Kind::kResidual
+             ? relu && prev.num_fused == 0
+             : (prev.kind == Kind::kConv || prev.kind == Kind::kConcat) &&
+                   (relu || dynamic_cast<BatchNorm*>(layer) != nullptr));
+    if (fuses) {
+      prev.fused[prev.num_fused++] = layer;
+      return;
     }
   }
-  if (kind == Kind::kConcat) {
-    int64_t offset = 0;
-    for (size_t branch : children) {
-      size_t tail = branch;
-      while (nodes_[tail].kind == Kind::kSequential) {
-        tail = nodes_[tail].children.back();
+  const size_t child = Build(layer, scope->id, mutable_leaves);
+  if (scope->prev == kNone) {
+    nodes_[scope->id].first_child = child;
+  } else {
+    nodes_[scope->prev].next_sibling = child;
+  }
+  nodes_[scope->id].last_child = scope->prev = child;
+  if (kind != Kind::kConcat) return;
+  size_t tail = child;
+  while (nodes_[tail].kind == Kind::kSequential) {
+    tail = nodes_[tail].last_child;
+  }
+  QCORE_CHECK_MSG(nodes_[tail].kind == Kind::kConv,
+                  "ParallelConcat eval: each branch must end in a conv");
+  nodes_[tail].concat = scope->id;
+  nodes_[tail].channel_offset = scope->channels;
+  scope->channels +=
+      static_cast<ConvLayer*>(nodes_[tail].layer)->out_channels();
+}
+
+void IncrementalForward::BuildEpilogues() {
+  // Each fused BatchNorm gets its scale/shift once, even where every
+  // branch of a concat runs it on its own slice. Sized first: the
+  // epilogues point into affine_.
+  size_t floats = 0;
+  for (const Node& node : nodes_) {
+    for (int i = 0; i < node.num_fused; ++i) {
+      if (const auto* bn = dynamic_cast<const BatchNorm*>(node.fused[i])) {
+        floats += static_cast<size_t>(2 * bn->channels());
       }
-      QCORE_CHECK_MSG(nodes_[tail].kind == Kind::kConv,
-                      "ParallelConcat eval: each branch must end in a conv");
-      nodes_[tail].concat = id;
-      nodes_[tail].channel_offset = offset;
-      offset += static_cast<ConvLayer*>(nodes_[tail].layer)->out_channels();
     }
-    nodes_[id].channels = offset;
   }
-  nodes_[id].children = std::move(children);
-  return id;
+  affine_.resize(floats);
+  // A branch's conv follows its concat in nodes_: walking backwards
+  // appends the conv's own layers to its epilogue before the concat's.
+  float* next = affine_.data();
+  for (size_t id = nodes_.size(); id-- > 0;) {
+    const Node& node = nodes_[id];
+    if (node.kind != Kind::kConv && node.kind != Kind::kConcat) continue;
+    const int64_t channels =
+        node.kind == Kind::kConcat
+            ? node.channels
+            : static_cast<const ConvLayer*>(node.layer)->out_channels();
+    for (int i = 0; i < node.num_fused; ++i) {
+      const auto* bn = dynamic_cast<const BatchNorm*>(node.fused[i]);
+      const float* scale = nullptr;
+      if (bn != nullptr) {
+        QCORE_CHECK_EQ(bn->channels(), channels);
+        bn->EvalScaleShift(next, next + channels);
+        scale = next;
+        next += 2 * channels;
+      }
+      // A conv's own layers cover its channels; a concat's, from each
+      // branch's first channel in the concat output.
+      auto add = [&](Node* conv, int64_t first) {
+        if (scale == nullptr) {
+          conv->epilogue.AddRelu();
+        } else {
+          conv->epilogue.AddScaleShift(scale + first,
+                                       scale + channels + first);
+        }
+      };
+      if (node.kind == Kind::kConv) {
+        add(&nodes_[id], 0);
+        continue;
+      }
+      for (size_t c = id + 1; c < nodes_.size(); ++c) {
+        if (nodes_[c].concat == id) add(&nodes_[c], nodes_[c].channel_offset);
+      }
+    }
+  }
 }
 
 void IncrementalForward::MarkDirty(Layer* leaf) {
@@ -169,9 +199,7 @@ const Tensor& IncrementalForward::Evaluate() {
 }
 
 size_t IncrementalForward::Owner(size_t id) const {
-  while (nodes_[id].kind == Kind::kSequential) {
-    id = nodes_[id].children.back();
-  }
+  while (nodes_[id].kind == Kind::kSequential) id = nodes_[id].last_child;
   return id;
 }
 
@@ -193,7 +221,6 @@ const Tensor& IncrementalForward::Output(size_t id, const Tensor& in,
 void IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
   Node& node = nodes_[id];
   node.dirty = false;
-  const std::vector<size_t>& kids = node.children;
   switch (node.kind) {
     case Kind::kLeaf:
       node.output = Tensor();  // stale: free it before the rerun allocates
@@ -205,48 +232,53 @@ void IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
     case Kind::kSequential: {
       // Children before the first dirty one saw the same input and
       // parameters last time: start from the kept output of the one before.
-      size_t first = 0;
-      while (!new_input && first < kids.size() && !nodes_[kids[first]].dirty) {
-        ++first;
+      size_t before = kNone, first = node.first_child;
+      while (!new_input && first != kNone && !nodes_[first].dirty) {
+        before = first;
+        first = nodes_[first].next_sibling;
       }
-      QCORE_CHECK_LT(first, kids.size());
+      QCORE_CHECK(first != kNone);
       const Tensor* h = &in;
-      if (first > 0) {
-        QCORE_CHECK(nodes_[Owner(kids[first - 1])].keep);
-        h = &Result(kids[first - 1]);
+      if (before != kNone) {
+        QCORE_CHECK(nodes_[Owner(before)].keep);
+        h = &Result(before);
       }
-      for (size_t i = first; i < kids.size(); ++i) {
-        Run(kids[i], *h, new_input || i > first);
-        if (i > first) Release(kids[i - 1]);
-        h = &Result(kids[i]);
+      for (size_t c = first; c != kNone; c = nodes_[c].next_sibling) {
+        Run(c, *h, new_input || c != first);
+        if (c != first) Release(before);
+        h = &Result(c);
+        before = c;
       }
       return;
     }
     case Kind::kResidual: {
-      const Tensor& main = Output(kids[0], in, new_input);
+      const size_t body = node.first_child;
+      const size_t shortcut = nodes_[body].next_sibling;
+      const Tensor& main = Output(body, in, new_input);
       const Tensor& skip =
-          kids.size() > 1 ? Output(kids[1], in, new_input) : in;
+          shortcut != kNone ? Output(shortcut, in, new_input) : in;
       QCORE_CHECK_MSG(main.SameShape(skip),
                       "residual body/shortcut shape mismatch");
-      const bool relu = !node.fused.empty();
-      if (nodes_[Owner(kids[0])].keep) {
+      const bool relu = node.num_fused > 0;
+      if (nodes_[Owner(body)].keep) {
         node.output = Tensor();
-        node.output = Tensor::Uninitialized(main.shape());
+        node.output = Tensor(main.shape());
         AddInto(main.data(), skip.data(), main.size(), relu,
                 node.output.data());
       } else {
-        node.output = Take(kids[0]);  // the body's output, joined in place
+        node.output = Take(body);  // the body's output, joined in place
         AddInto(node.output.data(), skip.data(), node.output.size(), relu,
                 node.output.data());
       }
-      if (kids.size() > 1) Release(kids[1]);
+      if (shortcut != kNone) Release(shortcut);
       return;
     }
     case Kind::kConcat:
       // Each branch that reruns writes its own slice of node.output; the
       // first to run allocates it.
-      for (size_t branch : kids) {
-        if (new_input || nodes_[branch].dirty) Run(branch, in, new_input);
+      for (size_t c = node.first_child; c != kNone;
+           c = nodes_[c].next_sibling) {
+        if (new_input || nodes_[c].dirty) Run(c, in, new_input);
       }
       QCORE_CHECK(node.output.size() > 0);
       return;
@@ -259,11 +291,11 @@ void IncrementalForward::RunConv(Node* node, const Tensor& in) {
   Tensor* out = &node->output;
   if (node->concat == kNone) {
     *out = Tensor();  // stale: free it before the rerun allocates
-    *out = Tensor::Uninitialized(shape);
+    *out = Tensor(shape);
   } else {
     out = &nodes_[node->concat].output;
     shape[1] = nodes_[node->concat].channels;
-    if (out->size() == 0) *out = Tensor::Uninitialized(shape);
+    if (out->size() == 0) *out = Tensor(shape);
     QCORE_CHECK_MSG(out->shape() == shape,
                     "ParallelConcat branches disagree on a non-channel axis");
   }

@@ -16,7 +16,9 @@
 //    channels (BatchNorm is per channel, so BatchNorm of the concat is the
 //    concat of the branches' normalized slices).
 //  - A Residual's add and the ReLU after it run in one pass.
-//  - Outputs are allocated without zero-filling: every element is written.
+// Building the plan allocates two buffers (the nodes and the fused
+// BatchNorms' scale/shift, each computed once), so a one-row serving
+// forward pays little for it.
 // Every element sees the same operations in the same order as the
 // layer-by-layer forward (LayeredEvalForward, nn/composite.h), so the
 // result equals it bit for bit.
@@ -58,6 +60,11 @@ class IncrementalForward {
   // Residual or ParallelConcat.
   IncrementalForward(Layer* root, const Tensor& x,
                      const std::vector<Layer*>& mutable_leaves);
+  // The epilogues point into affine_, so a copy would point into this
+  // object's; a move takes the buffer with it.
+  IncrementalForward(const IncrementalForward&) = delete;
+  IncrementalForward& operator=(const IncrementalForward&) = delete;
+  IncrementalForward(IncrementalForward&&) = default;
 
   // Records that `leaf` (a mutable leaf) changed since the last Evaluate().
   // Undoing a change is a change too: the outputs kept on the leaf's path
@@ -74,16 +81,22 @@ class IncrementalForward {
   friend Tensor EvalForward(Layer* root, const Tensor& x);
 
   static constexpr size_t kNone = static_cast<size_t>(-1);
+  // A conv's own fused layers and its concat's fill one epilogue.
+  static constexpr int kMaxFused = Epilogue::kMaxSteps / 2;
   enum class Kind { kLeaf, kConv, kSequential, kResidual, kConcat };
+  // Nodes sit in nodes_ in pre-order; a node's children are linked through
+  // next_sibling, in forward order (a Residual's are body, then shortcut).
   struct Node {
     Kind kind = Kind::kLeaf;
     Layer* layer = nullptr;
     size_t parent = kNone;
-    // Forward order; a Residual's are {body} or {body, shortcut}.
-    std::vector<size_t> children;
+    size_t first_child = kNone;
+    size_t last_child = kNone;
+    size_t next_sibling = kNone;
     // The BatchNorm/ReLU layers after a conv or concat, or the ReLU after
     // a residual, that run fused into this node.
-    std::vector<Layer*> fused;
+    Layer* fused[kMaxFused] = {};
+    int num_fused = 0;
     // A conv's passes: its fused layers, then its concat's on its slice.
     Epilogue epilogue;
     size_t concat = kNone;  // a conv that writes a slice of this concat
@@ -97,6 +110,20 @@ class IncrementalForward {
 
   size_t Build(Layer* layer, size_t parent,
                const std::vector<Layer*>& mutable_leaves);
+  // A composite being built: its node, its last child node so far and, for
+  // a concat, the channels its branches write so far.
+  struct Scope {
+    size_t id;
+    const std::vector<Layer*>* mutable_leaves;
+    size_t prev = kNone;
+    int64_t channels = 0;
+  };
+  // Appends `layer`, the next child of scope->id: fused into the child
+  // before it, or as a new subtree.
+  void AddChild(Scope* scope, Layer* layer);
+  // Computes every fused BatchNorm's scale/shift once, into affine_, and
+  // each conv's epilogue from them.
+  void BuildEpilogues();
   // Computes node `id` on input `in`. Requires new_input or dirty.
   void Run(size_t id, const Tensor& in, bool new_input);
   void RunConv(Node* node, const Tensor& in);
@@ -114,6 +141,7 @@ class IncrementalForward {
   const Tensor& x_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
   std::vector<std::pair<const Layer*, size_t>> mutable_node_;
+  std::vector<float> affine_;  // the fused BatchNorms' scale, then shift
 };
 
 // root->Forward(x, /*training=*/false): the plan run once with every node

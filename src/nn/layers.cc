@@ -34,7 +34,7 @@ Tensor Dense::Forward(const Tensor& x, bool training) {
   const int64_t n = x.dim(0);
   // Broadcast the bias into the output and let the packed GEMM accumulate
   // x * W^T on top — one pass, no separate bias-add sweep.
-  Tensor out = Tensor::Uninitialized({n, out_features_});
+  Tensor out({n, out_features_});
   float* po = out.data();
   const float* pb = bias_.value.data();
   for (int64_t i = 0; i < n; ++i) {
@@ -88,8 +88,8 @@ std::string Dense::name() const {
 
 Tensor Relu::Forward(const Tensor& x, bool training) {
   if (training) cached_input_ = x;
-  Tensor out = Tensor::Uninitialized(x.shape());
-  ReluInto(x.data(), x.size(), out.data());
+  Tensor out = x;
+  ReluInto(out.data(), out.size(), out.data());
   return out;
 }
 
@@ -142,7 +142,7 @@ Tensor MaxPool2d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_GE(w, kernel_);
   const int64_t ho = (h - kernel_) / stride_ + 1;
   const int64_t wo = (w - kernel_) / stride_ + 1;
-  Tensor out = Tensor::Uninitialized({n, c, ho, wo});
+  Tensor out({n, c, ho, wo});
   if (training) {
     cached_shape_ = x.shape();
     argmax_.assign(static_cast<size_t>(out.size()), 0);
@@ -245,7 +245,7 @@ int64_t SpatialSize(const std::vector<int64_t>& shape) {
 Tensor GlobalAvgPool::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_GE(x.ndim(), 3);
   if (training) cached_shape_ = x.shape();
-  Tensor out = Tensor::Uninitialized({x.dim(0), x.dim(1)});
+  Tensor out({x.dim(0), x.dim(1)});
   RowMeans(x.data(), out.size(), SpatialSize(x.shape()), out.data());
   return out;
 }

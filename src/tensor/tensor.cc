@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace qcore {
 
@@ -22,16 +21,6 @@ int64_t ShapeSize(const std::vector<int64_t>& shape) {
 
 Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape)) {
   data_.assign(static_cast<size_t>(ShapeSize(shape_)), 0.0f);
-}
-
-Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.data_.resize(static_cast<size_t>(ShapeSize(t.shape_)));
-#if defined(__SANITIZE_ADDRESS__)
-  t.Fill(std::numeric_limits<float>::quiet_NaN());
-#endif
-  return t;
 }
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {

@@ -28,11 +28,6 @@ class Tensor {
   static Tensor Zeros(std::vector<int64_t> shape) {
     return Tensor(std::move(shape));
   }
-  // A tensor whose elements the caller writes in full before anything
-  // reads them, so they are not zeroed first. Under AddressSanitizer every
-  // element starts as NaN instead, so an element left unwritten shows up
-  // in the bit-exact tests.
-  static Tensor Uninitialized(std::vector<int64_t> shape);
   static Tensor Full(std::vector<int64_t> shape, float value);
   static Tensor FromVector(std::vector<int64_t> shape,
                            std::vector<float> values);
