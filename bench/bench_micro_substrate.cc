@@ -10,6 +10,8 @@
 // speedup floors and regression against bench/baseline_micro.json.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "common/aligned.h"
 #include "common/huffman.h"
 #include "core/bitflip.h"
@@ -31,6 +33,18 @@ namespace {
 // checker refuses to compare entries whose thread counts differ.
 void ReportThreads(benchmark::State& state, int threads) {
   state.counters["threads"] = static_cast<double>(threads);
+}
+
+// An entry whose forward allocates its activations afresh would time page
+// faults as well: whether glibc hands a freed block back to the kernel
+// depends on its dynamic trim threshold, which the entries run before it
+// have raised or not. Freeing a 16 MiB block first raises the threshold
+// past these working sets whatever ran before, so the entry times the
+// forward alone. Call it before building the entry's inputs.
+void RaiseTrimThreshold() {
+  void* block = std::malloc(16 << 20);
+  benchmark::DoNotOptimize(block);
+  std::free(block);
 }
 
 void BM_MatMul(benchmark::State& state) {
@@ -250,6 +264,35 @@ void BM_Conv2dForwardStemNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardStemNaive);
 
+// The bit-flip net's conv (1 -> 4 channels, k = 3, pad 1) over the feature
+// rows of the largest calib_image tensor: 2,304 samples of [1, 6]. With one
+// input channel it runs every sample in one GEMM over the stacked rows; a
+// GEMM per sample read 0.42-0.57x its naive side. 1 kernel thread; both
+// sides allocate their output afresh.
+void RunConv1dOneChannel(benchmark::State& state, bool blocked) {
+  RaiseTrimThreshold();
+  Rng rng(27);
+  Conv1d conv(1, 4, 3, 1, 1, &rng);
+  const Tensor& w = conv.Params()[0]->value;
+  const Tensor& b = conv.Params()[1]->value;
+  Tensor x = Tensor::Randn({2304, 1, kBitFlipFeatureDim}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blocked ? conv.Forward(x, false)
+                                     : naive::Conv1dForward(x, w, b, 1, 1));
+  }
+  ReportThreads(state, 1);
+}
+
+void BM_Conv1dForwardOneChannel(benchmark::State& state) {
+  RunConv1dOneChannel(state, true);
+}
+BENCHMARK(BM_Conv1dForwardOneChannel);
+
+void BM_Conv1dForwardOneChannelNaive(benchmark::State& state) {
+  RunConv1dOneChannel(state, false);
+}
+BENCHMARK(BM_Conv1dForwardOneChannelNaive);
+
 // The im2col pack on its own — conv backward's lowering — against the
 // per-element naive loop it replaced. The 2-D shape is a ResNet-tiny 3x3
 // layer, the 1-D one InceptionTime's k=9 Conv1d, which the one lowering
@@ -444,6 +487,7 @@ void BM_BitFlipFeatures(benchmark::State& state) {
 BENCHMARK(BM_BitFlipFeatures);
 
 void BM_QuantizedForwardInceptionTime(benchmark::State& state) {
+  RaiseTrimThreshold();
   Rng rng(7);
   auto model = MakeInceptionTime(9, 19, &rng);
   QuantizedModel qm(*model, 4);
@@ -460,17 +504,10 @@ BENCHMARK(BM_QuantizedForwardInceptionTime);
 // request, where building the plan is part of the cost) and 32 (an Alg. 3
 // trial slice). The plan writes each activation once (conv epilogues,
 // concat branches written into their slices, add+ReLU in one pass);
-// check_perf_regression.py floors the one-row ratio.
-//
-// Both sides allocate their activations afresh, so their times would move
-// with page faults: whether glibc hands a freed block back to the kernel
-// depends on its dynamic trim threshold, which the entries run before this
-// one have raised or not. Freeing a 16 MiB block first raises it past this
-// working set whatever ran before, so the ratio times the forwards alone.
+// check_perf_regression.py floors the one-row ratio. Both sides allocate
+// their activations afresh (RaiseTrimThreshold).
 void RunEvalForwardInceptionTime(benchmark::State& state, bool fused) {
-  void* block = std::malloc(16 << 20);
-  benchmark::DoNotOptimize(block);
-  std::free(block);
+  RaiseTrimThreshold();
   Rng rng(7);
   auto model = MakeInceptionTime(9, 19, &rng);
   QuantizedModel qm(*model, 4);
@@ -496,6 +533,7 @@ BENCHMARK(BM_EvalForwardInceptionTime)->Arg(32);
 BENCHMARK(BM_EvalForwardInceptionTimeLayered)->Arg(32);
 
 void BM_QuantizedForwardResNetTiny(benchmark::State& state) {
+  RaiseTrimThreshold();
   Rng rng(8);
   auto model = MakeResNetTiny(3, 10, &rng);
   QuantizedModel qm(*model, 4);

@@ -116,6 +116,11 @@ SPEEDUP_FLOORS = [
     # runs, too close to 1.0x to floor.
     ("BM_EvalForwardInceptionTime/1", "BM_EvalForwardInceptionTimeLayered/1",
      1.2),
+    # The bit-flip net's one-input-channel conv over 2,304 rows runs as one
+    # GEMM over the stacked samples. Three runs of the CI command on a
+    # shared 4-vCPU host read 2.04x, 2.00x and 2.21x; the GEMM-per-sample
+    # path it replaced read 0.57x, 0.42x and 0.45x in the same runs.
+    ("BM_Conv1dForwardOneChannel", "BM_Conv1dForwardOneChannelNaive", 1.5),
 ]
 
 REGRESSION_TOLERANCE = 0.15  # fail if >15% slower than baseline

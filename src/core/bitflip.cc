@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -283,15 +284,37 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 
 namespace {
 
-// The validation forwards of one Alg. 3 round, on the kernel threads that
-// are free when the round starts. The trial rows are cut into
-// min(FreeParallelThreads(gemm_threads()), rows) contiguous slices, each
-// with its own IncrementalForward, and an evaluation runs the slices
-// through ParallelFor with the caller taking part (GEMMs inside a slice
-// stay narrow; a worker set that became busy runs the slices in turn). A
-// round started while the worker set is busy, or while serving-pool
-// workers hold every CPU, is one slice: splitting it would only take CPUs
-// from other sessions.
+// ParallelFor(n, threads, body) that also credits the GEMMs and lowerings
+// helper threads ran in it to the caller. The GEMM counters are per
+// thread, so the caller's before/after delta then counts the whole region,
+// whichever threads ran its tasks.
+void ParallelForCreditingCaller(int64_t n, int threads,
+                                const std::function<void(int64_t)>& body) {
+  std::vector<kernels::GemmDispatchCounters> helper_work(
+      static_cast<size_t>(n));
+  const auto caller = std::this_thread::get_id();
+  ParallelFor(n, threads, [&](int64_t i) {
+    const kernels::GemmDispatchCounters before =
+        kernels::ThreadGemmDispatchCounters();
+    body(i);
+    if (std::this_thread::get_id() != caller) {
+      helper_work[static_cast<size_t>(i)] =
+          kernels::ThreadGemmDispatchCounters() - before;
+    }
+  });
+  for (const kernels::GemmDispatchCounters& work : helper_work) {
+    kernels::CreditGemmDispatch(work);
+  }
+}
+
+// The validation forwards of one Alg. 3 round, on the round's free kernel
+// threads. The trial rows are cut into min(threads, rows) contiguous
+// slices, each with its own IncrementalForward, and an evaluation runs the
+// slices through ParallelFor with the caller taking part (GEMMs inside a
+// slice stay narrow; a worker set that became busy runs the slices in
+// turn). A round started while the worker set is busy, or while
+// serving-pool workers hold every CPU, is one slice: splitting it would
+// only take CPUs from other sessions.
 //
 // Exact: eval rows are independent (conv lowers per sample, BatchNorm eval
 // and pooling work per row) and every GEMM element keeps its ascending-k
@@ -301,10 +324,9 @@ namespace {
 class TrialForward {
  public:
   TrialForward(Layer* root, const Tensor& x,
-               const std::vector<Layer*>& owners) {
+               const std::vector<Layer*>& owners, int threads) {
     const int64_t rows = x.dim(0);
-    const int64_t slices = std::min<int64_t>(
-        FreeParallelThreads(kernels::gemm_threads()), rows);
+    const int64_t slices = std::min<int64_t>(threads, rows);
     // Reserved, so the walkers' references into slice_x_ stay valid.
     slice_x_.reserve(static_cast<size_t>(slices));
     walkers_.reserve(static_cast<size_t>(slices));
@@ -328,22 +350,11 @@ class TrialForward {
   const Tensor& Evaluate() {
     const int64_t slices = static_cast<int64_t>(walkers_.size());
     std::vector<const Tensor*> parts(walkers_.size());
-    // GEMM counters are per thread: a helper's slice is credited back to
-    // the caller, whose before/after delta then counts the whole trial.
-    std::vector<kernels::GemmDispatchCounters> helper_work(walkers_.size());
-    const auto caller = std::this_thread::get_id();
-    ParallelFor(slices, static_cast<int>(slices), [&](int64_t s) {
-      const kernels::GemmDispatchCounters before =
-          kernels::ThreadGemmDispatchCounters();
-      const size_t i = static_cast<size_t>(s);
-      parts[i] = &walkers_[i].Evaluate();
-      if (std::this_thread::get_id() != caller) {
-        helper_work[i] = kernels::ThreadGemmDispatchCounters() - before;
-      }
-    });
-    for (const kernels::GemmDispatchCounters& work : helper_work) {
-      kernels::CreditGemmDispatch(work);
-    }
+    ParallelForCreditingCaller(slices, static_cast<int>(slices),
+                               [&](int64_t s) {
+                                 const size_t i = static_cast<size_t>(s);
+                                 parts[i] = &walkers_[i].Evaluate();
+                               });
     if (slices == 1) return *parts[0];
     logits_ = ConcatRows(parts);
     return logits_;
@@ -355,6 +366,12 @@ class TrialForward {
   Tensor logits_;
 };
 
+// The bit-flip net's prediction for each element of one tensor.
+struct TensorScores {
+  std::vector<int> deltas;
+  std::vector<float> confidences;
+};
+
 }  // namespace
 
 float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
@@ -364,6 +381,20 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  Rng* rng) {
   QCORE_CHECK(qm != nullptr && bf != nullptr && rng != nullptr);
   Rng& explore_rng = *rng;
+  const int threads = FreeParallelThreads(kernels::gemm_threads());
+
+  // Every tensor is scored before the first trial, one task per tensor on
+  // the free threads. Exact: a tensor's features read its own codes, which
+  // only its own trials change, and its owner's cached input, which the
+  // eval-mode trials never write; scoring draws no randomness.
+  const int num_tensors = qm->num_quantized();
+  std::vector<TensorScores> scores(static_cast<size_t>(num_tensors));
+  ParallelForCreditingCaller(num_tensors, threads, [&](int64_t t) {
+    TensorScores& score = scores[static_cast<size_t>(t)];
+    bf->Predict(ComputeBitFlipFeatures(qm->quantized(static_cast<int>(t)),
+                                       nullptr),
+                &score.deltas, &score.confidences);
+  });
 
   // Bound the trial-evaluation cost: validate proposals on a per-round
   // subsample of the calibration rows, or else on the caller's rows.
@@ -388,10 +419,10 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
   // layers downstream of that tensor's owner (nn/incremental_forward), on
   // the free kernel threads (TrialForward).
   std::vector<Layer*> owners;
-  for (int t = 0; t < qm->num_quantized(); ++t) {
+  for (int t = 0; t < num_tensors; ++t) {
     owners.push_back(qm->quantized(t).owner);
   }
-  TrialForward trials(qm->model(), *eval_x, owners);
+  TrialForward trials(qm->model(), *eval_x, owners, threads);
   SoftmaxCrossEntropy ce;
   float current_loss = ce.Forward(trials.Evaluate(), *eval_labels);
 
@@ -417,13 +448,12 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
         trials.MarkDirty(owner);
       };
 
-  for (int t = 0; t < qm->num_quantized(); ++t) {
+  for (int t = 0; t < num_tensors; ++t) {
     const auto& qt = qm->quantized(t);
     const int64_t num_elements = static_cast<int64_t>(qt.codes.size());
-    Tensor features = ComputeBitFlipFeatures(qt, nullptr);
-    std::vector<int> deltas;
-    std::vector<float> confidences;
-    bf->Predict(features, &deltas, &confidences);
+    const std::vector<int>& deltas = scores[static_cast<size_t>(t)].deltas;
+    const std::vector<float>& confidences =
+        scores[static_cast<size_t>(t)].confidences;
 
     // Confident non-zero predictions, strongest first, capped per tensor.
     std::vector<int64_t> candidates;

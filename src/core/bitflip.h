@@ -147,6 +147,15 @@ struct BitFlipCalibrateOptions {
 // (x, labels), or a per-round sample of trial_rows of its rows; returns the
 // cross-entropy of the resulting model on those rows. `rng` drives the
 // sample and the exploration proposals.
+//
+// The round scores every tensor up front (ComputeBitFlipFeatures, then
+// bf->Predict), one task per tensor on the kernel threads free when it
+// starts, and then runs each tensor's trials in turn on the same threads.
+// Scoring first is exact: a tensor's features read only its own codes,
+// which only its own trials change, and its owner's cached input, which
+// the eval-mode trials never write; scoring draws nothing from `rng`. The
+// GEMMs helper threads run are credited to the caller's counters
+// (kernels::ThreadGemmDispatchCounters), as if it had run them all.
 float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/aligned.h"
 #include "tensor/kernels.h"
 
 namespace qcore {
@@ -26,8 +27,60 @@ namespace qcore {
 //
 // Both ranks run these two functions over [c, h, w] planes with a kh x kw
 // kernel; a 1-D conv is one output row (h = ho = 1, kh = 1, pad_h = 0).
+//
+// A conv with one input channel over one-row planes (c = h = 1, no
+// vertical pad: the bit-flip net's conv) runs its n samples as one GEMM
+// instead of n: the samples are the n rows of one plane [1, n, wp], and B's
+// column i*wo + ox is sample i's output ox, so W[f, kw] * B fills the
+// [f, n*wo] block of every sample's outputs. Each element keeps its
+// operands and its bias-first, ascending-k chain, and the epilogue runs the
+// same op on each element of the block, so the bits, multiply-adds and
+// padded floats are those of the per-sample GEMMs. Only the GEMM count
+// falls.
 
 namespace {
+
+// The [f, n*wo] output block of a one-GEMM forward, per thread like the
+// kernels' scratch: sessions sharing a net evaluate it at once.
+float* BlockScratch(size_t floats) {
+  thread_local AlignedFloatVec block;
+  if (block.size() < floats) block.resize(floats);
+  return block.data();
+}
+
+// The one-GEMM forward: x [n, 1, 1, w] read as the plane [1, n, w]
+// (padded: [1, n, w + 2*pad_w]). The epilogue runs on the [f, n*wo] block,
+// then each sample's [f, wo] part is copied to channels
+// [offset, offset + f) of out [n, total, wo].
+void StackedRowsConvForward(const float* x, int64_t n, int64_t w,
+                            const float* packed_w, const float* bias,
+                            int64_t f, int kw, int stride, int pad_w,
+                            int64_t wo, int64_t offset, int64_t total,
+                            const Epilogue* epilogue, float* out) {
+  const int64_t wp = w + 2 * pad_w;
+  const float* plane = x;
+  if (pad_w > 0) {
+    float* padded = kernels::PadScratch(static_cast<size_t>(n * wp));
+    kernels::PadPlane(x, 1, n, w, 0, pad_w, padded);
+    plane = padded;
+  }
+  const kernels::PlaneB b{plane, kernels::ConvRowTable(1, n, wp, 1, kw), wo,
+                          wp, stride};
+  const int64_t cols = n * wo;
+  float* block = BlockScratch(static_cast<size_t>(f * cols));
+  for (int64_t fo = 0; fo < f; ++fo) {
+    std::fill(block + fo * cols, block + (fo + 1) * cols, bias[fo]);
+  }
+  kernels::GemmPackedA(f, cols, kw, packed_w, b, block, cols);
+  if (epilogue != nullptr) epilogue->Apply(block, f, cols);
+  for (int64_t i = 0; i < n; ++i) {
+    float* oplane = out + (i * total + offset) * wo;
+    for (int64_t fo = 0; fo < f; ++fo) {
+      const float* src = block + fo * cols + i * wo;
+      std::copy(src, src + wo, oplane + fo * wo);
+    }
+  }
+}
 
 // The forward over x [n, c, h, w]: sample i's [f, ho*wo] block, channels
 // [offset, offset + f) of out [n, total, ho*wo], gets the bias, then
@@ -41,6 +94,11 @@ void PlaneConvForward(const float* x, int64_t n, int64_t c, int64_t h,
   const int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
   const int64_t howo = ho * wo;
   const float* packed_w = kernels::PackA(f, ck, weight, ck);
+  if (c == 1 && hp == 1) {
+    StackedRowsConvForward(x, n, w, packed_w, bias, f, kw, stride, pad_w, wo,
+                           offset, total, epilogue, out);
+    return;
+  }
   const bool padded = pad_h > 0 || pad_w > 0;
   float* plane =
       padded ? kernels::PadScratch(static_cast<size_t>(c * hp * wp)) : nullptr;

@@ -6,7 +6,11 @@
 // wider output (a ParallelConcat branch), and can run an Epilogue (the
 // BatchNorm/ReLU after the conv) on each sample's block right after its
 // GEMM. Forward calls it with no epilogue; the fused eval plan
-// (nn/incremental_forward) calls it with both. Backward lowers each sample
+// (nn/incremental_forward) calls it with both. A conv with one input
+// channel over one-row planes (the bit-flip net's) runs all its samples as
+// one GEMM over the samples stacked as the rows of one plane, with the
+// bits, multiply-adds and padded floats of the per-sample GEMMs; every
+// other conv runs one GEMM per sample. Backward lowers each sample
 // with kernels::Im2Col/Col2Im. The scalar direct-loop implementations
 // survive as qcore::naive::Conv{1,2}dForward/Backward — the oracle for
 // kernels_test and the baseline for the perf CI gate.
@@ -84,9 +88,9 @@ class Conv : public ConvLayer {
   Parameter weight_;
   Parameter bias_;
   // Training-mode Forward's input, for Backward. Eval-mode Forward writes
-  // no member: its padded planes and row tables live in the calling
-  // thread's kernels::PadScratch / ConvRowTable buffers, so threads may
-  // evaluate one layer at once.
+  // no member: its padded planes, row tables and one-GEMM output block
+  // live in per-thread buffers (kernels::PadScratch / ConvRowTable, and
+  // conv.cc's), so threads may evaluate one layer at once.
   Tensor cached_input_;
 };
 

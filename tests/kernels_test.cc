@@ -508,7 +508,12 @@ TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
 // kernels 1, 3, 5, 7 and 9, unpadded ones included; stride 2; outputs
 // wider than one 256-column chunk of the wide dispatch (1-D 300, 2-D
 // 20x20); and a 33-sample batch. It runs narrow at budget 1 and wide
-// (crossover 0) at budget 4.
+// (crossover 0) at budget 4. Rows with one input channel and one output
+// row (the bit-flip net's conv: F = 4, 6 outputs) take the one-GEMM path
+// over the stacked samples: the 1-D conv always, the 2-D one at kernel 1
+// and pad 0 (a one-row input); they cross 1, 33 and 2304 samples (the
+// largest tensor's rows), kernels 1-5, pads 0-2 and stride 2. A 2-D row
+// whose input would be less than one row high is skipped.
 struct ConvGrid {
   int64_t n, c, f, ho, wo;
   int kernel, stride, pad;
@@ -541,6 +546,17 @@ std::vector<ConvGrid> ConvForwardGrid() {
       for (int pad : {0, 1}) {
         grid.push_back({n, 24, 8, 8, 8, 1, stride, pad});
         grid.push_back({n, 5, 7, 7, 9, 1, stride, pad});
+      }
+    }
+  }
+  for (int64_t n : {int64_t{1}, int64_t{33}, int64_t{2304}}) {
+    for (int64_t wo : {int64_t{6}, int64_t{64}}) {
+      for (int kernel : {1, 3, 5}) {
+        for (int pad = 0; pad <= 2; ++pad) {
+          for (int stride : {1, 2}) {
+            grid.push_back({n, 1, 4, 1, wo, kernel, stride, pad});
+          }
+        }
       }
     }
   }
@@ -610,7 +626,7 @@ TEST(ConvPackedPathTest, ForwardMatchesGeneralPathBitForBit) {
                              static_cast<size_t>(want.size())))
             << "conv1d";
       }
-      {
+      if (InputExtent(g, g.ho) >= 1) {
         Conv2d conv(g.c, g.f, g.kernel, g.stride, g.pad, &rng);
         conv.Params()[1]->value = Tensor::Randn({g.f}, &rng);
         Tensor x = Tensor::Randn(

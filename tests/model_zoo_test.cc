@@ -94,15 +94,23 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.size())) == 0;
 }
 
-// Moves every BatchNorm off its init: a training forward on x sets the
-// running statistics, and gamma and beta get random values (at 1 and 0 an
-// eval formula that rounds the affine differently can give the same bits).
-void MoveBatchNormState(Layer* model, const Tensor& x, Rng* rng) {
-  (void)model->Forward(x, /*training=*/true);
-  for (Parameter* p : model->Params()) {
-    if (p->name.rfind("bn.", 0) == 0) {
+// Moves every BatchNorm off its init: gamma, beta and the running mean get
+// random values, and the running variance a random positive one. Near
+// their init an eval formula that rounds the affine differently can give
+// the same bits: after one training forward the running mean is a tenth
+// of a batch mean, the shift is then nearly beta, and a copy that folded
+// it as beta - (mean * inv_std) * gamma passed on InceptionTime.
+void MoveBatchNormState(Layer* model, Rng* rng) {
+  for (Layer* leaf : FlattenLeafLayers(model)) {
+    if (dynamic_cast<BatchNorm*>(leaf) == nullptr) continue;
+    for (Parameter* p : leaf->Params()) {
       p->value = Tensor::Randn(p->value.shape(), rng);
     }
+    const std::vector<Tensor*> stats = leaf->Buffers();  // mean, variance
+    *stats[0] = Tensor::Randn(stats[0]->shape(), rng);
+    Tensor var = Tensor::Randn(stats[1]->shape(), rng);
+    for (int64_t c = 0; c < var.size(); ++c) var[c] = var[c] * var[c] + 0.25f;
+    *stats[1] = std::move(var);
   }
 }
 
@@ -129,7 +137,7 @@ TEST_P(ModelZooTest, EvalForwardMatchesLayeredForward) {
   Rng rng(6);
   auto model = Build(GetParam(), &rng);
   const Tensor x = InputFor(GetParam(), &rng, /*n=*/16);
-  MoveBatchNormState(model.get(), x, &rng);
+  MoveBatchNormState(model.get(), &rng);
   QuantizedModel qm(*model, 4);
   Sequential bf_net;
   bf_net.Add(std::make_unique<Conv1d>(1, 4, 3, 1, 1, &rng));
@@ -158,31 +166,63 @@ TEST_P(ModelZooTest, EvalForwardMatchesLayeredForward) {
   });
 }
 
+// The root's layers before its global pool (or flatten), cloned.
+std::unique_ptr<Sequential> TrunkBeforePool(Sequential* root) {
+  auto trunk = std::make_unique<Sequential>();
+  for (size_t i = 0; i < root->size(); ++i) {
+    Layer* layer = root->layer(i);
+    if (dynamic_cast<GlobalAvgPool*>(layer) != nullptr ||
+        dynamic_cast<Flatten*>(layer) != nullptr) {
+      break;
+    }
+    trunk->Add(layer->Clone());
+  }
+  return trunk;
+}
+
 // IncrementalForward against the layered forward, bit for bit, through
 // random bit-flip trials on the 4-bit model: each trial changes a few codes
 // of one tensor and is then kept or undone at random; an undo marks the
 // tensor dirty again, as Alg. 3 does. Trial 0 changes the last tensor (the
 // Dense head), trial 1 the first; after an undo the next trial takes a
-// different tensor.
+// different tensor. The global pool sums in double and can absorb a
+// one-ulp change before it, so the same trials also run on a walker over
+// the layers before the pool (a 4-bit copy of them, with the same codes),
+// checked against their layered forward.
 TEST_P(ModelZooTest, IncrementalForwardMatchesLayeredForward) {
   Rng rng(6);
   auto model = Build(GetParam(), &rng);
   const Tensor x = InputFor(GetParam(), &rng, /*n=*/64);
-  MoveBatchNormState(model.get(), x, &rng);
+  MoveBatchNormState(model.get(), &rng);
+  const std::unique_ptr<Sequential> trunk = TrunkBeforePool(model.get());
   const Rng::State trials_from = rng.SaveState();
   AtEveryBudget([&] {
     QuantizedModel qm(*model, 4);
+    QuantizedModel trunk_qm(*trunk, 4);
     const int num_tensors = qm.num_quantized();
+    const int trunk_tensors = trunk_qm.num_quantized();
     ASSERT_GE(num_tensors, 2);
+    ASSERT_GE(trunk_tensors, 1);
+    ASSERT_LT(trunk_tensors, num_tensors);
     std::vector<Layer*> owners;
     for (int t = 0; t < num_tensors; ++t) {
       owners.push_back(qm.quantized(t).owner);
     }
+    // The trunk's tensors are the model's first ones, with the same codes.
+    std::vector<Layer*> trunk_owners;
+    for (int t = 0; t < trunk_tensors; ++t) {
+      ASSERT_EQ(trunk_qm.quantized(t).codes, qm.quantized(t).codes);
+      trunk_owners.push_back(trunk_qm.quantized(t).owner);
+    }
     IncrementalForward walker(qm.model(), x, owners);
+    IncrementalForward trunk_walker(trunk_qm.model(), x, trunk_owners);
     auto expect_layered = [&](const std::string& what) {
       EXPECT_TRUE(BitEqual(walker.Evaluate(),
                            LayeredEvalForward(qm.model(), x)))
           << what;
+      EXPECT_TRUE(BitEqual(trunk_walker.Evaluate(),
+                           LayeredEvalForward(trunk_qm.model(), x)))
+          << what << ", before the pool";
     };
     expect_layered("first evaluation");
 
@@ -199,14 +239,27 @@ TEST_P(ModelZooTest, IncrementalForwardMatchesLayeredForward) {
         t = (previous + trial_rng.NextInt(1, num_tensors - 1)) % num_tensors;
       }
       if (undone && t != previous) ++switched_after_undo;
-      QuantizedModel::QuantizedTensor& qt = qm.quantized(t);
-      const std::vector<int32_t> saved = qt.codes;
+      const bool in_trunk = t < trunk_tensors;
+      const std::vector<int32_t> saved = qm.quantized(t).codes;
+      std::vector<std::pair<int, int>> deltas;
       for (int k = 0; k < 4; ++k) {
         const int e =
-            trial_rng.NextInt(0, static_cast<int>(qt.codes.size()) - 1);
-        qm.ApplyCodeDelta(t, e, trial_rng.NextBool(0.5) ? 3 : -3);
+            trial_rng.NextInt(0, static_cast<int>(saved.size()) - 1);
+        deltas.push_back({e, trial_rng.NextBool(0.5) ? 3 : -3});
       }
-      walker.MarkDirty(qt.owner);
+      // Applies the trial's deltas to tensor t of a model, or restores its
+      // saved codes, and marks the tensor dirty on the model's walker.
+      auto change = [&](QuantizedModel* m, IncrementalForward* w, bool undo) {
+        if (undo) {
+          m->quantized(t).codes = saved;
+          m->SyncParamFromCodes(t);
+        } else {
+          for (const auto& [e, delta] : deltas) m->ApplyCodeDelta(t, e, delta);
+        }
+        w->MarkDirty(m->quantized(t).owner);
+      };
+      change(&qm, &walker, /*undo=*/false);
+      if (in_trunk) change(&trunk_qm, &trunk_walker, /*undo=*/false);
       if (trial == 0) {
         // A change to the Dense head reruns the head alone: one GEMM. The
         // comparison below then reads the remembered logits.
@@ -222,9 +275,8 @@ TEST_P(ModelZooTest, IncrementalForwardMatchesLayeredForward) {
                      std::to_string(t));
       undone = trial_rng.NextBool(0.5);
       if (undone) {
-        qt.codes = saved;
-        qm.SyncParamFromCodes(t);
-        walker.MarkDirty(qt.owner);
+        change(&qm, &walker, /*undo=*/true);
+        if (in_trunk) change(&trunk_qm, &trunk_walker, /*undo=*/true);
       }
       previous = t;
     }
@@ -240,7 +292,7 @@ TEST_P(ModelZooTest, ConcurrentEvalForwardsMatchSingleThread) {
   Rng rng(8);
   auto model = Build(GetParam(), &rng);
   const Tensor x = InputFor(GetParam(), &rng, /*n=*/16);
-  MoveBatchNormState(model.get(), x, &rng);
+  MoveBatchNormState(model.get(), &rng);
   QuantizedModel qm(*model, 4);
   const Tensor want = qm.model()->Forward(x, /*training=*/false);
   constexpr int kThreads = 2;

@@ -264,7 +264,8 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
 // a body ending conv -> BatchNorm), a Residual whose ReLU runs in its join,
 // the BatchNorm-only residual of SetBatchNormFrozenTest, and a
 // ParallelConcat whose BatchNorm/ReLU run in its branches' epilogues (one
-// branch with an epilogue of its own).
+// branch with an epilogue of its own, one ending in a one-input-channel
+// conv, whose samples run as one GEMM, at a channel offset).
 TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
   Rng rng(17);
   auto conv_bn = [&](int64_t in, int64_t out, int k, bool relu) {
@@ -291,9 +292,13 @@ TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
   std::vector<std::unique_ptr<Layer>> branches;
   branches.push_back(std::make_unique<Conv1d>(2, 2, 3, 1, 1, &rng));
   branches.push_back(conv_bn(2, 3, 1, /*relu=*/true));
+  auto one_channel = std::make_unique<Sequential>();
+  one_channel->Add(std::make_unique<Conv1d>(2, 1, 1, 1, 0, &rng));
+  one_channel->Add(std::make_unique<Conv1d>(1, 3, 3, 1, 1, &rng));
+  branches.push_back(std::move(one_channel));
   Sequential concat;
   concat.Add(std::make_unique<ParallelConcat>(std::move(branches)));
-  concat.Add(std::make_unique<BatchNorm>(5));
+  concat.Add(std::make_unique<BatchNorm>(8));
   concat.Add(std::make_unique<Relu>());
 
   // More BatchNorm/ReLU layers than a conv's epilogue takes: the rest run
