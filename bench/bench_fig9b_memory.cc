@@ -34,10 +34,10 @@ int main() {
       lopt.buffer_capacity = size;
       lopt.replay_sample = size;  // let learners actually use the memory
       row.push_back(TablePrinter::Num(
-          lab.RunBaseline(method, target, 4, lopt).avg_accuracy));
+          lab.RunBaseline(method, target, 4, lopt).average_accuracy));
     }
     row.push_back(TablePrinter::Num(
-        lab.RunQCoreWithSize(target, 4, size).avg_accuracy));
+        lab.RunQCoreWithSize(target, 4, size).average_accuracy));
     table.AddRow(row);
   }
   table.Print();

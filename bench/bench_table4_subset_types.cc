@@ -54,9 +54,9 @@ int main() {
       std::vector<std::string> row = {c.name};
       double sum = 0.0;
       for (int b : bits) {
-        ContinualResult res = lab.RunWithSubset(c.subset, target, b);
-        row.push_back(TablePrinter::Num(res.avg_accuracy));
-        sum += res.avg_accuracy;
+        PipelineResult res = lab.RunWithSubset(c.subset, target, b);
+        row.push_back(TablePrinter::Num(res.average_accuracy));
+        sum += res.average_accuracy;
       }
       row.push_back(TablePrinter::Num(sum / bits.size()));
       table.AddRow(row);

@@ -32,7 +32,7 @@ void RunScenario(const char* dataset, const HarSpec& spec,
     std::vector<std::string> row = {method};
     for (int b : bits) {
       row.push_back(TablePrinter::Num(
-          lab.RunBaseline(method, target_data, b).avg_accuracy));
+          lab.RunBaseline(method, target_data, b).average_accuracy));
     }
     table.AddRow(row);
   }
@@ -40,7 +40,7 @@ void RunScenario(const char* dataset, const HarSpec& spec,
     std::vector<std::string> row = {"QCore"};
     for (int b : bits) {
       row.push_back(
-          TablePrinter::Num(lab.RunQCore(target_data, b).avg_accuracy));
+          TablePrinter::Num(lab.RunQCore(target_data, b).average_accuracy));
     }
     table.AddRow(row);
   }

@@ -20,13 +20,13 @@ void RunScenario(const char* dataset, const HarSpec& spec, int source,
   ExperimentLab lab("InceptionTime", LoadHar(spec, source), config);
   DomainData target_data = LoadHar(spec, target);
 
-  ContinualResult no_upda = lab.RunQCoreAblation(target_data, 4,
-                                                 /*use_bitflip=*/true,
-                                                 /*use_update=*/false);
-  ContinualResult no_bf = lab.RunQCoreAblation(target_data, 4,
-                                               /*use_bitflip=*/false,
-                                               /*use_update=*/true);
-  ContinualResult full = lab.RunQCore(target_data, 4);
+  PipelineResult no_upda = lab.RunQCoreAblation(target_data, 4,
+                                                /*use_bitflip=*/true,
+                                                /*use_update=*/false);
+  PipelineResult no_bf = lab.RunQCoreAblation(target_data, 4,
+                                              /*use_bitflip=*/false,
+                                              /*use_update=*/true);
+  PipelineResult full = lab.RunQCore(target_data, 4);
 
   TablePrinter table({"Batch", "NoUpda", "NoBF", "QCore"});
   double su = 0, sb = 0, sq = 0;
@@ -43,9 +43,9 @@ void RunScenario(const char* dataset, const HarSpec& spec, int source,
   table.AddRow({"Avg.", TablePrinter::Num(su / n), TablePrinter::Num(sb / n),
                 TablePrinter::Num(sq / n)});
   table.AddRow({"Time (s)",
-                TablePrinter::Num(no_upda.per_calib_seconds * n, 3),
-                TablePrinter::Num(no_bf.per_calib_seconds * n, 3),
-                TablePrinter::Num(full.per_calib_seconds * n, 3)});
+                TablePrinter::Num(no_upda.seconds_per_calibration * n, 3),
+                TablePrinter::Num(no_bf.seconds_per_calibration * n, 3),
+                TablePrinter::Num(full.seconds_per_calibration * n, 3)});
   table.Print();
 }
 

@@ -22,9 +22,10 @@ namespace {
 std::vector<double> RunRow(ExperimentLab* lab, const DomainData& target) {
   std::vector<double> times;
   for (const auto& method : BaselineNames()) {
-    times.push_back(lab->RunBaseline(method, target, 4).per_calib_seconds);
+    times.push_back(
+        lab->RunBaseline(method, target, 4).seconds_per_calibration);
   }
-  times.push_back(lab->RunQCore(target, 4).per_calib_seconds);
+  times.push_back(lab->RunQCore(target, 4).seconds_per_calibration);
   return times;
 }
 

@@ -111,73 +111,58 @@ std::unique_ptr<QuantizedModel> ExperimentLab::CalibratedBaselineModel(
   return it->second->Clone();
 }
 
-ContinualResult ExperimentLab::StreamQCore(std::unique_ptr<QuantizedModel> qm,
-                                           BitFlipNet* bf, Dataset qcore,
-                                           const DomainData& target,
-                                           const ContinualOptions& opts,
-                                           Rng* rng) const {
-  std::vector<Dataset> batches =
-      SplitIntoStreamBatches(target.train, config_.stream_batches, rng);
-  std::vector<Dataset> slices =
-      SplitIntoStreamBatches(target.test, config_.stream_batches, rng);
-  ContinualDriver driver(qm.get(), bf, std::move(qcore), opts, rng);
-  ContinualResult result;
-  result.per_batch = driver.RunStream(batches, slices);
-  result.avg_accuracy = AverageAccuracy(result.per_batch);
-  double total = 0.0;
-  for (const auto& s : result.per_batch) total += s.calibration_seconds;
-  result.per_calib_seconds = total / result.per_batch.size();
-  return result;
+PipelineOptions ExperimentLab::QCorePipelineOptions(int bits) const {
+  PipelineOptions opts;
+  opts.bits = bits;
+  opts.build = config_.build;
+  opts.bf_train = config_.bf_train;
+  opts.continual = config_.continual;
+  opts.stream_batches = config_.stream_batches;
+  return opts;
 }
 
-ContinualResult ExperimentLab::RunQCore(const DomainData& target, int bits) {
+PipelineResult ExperimentLab::RunQCore(const DomainData& target, int bits) {
   return RunQCoreAblation(target, bits, /*use_bitflip=*/true,
                           /*use_update=*/true);
 }
 
-ContinualResult ExperimentLab::RunQCoreAblation(const DomainData& target,
-                                                int bits, bool use_bitflip,
-                                                bool use_update) {
+PipelineResult ExperimentLab::RunQCoreAblation(const DomainData& target,
+                                               int bits, bool use_bitflip,
+                                               bool use_update) {
   Rng rng(config_.seed ^ (0xABCDu * (bits + 1)));
-  auto qm = std::make_unique<QuantizedModel>(*fp_model_, bits);
-  BitFlipNet bf = TrainBitFlipNet(qm.get(), build_.qcore, config_.bf_train,
-                                  &rng);
-  qm->DropShadows();
-  ContinualOptions opts = config_.continual;
-  opts.use_bitflip = use_bitflip;
-  opts.use_qcore_update = use_update;
-  return StreamQCore(std::move(qm), use_bitflip ? &bf : nullptr,
-                     build_.qcore, target, opts, &rng);
+  PipelineOptions opts = QCorePipelineOptions(bits);
+  opts.continual.use_bitflip = use_bitflip;
+  opts.continual.use_qcore_update = use_update;
+  return RunPipelineWithSubset(fp_model_.get(), build_.qcore, Dataset(),
+                               target.train, target.test, opts, &rng);
 }
 
-ContinualResult ExperimentLab::RunWithSubset(const Dataset& subset,
-                                             const DomainData& target,
-                                             int bits) {
+PipelineResult ExperimentLab::RunWithSubset(const Dataset& subset,
+                                            const DomainData& target,
+                                            int bits) {
   Rng rng(config_.seed ^ (0x5E7u * (bits + 1)));
-  auto qm = std::make_unique<QuantizedModel>(*fp_model_, bits);
-  BitFlipNet bf = TrainBitFlipNet(qm.get(), subset, config_.bf_train, &rng);
-  qm->DropShadows();
-  return StreamQCore(std::move(qm), &bf, subset, target, config_.continual,
-                     &rng);
+  return RunPipelineWithSubset(fp_model_.get(), subset, Dataset(),
+                               target.train, target.test,
+                               QCorePipelineOptions(bits), &rng);
 }
 
-ContinualResult ExperimentLab::RunQCoreWithSize(const DomainData& target,
-                                                int bits, int qcore_size) {
+PipelineResult ExperimentLab::RunQCoreWithSize(const DomainData& target,
+                                               int bits, int qcore_size) {
   Rng rng(config_.seed ^ (0x512Eu * (bits + 1)) ^ qcore_size);
   std::vector<int> indices =
       SampleByMissDistribution(build_.combined_misses, qcore_size, &rng);
   return RunWithSubset(source_.train.Subset(indices), target, bits);
 }
 
-ContinualResult ExperimentLab::RunBaseline(const std::string& method,
-                                           const DomainData& target,
-                                           int bits) {
+PipelineResult ExperimentLab::RunBaseline(const std::string& method,
+                                          const DomainData& target,
+                                          int bits) {
   return RunBaseline(method, target, bits, config_.learner);
 }
 
-ContinualResult ExperimentLab::RunBaseline(const std::string& method,
-                                           const DomainData& target, int bits,
-                                           const LearnerOptions& options) {
+PipelineResult ExperimentLab::RunBaseline(const std::string& method,
+                                          const DomainData& target, int bits,
+                                          const LearnerOptions& options) {
   Rng rng(config_.seed ^ (0xBA5Eu * (bits + 1)));
   std::unique_ptr<QuantizedModel> qm = CalibratedBaselineModel(bits);
   std::unique_ptr<ContinualLearner> learner =
@@ -188,8 +173,8 @@ ContinualResult ExperimentLab::RunBaseline(const std::string& method,
   std::vector<Dataset> slices =
       SplitIntoStreamBatches(target.test, config_.stream_batches, &rng);
 
-  ContinualResult result;
-  double total_acc = 0.0, total_time = 0.0;
+  PipelineResult result;
+  double total_time = 0.0;
   for (int b = 0; b < config_.stream_batches; ++b) {
     Stopwatch watch;
     learner->ObserveBatch(batches[static_cast<size_t>(b)]);
@@ -198,12 +183,10 @@ ContinualResult ExperimentLab::RunBaseline(const std::string& method,
     stats.calibration_seconds = seconds;
     stats.accuracy = learner->Evaluate(slices[static_cast<size_t>(b)]);
     result.per_batch.push_back(stats);
-    total_acc += stats.accuracy;
     total_time += seconds;
   }
-  result.avg_accuracy =
-      static_cast<float>(total_acc / config_.stream_batches);
-  result.per_calib_seconds = total_time / config_.stream_batches;
+  result.average_accuracy = AverageAccuracy(result.per_batch);
+  result.seconds_per_calibration = total_time / config_.stream_batches;
   return result;
 }
 

@@ -2,7 +2,9 @@
 // ExperimentLab per (dataset, architecture, source domain): it trains the
 // full-precision model once while building the QCore (Algorithm 1), shares
 // the initially calibrated quantized models across methods and bit-widths,
-// and runs each method's continual-calibration stream.
+// and runs each method's continual-calibration stream. QCore runs go
+// through RunPipelineWithSubset (core/pipeline.h), the pipeline the
+// examples run too.
 //
 // Environment: set QCORE_FAST=1 to shrink every bench's grid for quick
 // iteration (fewer bit-widths / scenarios); default settings reproduce the
@@ -37,12 +39,6 @@ void ReportRunEnvironment();
 struct DomainData {
   Dataset train;
   Dataset test;
-};
-
-struct ContinualResult {
-  float avg_accuracy = 0.0f;
-  double per_calib_seconds = 0.0;
-  std::vector<BatchStats> per_batch;
 };
 
 // Bit-widths exercised by the tables ({4} in fast mode).
@@ -80,36 +76,35 @@ class ExperimentLab {
   std::unique_ptr<QuantizedModel> CalibratedBaselineModel(int bits);
 
   // QCore's end-to-end continual run (Fig. 1(b) pipeline) on `target`.
-  ContinualResult RunQCore(const DomainData& target, int bits);
+  PipelineResult RunQCore(const DomainData& target, int bits);
 
   // Ablation variants (Table 7): toggles for the QCore update and the
   // bit-flip calibration.
-  ContinualResult RunQCoreAblation(const DomainData& target, int bits,
-                                   bool use_bitflip, bool use_update);
+  PipelineResult RunQCoreAblation(const DomainData& target, int bits,
+                                  bool use_bitflip, bool use_update);
 
   // QCore machinery driven by an externally constructed subset (Tables 4/8).
-  ContinualResult RunWithSubset(const Dataset& subset,
-                                const DomainData& target, int bits);
+  PipelineResult RunWithSubset(const Dataset& subset,
+                               const DomainData& target, int bits);
 
-  // One of the BP baselines (by registry name) on `target`.
-  ContinualResult RunBaseline(const std::string& method,
-                              const DomainData& target, int bits);
+  // One of the BP baselines (by registry name) on `target`. Only
+  // per_batch, average_accuracy and seconds_per_calibration are filled.
+  PipelineResult RunBaseline(const std::string& method,
+                             const DomainData& target, int bits);
 
   // Baseline run with an options override (Fig. 9 sweeps).
-  ContinualResult RunBaseline(const std::string& method,
-                              const DomainData& target, int bits,
-                              const LearnerOptions& options);
+  PipelineResult RunBaseline(const std::string& method,
+                             const DomainData& target, int bits,
+                             const LearnerOptions& options);
 
   // QCore run with a subset-size override (Fig. 9(b)).
-  ContinualResult RunQCoreWithSize(const DomainData& target, int bits,
-                                   int qcore_size);
+  PipelineResult RunQCoreWithSize(const DomainData& target, int bits,
+                                  int qcore_size);
 
  private:
   std::unique_ptr<Sequential> MakeUntrained(Rng* rng) const;
-  ContinualResult StreamQCore(std::unique_ptr<QuantizedModel> qm,
-                              BitFlipNet* bf, Dataset qcore,
-                              const DomainData& target,
-                              const ContinualOptions& opts, Rng* rng) const;
+  // The pipeline options BenchConfig gives a QCore run at `bits`.
+  PipelineOptions QCorePipelineOptions(int bits) const;
 
   std::string model_name_;
   DomainData source_;

@@ -20,7 +20,6 @@
 #include "core/qcore_builder.h"
 #include "data/har_generator.h"
 #include "models/model_zoo.h"
-#include "nn/model_io.h"
 #include "nn/training.h"
 #include "serving/snapshot.h"
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <thread>
 
-#include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/incremental_forward.h"
 #include "nn/layers.h"
@@ -511,22 +510,6 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
     }
   }
   return current_loss;
-}
-
-void BitFlipCalibrate(QuantizedModel* qm, const BitFlipNet* bf,
-                      const Tensor& x, const std::vector<int>& labels,
-                      const BitFlipCalibrateOptions& options, Rng* rng) {
-  QCORE_CHECK(qm != nullptr && bf != nullptr && rng != nullptr);
-  QCORE_CHECK_GT(options.iterations, 0);
-  SetBatchNormFrozen(qm->model(), true);
-  for (int it = 0; it < options.iterations; ++it) {
-    // Training-mode forward populates the activation caches the features
-    // need; with BN frozen the outputs equal eval-mode outputs up to
-    // rounding (BatchNormTest.FrozenTrainingMatchesEval).
-    (void)qm->model()->Forward(x, /*training=*/true);
-    BitFlipIterationFromCaches(qm, bf, x, labels, options, rng);
-  }
-  SetBatchNormFrozen(qm->model(), false);
 }
 
 }  // namespace qcore

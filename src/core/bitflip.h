@@ -5,7 +5,9 @@
 // features (delta-a) and the integer code delta the BP step actually applied
 // (clipped to {-1, 0, +1}). On the edge (Algorithm 3) it runs inference only:
 // features are computed from the current forward pass and predicted deltas
-// are applied directly to the quantized codes.
+// are applied directly to the quantized codes, one round per
+// BitFlipIterationFromCaches call; ContinualDriver (core/continual.h) runs
+// the rounds.
 #ifndef QCORE_CORE_BITFLIP_H_
 #define QCORE_CORE_BITFLIP_H_
 
@@ -111,9 +113,11 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // the trial rows split over the kernel threads of the budget
 // (gemm_threads()) that are free when the round starts
 // (FreeParallelThreads); the loss is bit-identical to a single-thread full
-// forward's whatever the split.
+// forward's whatever the split. These options shape one round
+// (BitFlipIterationFromCaches); the loop of E rounds per stream batch is
+// ContinualDriver::ProcessBatch's (core/continual.h), and E is
+// ContinualOptions::iterations.
 struct BitFlipCalibrateOptions {
-  int iterations = 3;                 // E in Algorithm 3 (converges fast)
   float confidence_threshold = 0.5f;  // only act on confident predictions
   float max_flip_fraction = 0.3f;     // per-tensor cap per iteration
   // BF candidates are applied in at most this many chunks per tensor, each
@@ -161,12 +165,6 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  const std::vector<int>& labels,
                                  const BitFlipCalibrateOptions& options,
                                  Rng* rng);
-
-// Full loop: for each iteration, forwards `x` (training mode, BatchNorm
-// frozen) to populate caches, then proposes and validates flips.
-void BitFlipCalibrate(QuantizedModel* qm, const BitFlipNet* bf,
-                      const Tensor& x, const std::vector<int>& labels,
-                      const BitFlipCalibrateOptions& options, Rng* rng);
 
 }  // namespace qcore
 

@@ -2,7 +2,10 @@
 // stream batch, the quantized model is calibrated with the bit-flipping
 // network on QCore ∪ batch while quantization misses are tracked, and the
 // QCore is resampled to absorb the new domain without forgetting the old
-// one. The two ablation switches correspond to Table 7 (NoBF / NoUpda).
+// one. ProcessBatch is the one loop of E calibration rounds (Algorithms 3
+// and 4 interleaved); the pipeline (core/pipeline.h) and the serving
+// sessions step a ContinualDriver. The two ablation switches correspond to
+// Table 7 (NoBF / NoUpda).
 #ifndef QCORE_CORE_CONTINUAL_H_
 #define QCORE_CORE_CONTINUAL_H_
 
@@ -15,7 +18,9 @@
 namespace qcore {
 
 struct ContinualOptions {
-  // Calibration/miss-tracking iterations per batch (E in Alg. 3/4).
+  // E in Algorithms 3 and 4: rounds per stream batch, each one training
+  // forward whose logits feed the miss tracker and whose caches feed one
+  // bit-flip round. The only knob for E.
   int iterations = 3;
   // Disable for the NoBF ablation: the model stays fixed (no BP on edge).
   bool use_bitflip = true;

@@ -2,8 +2,10 @@
 // full-precision model on the source domain while building the QCore,
 // quantize at the requested bit-width, run the initial STE calibration on
 // the QCore while training the bit-flipping network, then stream the target
-// domain through the continual on-edge loop. This is the orchestration every
-// experiment bench and example builds on.
+// domain through the continual on-edge loop. RunPipelineWithSubset is the
+// one "quantize -> Alg. 2 -> deploy -> stream" sequence: the examples reach
+// it through RunQCorePipeline, and every QCore bench runs it through the
+// bench harness (bench/harness.h).
 #ifndef QCORE_CORE_PIPELINE_H_
 #define QCORE_CORE_PIPELINE_H_
 
@@ -28,9 +30,8 @@ struct PipelineOptions {
 struct PipelineResult {
   std::vector<BatchStats> per_batch;
   float average_accuracy = 0.0f;
-  double total_calibration_seconds = 0.0;
   double seconds_per_calibration = 0.0;
-  // Subset construction diagnostics.
+  // Subset construction diagnostics (RunQCorePipeline only).
   std::vector<int> qcore_indices;
   double info_loss = 0.0;
   // Accuracy of the quantized model right after initial calibration, on the
@@ -38,10 +39,10 @@ struct PipelineResult {
   float post_calibration_source_accuracy = 0.0f;
 };
 
-// Runs the full pipeline. `fp_model` is an *untrained* architecture; it is
-// trained here on source_train (Algorithm 1 trains and tracks misses in one
-// pass). `target_stream` is split into stream_batches batches and
-// `target_test` into matching evaluation slices.
+// Runs the full pipeline: Algorithm 1 on `fp_model`, then
+// RunPipelineWithSubset on the QCore it builds. `fp_model` is an
+// *untrained* architecture; it is trained here on source_train (Algorithm 1
+// trains and tracks misses in one pass).
 PipelineResult RunQCorePipeline(Sequential* fp_model,
                                 const Dataset& source_train,
                                 const Dataset& source_test,
@@ -49,11 +50,16 @@ PipelineResult RunQCorePipeline(Sequential* fp_model,
                                 const Dataset& target_test,
                                 const PipelineOptions& options, Rng* rng);
 
-// Variant for a pre-built subset (used when comparing alternative coreset
-// constructions, Tables 4/8): skips Algorithm 1 and uses `subset` as the
-// calibration set. `fp_model` must already be trained.
+// Everything after Algorithm 1, with `subset` as the QCore (the QCore
+// Algorithm 1 built, or an alternative coreset, Tables 4/8): quantizes the
+// trained `fp_model` at options.bits and runs Algorithm 2 on `subset`,
+// measures the source accuracy if `source_test` is non-empty, drops the
+// full-precision masters, then splits `target_stream` into stream_batches
+// batches and `target_test` into matching evaluation slices and streams
+// them through a ContinualDriver.
 PipelineResult RunPipelineWithSubset(Sequential* fp_model,
                                      const Dataset& subset,
+                                     const Dataset& source_test,
                                      const Dataset& target_stream,
                                      const Dataset& target_test,
                                      const PipelineOptions& options, Rng* rng);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/quant_miss.h"
-#include "nn/training.h"
 
 namespace qcore {
 
@@ -38,26 +37,6 @@ Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
     indices.push_back(rng->NextInt(0, pool.size() - 1));
   }
   return pool.Subset(indices);
-}
-
-Dataset UpdateQCore(QuantizedModel* qm, const Dataset& qcore,
-                    const Dataset& batch, const QCoreUpdateOptions& options,
-                    Rng* rng) {
-  QCORE_CHECK(qm != nullptr && rng != nullptr);
-  QCORE_CHECK_GT(options.epochs, 0);
-  const Dataset pool = MakeUpdatePool(qcore, batch, rng);
-  QuantMissTracker tracker(pool.size(), 1);
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    const std::vector<int> preds = Predict(qm->model(), pool.x());
-    std::vector<bool> correct(static_cast<size_t>(pool.size()));
-    for (int i = 0; i < pool.size(); ++i) {
-      correct[static_cast<size_t>(i)] =
-          preds[static_cast<size_t>(i)] ==
-          pool.labels()[static_cast<size_t>(i)];
-    }
-    tracker.ObserveAll(0, correct);
-  }
-  return ResampleQCore(pool, tracker.misses(0), qcore.size(), rng);
 }
 
 }  // namespace qcore

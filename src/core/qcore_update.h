@@ -2,14 +2,16 @@
 // QCore is scaled up to the batch size, combined with the batch, and a new
 // fixed-size QCore is resampled according to the quantization misses
 // observed while the model calibrates. This keeps old and new knowledge in
-// one stable-sized structure — no separate rehearsal buffer.
+// one stable-sized structure — no separate rehearsal buffer. These are the
+// two halves of the update; ContinualDriver::ProcessBatch (core/continual.h)
+// counts the misses between them, over the same forwards that feed the
+// bit-flip rounds (Algorithm 3).
 #ifndef QCORE_CORE_QCORE_UPDATE_H_
 #define QCORE_CORE_QCORE_UPDATE_H_
 
 #include <vector>
 
 #include "data/dataset.h"
-#include "quant/quantized_model.h"
 
 namespace qcore {
 
@@ -22,18 +24,6 @@ Dataset MakeUpdatePool(const Dataset& qcore, const Dataset& batch, Rng* rng);
 // per-example miss counts (Algorithm 4 lines 11-12).
 Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
                       int size, Rng* rng);
-
-// Standalone Algorithm 4 (no bit-flip interleaving): runs `epochs` inference
-// passes of `qm` over the pool, counting quantization misses, and resamples
-// a QCore of qcore.size(). The continual driver uses the interleaved form;
-// this variant supports isolated testing and the NoBF ablation.
-struct QCoreUpdateOptions {
-  int epochs = 3;
-};
-
-Dataset UpdateQCore(QuantizedModel* qm, const Dataset& qcore,
-                    const Dataset& batch, const QCoreUpdateOptions& options,
-                    Rng* rng);
 
 }  // namespace qcore
 

@@ -4,7 +4,6 @@
 
 #include "nn/batchnorm.h"
 #include "nn/loss.h"
-#include "nn/training.h"
 #include "quant/ste_stepper.h"
 
 namespace qcore {
@@ -72,12 +71,6 @@ float SteCalibrate(QuantizedModel* qm, const Tensor& x,
 
   SetBatchNormFrozen(qm->model(), false);
   return last_epoch_loss;
-}
-
-float QuantizedAccuracy(QuantizedModel* qm, const Tensor& x,
-                        const std::vector<int>& labels) {
-  QCORE_CHECK(qm != nullptr);
-  return EvaluateAccuracy(qm->model(), x, labels);
 }
 
 }  // namespace qcore

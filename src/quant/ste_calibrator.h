@@ -49,10 +49,6 @@ float SteCalibrate(QuantizedModel* qm, const Tensor& x,
                    const std::vector<int>& labels, const SteOptions& options,
                    Rng* rng, const SteStepObserver& observer = nullptr);
 
-// Convenience: accuracy of the quantized model on (x, labels) in eval mode.
-float QuantizedAccuracy(QuantizedModel* qm, const Tensor& x,
-                        const std::vector<int>& labels);
-
 }  // namespace qcore
 
 #endif  // QCORE_QUANT_STE_CALIBRATOR_H_

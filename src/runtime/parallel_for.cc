@@ -18,12 +18,6 @@ constexpr int kMaxHelpers = 15;  // caller + helpers <= 16 threads
 
 thread_local bool tls_in_parallel_region = false;
 
-std::atomic<uint64_t> g_wide_calls{0};
-std::atomic<uint64_t> g_inline_calls{0};
-std::atomic<uint64_t> g_nested_calls{0};
-std::atomic<uint64_t> g_busy_calls{0};
-std::atomic<uint64_t> g_tasks_run{0};
-
 // Threads inside a BusyThreadScope, and whether this one is.
 std::atomic<int> g_busy_threads{0};
 thread_local bool tls_busy = false;
@@ -168,16 +162,6 @@ void RunSequential(int64_t num_tasks,
 
 }  // namespace
 
-ParallelForStats GetParallelForStats() {
-  ParallelForStats s;
-  s.wide_calls = g_wide_calls.load(std::memory_order_relaxed);
-  s.inline_calls = g_inline_calls.load(std::memory_order_relaxed);
-  s.nested_calls = g_nested_calls.load(std::memory_order_relaxed);
-  s.busy_calls = g_busy_calls.load(std::memory_order_relaxed);
-  s.tasks_run = g_tasks_run.load(std::memory_order_relaxed);
-  return s;
-}
-
 bool InParallelRegion() { return tls_in_parallel_region; }
 
 int DefaultParallelWorkers() {
@@ -218,28 +202,17 @@ int FreeParallelThreads(int max_threads) {
 void ParallelFor(int64_t num_tasks, int max_threads,
                  const std::function<void(int64_t)>& body) {
   if (num_tasks <= 0) return;
-  if (tls_in_parallel_region) {
-    // Nested region: run on the current worker. Going wide here could make
-    // a helper wait on helpers, which the no-blocking contract forbids.
-    g_nested_calls.fetch_add(1, std::memory_order_relaxed);
-    RunSequential(num_tasks, body);
-    return;
-  }
-  if (max_threads <= 1 || num_tasks == 1) {
-    g_inline_calls.fetch_add(1, std::memory_order_relaxed);
+  // A nested region runs on the current worker: going wide there could
+  // make a helper wait on helpers, which the no-blocking contract forbids.
+  if (tls_in_parallel_region || max_threads <= 1 || num_tasks == 1) {
     RunSequential(num_tasks, body);
     return;
   }
   const int helpers = static_cast<int>(std::min<int64_t>(
       {static_cast<int64_t>(max_threads) - 1, num_tasks - 1, kMaxHelpers}));
   if (!PanelWorkerSet::Instance().TryRun(num_tasks, helpers, body)) {
-    g_busy_calls.fetch_add(1, std::memory_order_relaxed);
     RunSequential(num_tasks, body);
-    return;
   }
-  g_wide_calls.fetch_add(1, std::memory_order_relaxed);
-  g_tasks_run.fetch_add(static_cast<uint64_t>(num_tasks),
-                        std::memory_order_relaxed);
 }
 
 }  // namespace qcore

@@ -35,19 +35,6 @@
 
 namespace qcore {
 
-// Dispatch counters, process-wide since process start. Every ParallelFor
-// call lands in exactly one of the four call buckets; tasks_run counts
-// body invocations made by wide calls only (helpers + caller).
-struct ParallelForStats {
-  uint64_t wide_calls = 0;    // fanned out across the worker set
-  uint64_t inline_calls = 0;  // <= 1 thread asked for, or a single task
-  uint64_t nested_calls = 0;  // called from inside a region: ran sequential
-  uint64_t busy_calls = 0;    // another region in flight: ran sequential
-  uint64_t tasks_run = 0;     // tasks executed by wide calls
-};
-
-ParallelForStats GetParallelForStats();
-
 // True while the current thread is executing a ParallelFor body (caller
 // or helper). Nested ParallelFor calls observe this and run sequentially.
 bool InParallelRegion();

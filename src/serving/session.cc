@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/serialize.h"
-#include "quant/ste_calibrator.h"
+#include "nn/training.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -93,7 +93,7 @@ BatchStats CalibrationSession::Calibrate(const Dataset& batch,
 
 float CalibrationSession::Evaluate(const Tensor& x,
                                    const std::vector<int>& labels) {
-  return QuantizedAccuracy(model_.get(), x, labels);
+  return EvaluateAccuracy(model_->model(), x, labels);
 }
 
 uint64_t DeviceSeed(uint64_t fleet_seed, const std::string& device_id) {

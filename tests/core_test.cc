@@ -211,11 +211,14 @@ TEST(BitFlipTest, CalibrateNeverIncreasesPoolLoss) {
   SoftmaxCrossEntropy ce;
   Tensor logits0 = f.qm->model()->Forward(pool.x(), false);
   const float loss_before = ce.Forward(logits0, pool.labels());
-  BitFlipCalibrateOptions copt;
+  // A ContinualDriver whose QCore is the pool, stepped with an empty batch,
+  // calibrates on exactly the pool.
+  ContinualOptions copt;
   copt.iterations = 3;
-  copt.trial_rows = 0;  // full-pool validation => monotone by construction
-  BitFlipCalibrate(f.qm.get(), f.bf.get(), pool.x(), pool.labels(), copt,
-                   &f.rng);
+  copt.use_qcore_update = false;
+  copt.bf.trial_rows = 0;  // full-pool validation => monotone by construction
+  ContinualDriver driver(f.qm.get(), f.bf.get(), pool, copt, &f.rng);
+  driver.ProcessBatch(Dataset(), Dataset());
   Tensor logits1 = f.qm->model()->Forward(pool.x(), false);
   const float loss_after = ce.Forward(logits1, pool.labels());
   EXPECT_LE(loss_after, loss_before + 1e-5f);
@@ -231,10 +234,11 @@ TEST(BitFlipTest, CalibrationAdaptsToShiftedDomain) {
                                 &f.rng);
   const float before = EvaluateAccuracy(f.qm->model(), f.target.test.x(),
                                         f.target.test.labels());
-  BitFlipCalibrateOptions copt;
+  ContinualOptions copt;
   copt.iterations = 6;
-  BitFlipCalibrate(f.qm.get(), f.bf.get(), pool.x(), pool.labels(), copt,
-                   &f.rng);
+  copt.use_qcore_update = false;
+  ContinualDriver driver(f.qm.get(), f.bf.get(), pool, copt, &f.rng);
+  driver.ProcessBatch(Dataset(), Dataset());
   const float after = EvaluateAccuracy(f.qm->model(), f.target.test.x(),
                                        f.target.test.labels());
   EXPECT_GT(after, before);
@@ -436,15 +440,6 @@ TEST(QCoreUpdateTest, ResampleKeepsSize) {
   for (int i = 0; i < 10; ++i) misses[static_cast<size_t>(i)] = 2;
   Dataset next = ResampleQCore(pool, misses, 8, &rng);
   EXPECT_EQ(next.size(), 8);
-}
-
-TEST(QCoreUpdateTest, StandaloneUpdateRuns) {
-  CalibratedFixture f;
-  Dataset batch = SplitIntoStreamBatches(f.target.train, 10, &f.rng)[0];
-  QCoreUpdateOptions opts;
-  Dataset updated = UpdateQCore(f.qm.get(), f.build.qcore, batch, opts,
-                                &f.rng);
-  EXPECT_EQ(updated.size(), f.build.qcore.size());
 }
 
 TEST(ContinualDriverTest, NoBfKeepsModelFrozen) {

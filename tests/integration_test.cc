@@ -11,7 +11,6 @@
 #include "data/har_generator.h"
 #include "models/model_zoo.h"
 #include "nn/training.h"
-#include "quant/ste_calibrator.h"
 
 namespace qcore {
 namespace {
@@ -154,10 +153,10 @@ TEST(IntegrationTest, QCoreAndBaselineShareTrainedModelConsistently) {
 
   QuantizedModel qcore_qm(*model, 4);
   QuantizedModel baseline_qm(*model, 4);
-  const float a = QuantizedAccuracy(&qcore_qm, target.test.x(),
-                                    target.test.labels());
-  const float b = QuantizedAccuracy(&baseline_qm, target.test.x(),
-                                    target.test.labels());
+  const float a = EvaluateAccuracy(qcore_qm.model(), target.test.x(),
+                                   target.test.labels());
+  const float b = EvaluateAccuracy(baseline_qm.model(), target.test.x(),
+                                   target.test.labels());
   EXPECT_FLOAT_EQ(a, b);
 }
 
@@ -196,9 +195,9 @@ TEST(IntegrationTest, BitWidthSweepOrdersQuantizationError) {
   QuantizedModel q8(*model, 8);
   QuantizedModel q2(*model, 2);
   const float acc8 =
-      QuantizedAccuracy(&q8, source.test.x(), source.test.labels());
+      EvaluateAccuracy(q8.model(), source.test.x(), source.test.labels());
   const float acc2 =
-      QuantizedAccuracy(&q2, source.test.x(), source.test.labels());
+      EvaluateAccuracy(q2.model(), source.test.x(), source.test.labels());
   EXPECT_GE(acc8 + 0.05f, acc2);   // 8-bit at least matches 2-bit
   EXPECT_GE(fp_acc + 0.05f, acc8);  // FP at least matches 8-bit
   EXPECT_NEAR(acc8, fp_acc, 0.15f);  // 8 bits is nearly lossless

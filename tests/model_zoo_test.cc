@@ -22,6 +22,7 @@
 #include "nn/training.h"
 #include "quant/quantized_model.h"
 #include "tensor/kernels.h"
+#include "tests/batchnorm_state.h"
 
 namespace qcore {
 namespace {
@@ -92,26 +93,6 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
   return a.SameShape(b) &&
          std::memcmp(a.data(), b.data(),
                      sizeof(float) * static_cast<size_t>(a.size())) == 0;
-}
-
-// Moves every BatchNorm off its init: gamma, beta and the running mean get
-// random values, and the running variance a random positive one. Near
-// their init an eval formula that rounds the affine differently can give
-// the same bits: after one training forward the running mean is a tenth
-// of a batch mean, the shift is then nearly beta, and a copy that folded
-// it as beta - (mean * inv_std) * gamma passed on InceptionTime.
-void MoveBatchNormState(Layer* model, Rng* rng) {
-  for (Layer* leaf : FlattenLeafLayers(model)) {
-    if (dynamic_cast<BatchNorm*>(leaf) == nullptr) continue;
-    for (Parameter* p : leaf->Params()) {
-      p->value = Tensor::Randn(p->value.shape(), rng);
-    }
-    const std::vector<Tensor*> stats = leaf->Buffers();  // mean, variance
-    *stats[0] = Tensor::Randn(stats[0]->shape(), rng);
-    Tensor var = Tensor::Randn(stats[1]->shape(), rng);
-    for (int64_t c = 0; c < var.size(); ++c) var[c] = var[c] * var[c] + 0.25f;
-    *stats[1] = std::move(var);
-  }
 }
 
 // Runs `body` at kernel budgets 1, 2 and 3, with every GEMM wide enough to

@@ -1,8 +1,7 @@
-// Unit tests for nn/: layer semantics, training loop, SGD, model IO,
-// cloning, and BatchNorm eval/freeze behavior.
+// Unit tests for nn/: layer semantics, training loop, SGD, cloning, and
+// BatchNorm eval/freeze behavior.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -12,11 +11,11 @@
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
-#include "nn/model_io.h"
 #include "nn/sgd.h"
 #include "nn/training.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
+#include "tests/batchnorm_state.h"
 
 namespace qcore {
 namespace {
@@ -313,14 +312,9 @@ TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
   for (Layer* root :
        std::vector<Layer*>{&projection, &joined, &concat, &chain}) {
     SCOPED_TRACE(root->name());
-    // Running statistics, gamma and beta off their init: at gamma 1 and
-    // beta 0 a differently rounded affine can give the same bits.
-    (void)root->Forward(Tensor::Randn({16, 2, 7}, &rng), true);
-    for (Parameter* p : root->Params()) {
-      if (p->name.rfind("bn.", 0) == 0) {
-        p->value = Tensor::Randn(p->value.shape(), &rng);
-      }
-    }
+    // Running statistics, gamma and beta off their init: near it a
+    // differently rounded affine can give the same bits.
+    MoveBatchNormState(root, &rng);
     const Tensor x = Tensor::Randn({5, 2, 7}, &rng);
     EXPECT_TRUE(BitEqual(root->Forward(x, false), LayeredEvalForward(root, x)));
   }
@@ -452,46 +446,6 @@ TEST(TrainingTest, PredictChunkingConsistent) {
   std::vector<int> big = Predict(&model, x, 256);
   std::vector<int> small = Predict(&model, x, 3);
   EXPECT_EQ(big, small);
-}
-
-TEST(ModelIoTest, SaveLoadRoundTrip) {
-  Rng rng(15);
-  Sequential model;
-  model.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
-  model.Add(std::make_unique<BatchNorm>(3));
-  model.Add(std::make_unique<GlobalAvgPool>());
-  model.Add(std::make_unique<Dense>(3, 2, &rng));
-  (void)model.Forward(Tensor::Randn({8, 2, 6}, &rng), true);
-
-  const std::string path = "/tmp/qcore_model_io_test.bin";
-  ASSERT_TRUE(SaveModel(&model, path).ok());
-
-  Rng rng2(999);
-  Sequential other;
-  other.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng2));
-  other.Add(std::make_unique<BatchNorm>(3));
-  other.Add(std::make_unique<GlobalAvgPool>());
-  other.Add(std::make_unique<Dense>(3, 2, &rng2));
-  ASSERT_TRUE(LoadModel(&other, path).ok());
-
-  Tensor x = Tensor::Randn({4, 2, 6}, &rng);
-  Tensor y1 = model.Forward(x, false);
-  Tensor y2 = other.Forward(x, false);
-  for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoTest, StructureMismatchRejected) {
-  Rng rng(16);
-  Sequential model;
-  model.Add(std::make_unique<Dense>(3, 2, &rng));
-  const std::string path = "/tmp/qcore_model_io_mismatch.bin";
-  ASSERT_TRUE(SaveModel(&model, path).ok());
-  Sequential other;
-  other.Add(std::make_unique<Dense>(4, 2, &rng));  // different shape
-  Status s = LoadModel(&other, path);
-  EXPECT_FALSE(s.ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

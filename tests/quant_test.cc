@@ -237,7 +237,7 @@ TEST(SteCalibratorTest, ReducesLossAndRecoversAccuracy) {
   sopt.sgd.lr = 0.02f;
   const float post_loss = SteCalibrate(&qm, p.x, p.y, sopt, &rng);
   EXPECT_LT(post_loss, 1.0f);
-  EXPECT_GT(QuantizedAccuracy(&qm, p.x, p.y), 0.7f);
+  EXPECT_GT(EvaluateAccuracy(qm.model(), p.x, p.y), 0.7f);
 }
 
 TEST(SteCalibratorTest, ObserverSeesCodeDeltas) {
