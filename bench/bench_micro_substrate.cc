@@ -532,6 +532,46 @@ BENCHMARK(BM_EvalForwardInceptionTimeLayered)->Arg(1);
 BENCHMARK(BM_EvalForwardInceptionTime)->Arg(32);
 BENCHMARK(BM_EvalForwardInceptionTimeLayered)->Arg(32);
 
+// The pass that opens each calibration round (Alg. 4's miss tracking,
+// Alg. 3's features) over calib_har's 76-row update pool on its 4-bit
+// InceptionTime at 1 kernel thread: the plan under the frozen-training
+// formula keeping the quantized layers' inputs (TrialForward, built per
+// round as ContinualDriver::ProcessBatch does), against the layer-by-layer
+// training-mode forward with BatchNorm frozen it replaced, which caches
+// every layer's input. check_perf_regression.py floors the ratio. Both
+// sides allocate their activations afresh (RaiseTrimThreshold).
+void RunMissPassInceptionTime(benchmark::State& state, bool plan) {
+  RaiseTrimThreshold();
+  Rng rng(7);
+  auto model = MakeInceptionTime(9, 19, &rng);
+  QuantizedModel qm(*model, 4);
+  Tensor x = Tensor::Randn({76, 9, 64}, &rng);
+  std::vector<Layer*> owners;
+  for (int t = 0; t < qm.num_quantized(); ++t) {
+    owners.push_back(qm.quantized(t).owner);
+  }
+  kernels::set_gemm_threads(1);
+  SetBatchNormFrozen(qm.model(), true);
+  for (auto _ : state) {
+    if (plan) {
+      TrialForward pass(qm.model(), x, owners, /*threads=*/1,
+                        IncrementalForward::Formula::kFrozenTraining);
+      benchmark::DoNotOptimize(pass.Evaluate());
+    } else {
+      benchmark::DoNotOptimize(qm.model()->Forward(x, /*training=*/true));
+    }
+  }
+  ReportThreads(state, 1);
+}
+void BM_MissPassInceptionTime(benchmark::State& state) {
+  RunMissPassInceptionTime(state, /*plan=*/true);
+}
+void BM_MissPassInceptionTimeLayered(benchmark::State& state) {
+  RunMissPassInceptionTime(state, /*plan=*/false);
+}
+BENCHMARK(BM_MissPassInceptionTime);
+BENCHMARK(BM_MissPassInceptionTimeLayered);
+
 void BM_QuantizedForwardResNetTiny(benchmark::State& state) {
   RaiseTrimThreshold();
   Rng rng(8);

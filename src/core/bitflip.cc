@@ -21,45 +21,44 @@ namespace {
 // Mean and standard deviation of the activation per input unit of the layer
 // owning `qt`: per input feature for Dense, per input channel for
 // convolutions. Also returns the mean absolute activation as a normalizer.
+// The sums run over the rows in order, slice after slice.
 void InputActivationStats(const QuantizedModel::QuantizedTensor& qt,
-                          std::vector<float>* a_mean, std::vector<float>* a_std,
-                          float* a_scale) {
-  const Tensor* input = qt.owner->cached_input();
-  QCORE_CHECK_MSG(input != nullptr,
-                  "bit-flip features require a training-mode forward pass");
-  const Tensor& x = *input;
-  const int weight_ndim = qt.param->value.ndim();
-  int64_t units = 0;
-  if (weight_ndim == 2) {
+                          const RowSlices& input, std::vector<float>* a_mean,
+                          std::vector<float>* a_std, float* a_scale) {
+  QCORE_CHECK(!input.empty());
+  const Tensor& first = *input[0];
+  if (qt.param->value.ndim() == 2) {
     // Dense weight [out, in], input [N, in].
-    QCORE_CHECK_EQ(x.ndim(), 2);
-    units = x.dim(1);
+    QCORE_CHECK_EQ(first.ndim(), 2);
   } else {
     // Conv weight [F, C, K(, K)], input [N, C, spatial...].
-    QCORE_CHECK_GE(x.ndim(), 3);
-    units = x.dim(1);
+    QCORE_CHECK_GE(first.ndim(), 3);
   }
+  const int64_t units = first.dim(1);
+  int64_t spatial = 1;
+  for (int d = 2; d < first.ndim(); ++d) spatial *= first.dim(d);
   a_mean->assign(static_cast<size_t>(units), 0.0f);
   a_std->assign(static_cast<size_t>(units), 0.0f);
   std::vector<double> sum(static_cast<size_t>(units), 0.0);
   std::vector<double> sum_sq(static_cast<size_t>(units), 0.0);
-  const int64_t n = x.dim(0);
+  int64_t n = 0;
   double abs_sum = 0.0;
-  int64_t spatial = 1;
-  if (weight_ndim != 2) {
-    for (int d = 2; d < x.ndim(); ++d) spatial *= x.dim(d);
-  }
-  const float* px = x.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t u = 0; u < units; ++u) {
-      const float* row = px + (i * units + u) * spatial;
-      for (int64_t t = 0; t < spatial; ++t) {
-        sum[static_cast<size_t>(u)] += row[t];
-        sum_sq[static_cast<size_t>(u)] +=
-            static_cast<double>(row[t]) * row[t];
-        abs_sum += std::fabs(row[t]);
+  for (const Tensor* slice : input) {
+    QCORE_CHECK(slice->ndim() == first.ndim() &&
+                slice->size() == slice->dim(0) * units * spatial);
+    const float* px = slice->data();
+    for (int64_t i = 0; i < slice->dim(0); ++i) {
+      for (int64_t u = 0; u < units; ++u) {
+        const float* row = px + (i * units + u) * spatial;
+        for (int64_t t = 0; t < spatial; ++t) {
+          sum[static_cast<size_t>(u)] += row[t];
+          sum_sq[static_cast<size_t>(u)] +=
+              static_cast<double>(row[t]) * row[t];
+          abs_sum += std::fabs(row[t]);
+        }
       }
     }
+    n += slice->dim(0);
   }
   const double count = static_cast<double>(n * spatial);
   for (int64_t u = 0; u < units; ++u) {
@@ -69,8 +68,9 @@ void InputActivationStats(const QuantizedModel::QuantizedTensor& qt,
     (*a_mean)[static_cast<size_t>(u)] = static_cast<float>(mean);
     (*a_std)[static_cast<size_t>(u)] = static_cast<float>(std::sqrt(var));
   }
-  *a_scale = static_cast<float>(abs_sum / static_cast<double>(x.size())) +
-             1e-6f;
+  const int64_t elements = n * units * spatial;
+  *a_scale =
+      static_cast<float>(abs_sum / static_cast<double>(elements)) + 1e-6f;
 }
 
 // Input unit (feature/channel) of weight element `e`.
@@ -87,6 +87,7 @@ int64_t InputUnitOfElement(const Tensor& weight, int64_t e) {
 }  // namespace
 
 Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
+                              const RowSlices& input,
                               const std::vector<int32_t>* code_override) {
   const std::vector<int32_t>& codes =
       code_override != nullptr ? *code_override : qt.codes;
@@ -94,7 +95,7 @@ Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
 
   std::vector<float> a_mean, a_std;
   float a_scale = 1.0f;
-  InputActivationStats(qt, &a_mean, &a_std, &a_scale);
+  InputActivationStats(qt, input, &a_mean, &a_std, &a_scale);
 
   const int64_t count = static_cast<int64_t>(codes.size());
   Tensor features({count, kBitFlipFeatureDim});
@@ -115,6 +116,23 @@ Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
     row[5] = std::fabs(am) * inv_scale;         // activation magnitude
   }
   return features;
+}
+
+namespace {
+
+// The input the owner of `qt` cached in the last training-mode forward.
+RowSlices CachedInput(const QuantizedModel::QuantizedTensor& qt) {
+  const Tensor* input = qt.owner->cached_input();
+  QCORE_CHECK_MSG(input != nullptr,
+                  "bit-flip features require a training-mode forward pass");
+  return {input};
+}
+
+}  // namespace
+
+Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
+                              const std::vector<int32_t>* code_override) {
+  return ComputeBitFlipFeatures(qt, CachedInput(qt), code_override);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,65 +324,6 @@ void ParallelForCreditingCaller(int64_t n, int threads,
   }
 }
 
-// The validation forwards of one Alg. 3 round, on the round's free kernel
-// threads. The trial rows are cut into min(threads, rows) contiguous
-// slices, each with its own IncrementalForward, and an evaluation runs the
-// slices through ParallelFor with the caller taking part (GEMMs inside a
-// slice stay narrow; a worker set that became busy runs the slices in
-// turn). A round started while the worker set is busy, or while
-// serving-pool workers hold every CPU, is one slice: splitting it would
-// only take CPUs from other sessions.
-//
-// Exact: eval rows are independent (conv lowers per sample, BatchNorm eval
-// and pooling work per row) and every GEMM element keeps its ascending-k
-// chain whatever the row count, so a slice's logits are those rows of the
-// full forward bit for bit, and their concatenation in row order is the
-// full forward's logits. One slice is the single walker itself.
-class TrialForward {
- public:
-  TrialForward(Layer* root, const Tensor& x,
-               const std::vector<Layer*>& owners, int threads) {
-    const int64_t rows = x.dim(0);
-    const int64_t slices = std::min<int64_t>(threads, rows);
-    // Reserved, so the walkers' references into slice_x_ stay valid.
-    slice_x_.reserve(static_cast<size_t>(slices));
-    walkers_.reserve(static_cast<size_t>(slices));
-    for (int64_t s = 0; s < slices; ++s) {
-      if (slices > 1) {
-        slice_x_.push_back(
-            x.SliceRows(s * rows / slices, (s + 1) * rows / slices));
-      }
-      walkers_.emplace_back(root, slices > 1 ? slice_x_.back() : x, owners);
-    }
-  }
-  // The walkers hold references into slice_x_.
-  TrialForward(const TrialForward&) = delete;
-  TrialForward& operator=(const TrialForward&) = delete;
-
-  void MarkDirty(Layer* leaf) {
-    for (IncrementalForward& walker : walkers_) walker.MarkDirty(leaf);
-  }
-
-  // The logits of every trial row, in row order. Valid until the next call.
-  const Tensor& Evaluate() {
-    const int64_t slices = static_cast<int64_t>(walkers_.size());
-    std::vector<const Tensor*> parts(walkers_.size());
-    ParallelForCreditingCaller(slices, static_cast<int>(slices),
-                               [&](int64_t s) {
-                                 const size_t i = static_cast<size_t>(s);
-                                 parts[i] = &walkers_[i].Evaluate();
-                               });
-    if (slices == 1) return *parts[0];
-    logits_ = ConcatRows(parts);
-    return logits_;
-  }
-
- private:
-  std::vector<Tensor> slice_x_;  // each walker's rows, when there are several
-  std::vector<IncrementalForward> walkers_;
-  Tensor logits_;
-};
-
 // The bit-flip net's prediction for each element of one tensor.
 struct TensorScores {
   std::vector<int> deltas;
@@ -373,26 +332,70 @@ struct TensorScores {
 
 }  // namespace
 
-float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
-                                 const Tensor& x,
-                                 const std::vector<int>& labels,
-                                 const BitFlipCalibrateOptions& options,
-                                 Rng* rng) {
+TrialForward::TrialForward(Layer* root, const Tensor& x,
+                           const std::vector<Layer*>& owners, int threads,
+                           IncrementalForward::Formula formula) {
+  const int64_t rows = x.dim(0);
+  const int64_t slices = std::min<int64_t>(threads, rows);
+  // Reserved, so the walkers' references into slice_x_ stay valid.
+  slice_x_.reserve(static_cast<size_t>(slices));
+  walkers_.reserve(static_cast<size_t>(slices));
+  for (int64_t s = 0; s < slices; ++s) {
+    if (slices > 1) {
+      slice_x_.push_back(
+          x.SliceRows(s * rows / slices, (s + 1) * rows / slices));
+    }
+    walkers_.emplace_back(root, slices > 1 ? slice_x_.back() : x, owners,
+                          formula);
+  }
+}
+
+void TrialForward::MarkDirty(Layer* leaf) {
+  for (IncrementalForward& walker : walkers_) walker.MarkDirty(leaf);
+}
+
+const Tensor& TrialForward::Evaluate() {
+  const int64_t slices = static_cast<int64_t>(walkers_.size());
+  std::vector<const Tensor*> parts(walkers_.size());
+  ParallelForCreditingCaller(slices, static_cast<int>(slices),
+                             [&](int64_t s) {
+                               const size_t i = static_cast<size_t>(s);
+                               parts[i] = &walkers_[i].Evaluate();
+                             });
+  if (slices == 1) return *parts[0];
+  logits_ = ConcatRows(parts);
+  return logits_;
+}
+
+RowSlices TrialForward::Inputs(const Layer* owner) const {
+  RowSlices inputs;
+  inputs.reserve(walkers_.size());
+  for (const IncrementalForward& walker : walkers_) {
+    inputs.push_back(&walker.Input(owner));
+  }
+  return inputs;
+}
+
+float BitFlipIteration(QuantizedModel* qm, const BitFlipNet* bf,
+                       const std::vector<RowSlices>& owner_inputs,
+                       const Tensor& x, const std::vector<int>& labels,
+                       const BitFlipCalibrateOptions& options, int threads,
+                       Rng* rng) {
   QCORE_CHECK(qm != nullptr && bf != nullptr && rng != nullptr);
   Rng& explore_rng = *rng;
-  const int threads = FreeParallelThreads(kernels::gemm_threads());
+  const int num_tensors = qm->num_quantized();
+  QCORE_CHECK_EQ(owner_inputs.size(), static_cast<size_t>(num_tensors));
 
   // Every tensor is scored before the first trial, one task per tensor on
-  // the free threads. Exact: a tensor's features read its own codes, which
-  // only its own trials change, and its owner's cached input, which the
-  // eval-mode trials never write; scoring draws no randomness.
-  const int num_tensors = qm->num_quantized();
+  // the threads. Exact: a tensor's features read its own codes, which only
+  // its own trials change, and its owner's input under the codes the round
+  // started with; scoring draws no randomness.
   std::vector<TensorScores> scores(static_cast<size_t>(num_tensors));
   ParallelForCreditingCaller(num_tensors, threads, [&](int64_t t) {
-    TensorScores& score = scores[static_cast<size_t>(t)];
+    const size_t i = static_cast<size_t>(t);
     bf->Predict(ComputeBitFlipFeatures(qm->quantized(static_cast<int>(t)),
-                                       nullptr),
-                &score.deltas, &score.confidences);
+                                       owner_inputs[i], nullptr),
+                &scores[i].deltas, &scores[i].confidences);
   });
 
   // Bound the trial-evaluation cost: validate proposals on a per-round
@@ -510,6 +513,20 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
     }
   }
   return current_loss;
+}
+
+float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
+                                 const Tensor& x,
+                                 const std::vector<int>& labels,
+                                 const BitFlipCalibrateOptions& options,
+                                 Rng* rng) {
+  QCORE_CHECK(qm != nullptr);
+  std::vector<RowSlices> owner_inputs;
+  for (int t = 0; t < qm->num_quantized(); ++t) {
+    owner_inputs.push_back(CachedInput(qm->quantized(t)));
+  }
+  return BitFlipIteration(qm, bf, owner_inputs, x, labels, options,
+                          FreeParallelThreads(kernels::gemm_threads()), rng);
 }
 
 }  // namespace qcore

@@ -6,8 +6,13 @@
 // (clipped to {-1, 0, +1}). On the edge (Algorithm 3) it runs inference only:
 // features are computed from the current forward pass and predicted deltas
 // are applied directly to the quantized codes, one round per
-// BitFlipIterationFromCaches call; ContinualDriver (core/continual.h) runs
-// the rounds.
+// BitFlipIteration call; ContinualDriver (core/continual.h) runs the
+// rounds. The features read each quantized layer's input over the
+// calibration rows, which the pass opening each round (TrialForward under
+// the frozen-training formula) keeps; the two-argument
+// ComputeBitFlipFeatures (Alg. 2's STE observer) and
+// BitFlipIterationFromCaches read it from the layers' training-mode caches
+// instead.
 #ifndef QCORE_CORE_BITFLIP_H_
 #define QCORE_CORE_BITFLIP_H_
 
@@ -16,6 +21,7 @@
 
 #include "data/dataset.h"
 #include "nn/composite.h"
+#include "nn/incremental_forward.h"
 #include "nn/training.h"
 #include "quant/quantized_model.h"
 #include "quant/ste_calibrator.h"
@@ -28,11 +34,23 @@ namespace qcore {
 // activation, and the activation magnitude.
 inline constexpr int kBitFlipFeatureDim = 6;
 
+// A layer's input over a set of rows, as contiguous row slices in row
+// order (TrialForward::Inputs).
+using RowSlices = std::vector<const Tensor*>;
+
 // Computes the [num_elements, kBitFlipFeatureDim] feature matrix for one
-// quantized tensor. Requires the owner layer to hold a cached input from a
-// training-mode forward pass. If `code_override` is non-null it supplies the
-// codes to featurize (used during supervision collection, where features
-// must reflect the pre-update weights).
+// quantized tensor from its owner layer's input over the calibration rows.
+// The activation statistics visit the rows in order, slice after slice, so
+// the features do not depend on how the rows are sliced. If
+// `code_override` is non-null it supplies the codes to featurize (used
+// during supervision collection, where features must reflect the
+// pre-update weights).
+Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
+                              const RowSlices& input,
+                              const std::vector<int32_t>* code_override);
+
+// The same over the input the owner layer cached in the last training-mode
+// forward pass, which it must hold (Alg. 2's STE steps leave one).
 Tensor ComputeBitFlipFeatures(const QuantizedModel::QuantizedTensor& qt,
                               const std::vector<int32_t>* code_override);
 
@@ -114,7 +132,7 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // (gemm_threads()) that are free when the round starts
 // (FreeParallelThreads); the loss is bit-identical to a single-thread full
 // forward's whatever the split. These options shape one round
-// (BitFlipIterationFromCaches); the loop of E rounds per stream batch is
+// (BitFlipIteration); the loop of E rounds per stream batch is
 // ContinualDriver::ProcessBatch's (core/continual.h), and E is
 // ContinualOptions::iterations.
 struct BitFlipCalibrateOptions {
@@ -146,20 +164,77 @@ struct BitFlipCalibrateOptions {
   }
 };
 
-// Applies one flip round using the activation caches left by the most recent
-// training-mode forward pass of qm->model(). Proposals are validated against
-// (x, labels), or a per-round sample of trial_rows of its rows; returns the
-// cross-entropy of the resulting model on those rows. `rng` drives the
-// sample and the exploration proposals.
+// The plan (nn/incremental_forward) over a set of rows, on `threads` kernel
+// threads (a round passes the count free when it starts): the rows are cut
+// into min(threads, rows) contiguous slices, each with its own walker, and an
+// evaluation runs the slices through ParallelFor with the caller taking
+// part (GEMMs inside a slice stay narrow; a worker set that became busy
+// runs the slices in turn). Started while the worker set is busy, or while
+// serving-pool workers hold every CPU, it is one slice: splitting it would
+// only take CPUs from other sessions. The GEMMs helper threads run are
+// credited to the caller's counters (kernels::ThreadGemmDispatchCounters),
+// as if it had run them all. It runs both forwards of a calibration round:
+// the pass over the update pool that opens it (frozen-training formula;
+// its logits feed Alg. 4's miss tracker and its owners' inputs Alg. 3's
+// features) and the validation of each flip proposal (eval formula, rerun
+// incrementally downstream of the changed tensor).
+//
+// Exact: rows are independent (conv lowers per sample, BatchNorm and
+// pooling work per row) and every GEMM element keeps its ascending-k chain
+// whatever the row count, so a slice's logits are those rows of the full
+// forward bit for bit, and their concatenation in row order is the full
+// forward's logits. One slice is the single walker itself.
+class TrialForward {
+ public:
+  // `root` and `x` must outlive this object; `owners` are the mutable
+  // leaves (IncrementalForward).
+  TrialForward(Layer* root, const Tensor& x, const std::vector<Layer*>& owners,
+               int threads,
+               IncrementalForward::Formula formula =
+                   IncrementalForward::Formula::kEval);
+  // The walkers hold references into slice_x_.
+  TrialForward(const TrialForward&) = delete;
+  TrialForward& operator=(const TrialForward&) = delete;
+
+  void MarkDirty(Layer* leaf);
+
+  // The logits of every row, in row order. Valid until the next call.
+  const Tensor& Evaluate();
+
+  // The input `owner` saw in the last Evaluate(), one tensor per slice in
+  // row order (IncrementalForward::Input). Valid until the next call.
+  RowSlices Inputs(const Layer* owner) const;
+
+ private:
+  std::vector<Tensor> slice_x_;  // each walker's rows, when there are several
+  std::vector<IncrementalForward> walkers_;
+  Tensor logits_;
+};
+
+// Applies one flip round. `owner_inputs[t]` is quantized tensor t's owner
+// layer's input over the rows of x under the current codes, as row slices
+// (the pass that opens the round keeps it); the round runs on `threads`
+// kernel threads. Proposals are validated against (x, labels), or a
+// per-round sample of trial_rows of its rows; returns the cross-entropy of
+// the resulting model on those rows. `rng` drives the sample and the
+// exploration proposals.
 //
 // The round scores every tensor up front (ComputeBitFlipFeatures, then
-// bf->Predict), one task per tensor on the kernel threads free when it
-// starts, and then runs each tensor's trials in turn on the same threads.
-// Scoring first is exact: a tensor's features read only its own codes,
-// which only its own trials change, and its owner's cached input, which
-// the eval-mode trials never write; scoring draws nothing from `rng`. The
-// GEMMs helper threads run are credited to the caller's counters
-// (kernels::ThreadGemmDispatchCounters), as if it had run them all.
+// bf->Predict), one task per tensor on the threads, and then runs each
+// tensor's trials in turn on the same threads (TrialForward). Scoring
+// first is exact: a tensor's features read only its own codes, which only
+// its own trials change, and its owner's input under the codes the round
+// started with; scoring draws nothing from `rng`. The GEMMs helper threads
+// run are credited to the caller's counters.
+float BitFlipIteration(QuantizedModel* qm, const BitFlipNet* bf,
+                       const std::vector<RowSlices>& owner_inputs,
+                       const Tensor& x, const std::vector<int>& labels,
+                       const BitFlipCalibrateOptions& options, int threads,
+                       Rng* rng);
+
+// BitFlipIteration with the owner inputs the most recent training-mode
+// forward pass of qm->model() cached, on the kernel threads of the budget
+// (gemm_threads()) free when it starts (FreeParallelThreads).
 float BitFlipIterationFromCaches(QuantizedModel* qm, const BitFlipNet* bf,
                                  const Tensor& x,
                                  const std::vector<int>& labels,

@@ -3,8 +3,9 @@
 #include "common/stopwatch.h"
 #include "core/qcore_update.h"
 #include "core/quant_miss.h"
-#include "nn/batchnorm.h"
 #include "nn/training.h"
+#include "runtime/parallel_for.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -28,16 +29,22 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
   const Dataset pool = MakeUpdatePool(qcore_, batch, rng_);
   QuantMissTracker tracker(pool.size(), 1);
 
-  SetBatchNormFrozen(qm_->model(), true);
+  std::vector<Layer*> owners;  // the layers whose inputs the features read
+  if (options_.use_bitflip) {
+    for (int t = 0; t < qm_->num_quantized(); ++t) {
+      owners.push_back(qm_->quantized(t).owner);
+    }
+  }
   for (int it = 0; it < options_.iterations; ++it) {
-    // One forward serves both purposes: its logits feed the miss tracker
-    // (Alg. 4 lines 6-9) and its activation caches feed the bit-flip
-    // features (Alg. 3 line 6). With BN frozen, training-mode outputs equal
-    // eval-mode outputs up to rounding: training mode normalizes as
-    // (x - mean) * inv_std * gamma + beta, eval applies the folded
-    // scale * x + shift.
-    Tensor logits = qm_->model()->Forward(pool.x(), /*training=*/true);
-    const std::vector<int> preds = ArgMaxRows(logits);
+    // One pass over the pool serves both purposes: its logits feed the miss
+    // tracker (Alg. 4 lines 6-9) and the owners' inputs it keeps feed the
+    // bit-flip features (Alg. 3 line 6). It computes what a training-mode
+    // forward with BatchNorm frozen would, bit for bit, on the kernel
+    // threads free now, which the round's trials then use too.
+    const int threads = FreeParallelThreads(kernels::gemm_threads());
+    TrialForward pass(qm_->model(), pool.x(), owners, threads,
+                      IncrementalForward::Formula::kFrozenTraining);
+    const std::vector<int> preds = ArgMaxRows(pass.Evaluate());
     std::vector<bool> correct(static_cast<size_t>(pool.size()));
     for (int i = 0; i < pool.size(); ++i) {
       correct[static_cast<size_t>(i)] =
@@ -47,11 +54,14 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
     tracker.ObserveAll(0, correct);
 
     if (options_.use_bitflip) {
-      BitFlipIterationFromCaches(qm_, bf_, pool.x(), pool.labels(),
-                                 options_.bf, rng_);
+      std::vector<RowSlices> owner_inputs;
+      for (const Layer* owner : owners) {
+        owner_inputs.push_back(pass.Inputs(owner));
+      }
+      BitFlipIteration(qm_, bf_, owner_inputs, pool.x(), pool.labels(),
+                       options_.bf, threads, rng_);
     }
   }
-  SetBatchNormFrozen(qm_->model(), false);
 
   if (options_.use_qcore_update) {
     Dataset updated =

@@ -4,8 +4,12 @@
 // QCore is resampled to absorb the new domain without forgetting the old
 // one. ProcessBatch is the one loop of E calibration rounds (Algorithms 3
 // and 4 interleaved); the pipeline (core/pipeline.h) and the serving
-// sessions step a ContinualDriver. The two ablation switches correspond to
-// Table 7 (NoBF / NoUpda).
+// sessions step a ContinualDriver. A step is inference only: each round
+// opens with one pass of the fused plan over the update pool (TrialForward
+// under the frozen-training formula, core/bitflip.h), split over the free
+// kernel threads, and no step runs a training-mode forward, so a
+// calibrated model holds no layer caches between steps. The two ablation
+// switches correspond to Table 7 (NoBF / NoUpda).
 #ifndef QCORE_CORE_CONTINUAL_H_
 #define QCORE_CORE_CONTINUAL_H_
 
@@ -18,9 +22,9 @@
 namespace qcore {
 
 struct ContinualOptions {
-  // E in Algorithms 3 and 4: rounds per stream batch, each one training
-  // forward whose logits feed the miss tracker and whose caches feed one
-  // bit-flip round. The only knob for E.
+  // E in Algorithms 3 and 4: rounds per stream batch, each one pass over
+  // the update pool whose logits feed the miss tracker and whose kept
+  // layer inputs feed one bit-flip round. The only knob for E.
   int iterations = 3;
   // Disable for the NoBF ablation: the model stays fixed (no BP on edge).
   bool use_bitflip = true;

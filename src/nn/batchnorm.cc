@@ -35,12 +35,50 @@ BatchNorm::BatchNorm(int64_t channels, float momentum, float eps)
   running_var_ = Tensor::Full({channels}, 1.0f);
 }
 
+float BatchNorm::InvStd(int64_t ch) const {
+  return 1.0f / std::sqrt(running_var_[ch] + eps_);
+}
+
 void BatchNorm::EvalScaleShift(float* scale, float* shift) const {
   for (int64_t ch = 0; ch < channels_; ++ch) {
-    const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-    scale[ch] = gamma_.value[ch] * inv_std;
+    scale[ch] = gamma_.value[ch] * InvStd(ch);
     shift[ch] = beta_.value[ch] - scale[ch] * running_mean_[ch];
   }
+}
+
+void BatchNorm::FrozenTerms(float* mean, float* inv_std, float* gamma,
+                            float* beta) const {
+  for (int64_t ch = 0; ch < channels_; ++ch) {
+    mean[ch] = running_mean_[ch];
+    inv_std[ch] = InvStd(ch);
+    gamma[ch] = gamma_.value[ch];
+    beta[ch] = beta_.value[ch];
+  }
+}
+
+std::vector<float> BatchNorm::NormalizeFrozen(const Tensor& x, float* xhat,
+                                              float* out) const {
+  const NcsView v = ViewOf(x);
+  QCORE_CHECK_EQ(v.c, channels_);
+  std::vector<float> terms(static_cast<size_t>(4 * channels_));
+  float* mean = terms.data();
+  float* inv_std = mean + channels_;
+  float* gamma = inv_std + channels_;
+  float* beta = gamma + channels_;
+  FrozenTerms(mean, inv_std, gamma, beta);
+  const int64_t block = v.c * v.s;
+  for (int64_t i = 0; i < v.n; ++i) {
+    NormalizeRows(x.data() + i * block, mean, inv_std, gamma, beta, v.c, v.s,
+                  xhat != nullptr ? xhat + i * block : nullptr,
+                  out + i * block);
+  }
+  return std::vector<float>(inv_std, inv_std + channels_);
+}
+
+Tensor BatchNorm::FrozenForward(const Tensor& x) const {
+  Tensor out(x.shape());
+  (void)NormalizeFrozen(x, /*xhat=*/nullptr, out.data());
+  return out;
 }
 
 Tensor BatchNorm::Forward(const Tensor& x, bool training) {
@@ -49,8 +87,6 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   Tensor out(x.shape());
   const float* px = x.data();
   float* po = out.data();
-  const float* pg = gamma_.value.data();
-  const float* pb = beta_.value.data();
 
   if (training && frozen_) {
     // Normalize with running statistics, caching x-hat so Backward can treat
@@ -58,29 +94,14 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
     cached_shape_ = x.shape();
     cached_frozen_ = true;
     cached_xhat_ = Tensor(x.shape());
-    cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
-    float* pxh = cached_xhat_.data();
-    for (int64_t ch = 0; ch < channels_; ++ch) {
-      const float mean = running_mean_[ch];
-      const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-      cached_inv_std_[static_cast<size_t>(ch)] = inv_std;
-      for (int64_t i = 0; i < v.n; ++i) {
-        const float* row = px + (i * v.c + ch) * v.s;
-        float* xhrow = pxh + (i * v.c + ch) * v.s;
-        float* orow = po + (i * v.c + ch) * v.s;
-        for (int64_t t = 0; t < v.s; ++t) {
-          const float xh = (row[t] - mean) * inv_std;
-          xhrow[t] = xh;
-          orow[t] = pg[ch] * xh + pb[ch];
-        }
-      }
-    }
+    cached_inv_std_ = NormalizeFrozen(x, cached_xhat_.data(), po);
   } else if (training) {
+    // Normalize with the batch statistics, which move the running ones.
     cached_shape_ = x.shape();
     cached_frozen_ = false;
     cached_xhat_ = Tensor(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(channels_), 0.0f);
-    float* pxh = cached_xhat_.data();
+    std::vector<float> batch_mean(static_cast<size_t>(channels_));
     const double count = static_cast<double>(v.n * v.s);
     for (int64_t ch = 0; ch < channels_; ++ch) {
       double mean = 0.0;
@@ -98,23 +119,20 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
         }
       }
       var /= count;
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[static_cast<size_t>(ch)] = inv_std;
+      batch_mean[static_cast<size_t>(ch)] = static_cast<float>(mean);
+      cached_inv_std_[static_cast<size_t>(ch)] =
+          1.0f / std::sqrt(static_cast<float>(var) + eps_);
       running_mean_[ch] =
           (1.0f - momentum_) * running_mean_[ch] +
           momentum_ * static_cast<float>(mean);
       running_var_[ch] = (1.0f - momentum_) * running_var_[ch] +
                          momentum_ * static_cast<float>(var);
-      for (int64_t i = 0; i < v.n; ++i) {
-        const float* row = px + (i * v.c + ch) * v.s;
-        float* xhrow = pxh + (i * v.c + ch) * v.s;
-        float* orow = po + (i * v.c + ch) * v.s;
-        for (int64_t t = 0; t < v.s; ++t) {
-          const float xh = (row[t] - static_cast<float>(mean)) * inv_std;
-          xhrow[t] = xh;
-          orow[t] = pg[ch] * xh + pb[ch];
-        }
-      }
+    }
+    const int64_t block = v.c * v.s;
+    for (int64_t i = 0; i < v.n; ++i) {
+      NormalizeRows(px + i * block, batch_mean.data(), cached_inv_std_.data(),
+                    gamma_.value.data(), beta_.value.data(), v.c, v.s,
+                    cached_xhat_.data() + i * block, po + i * block);
     }
   } else {
     std::vector<float> affine(static_cast<size_t>(2 * channels_));

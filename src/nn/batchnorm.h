@@ -1,9 +1,12 @@
 // Batch normalization over the channel axis. Supports [N, C] (dense),
 // [N, C, L] (temporal), and [N, C, H, W] (spatial) inputs: statistics are
 // computed per channel over all remaining axes. Eval mode applies the
-// folded per-channel affine scale * x + shift; EvalScaleShift is its one
-// formula, which the fused eval plan (nn/incremental_forward) also uses to
-// run a BatchNorm inside the epilogue of the conv before it.
+// folded per-channel affine scale * x + shift (EvalScaleShift); a frozen
+// BatchNorm's training mode applies gamma * ((x - mean) * inv_std) + beta
+// with the running statistics (FrozenTerms, nn/epilogue's NormalizeRows),
+// which rounds differently. The fused plan (nn/incremental_forward) runs
+// either formula inside the epilogue of the conv before the BatchNorm, and
+// FrozenForward where it cannot fuse one.
 #ifndef QCORE_NN_BATCHNORM_H_
 #define QCORE_NN_BATCHNORM_H_
 
@@ -36,6 +39,16 @@ class BatchNorm : public Layer {
   // the running statistics.
   void EvalScaleShift(float* scale, float* shift) const;
 
+  // The frozen training formula's terms per channel, into channels() floats
+  // each: the running mean, inv_std = 1 / sqrt(var + eps), gamma and beta.
+  void FrozenTerms(float* mean, float* inv_std, float* gamma,
+                   float* beta) const;
+
+  // Forward(x, /*training=*/true) of a frozen BatchNorm, bit for bit, but
+  // writing no layer state (no x-hat for Backward), so threads may run it
+  // on one layer at once.
+  Tensor FrozenForward(const Tensor& x) const;
+
   // Freeze mode: training-mode Forward normalizes with the *running*
   // statistics (treated as constants in Backward) and does not update them.
   // Used during calibration, where batches are tiny (e.g. a 30-example
@@ -44,6 +57,12 @@ class BatchNorm : public Layer {
   bool frozen() const { return frozen_; }
 
  private:
+  float InvStd(int64_t ch) const;
+  // The frozen training formula over x into out, and x-hat into xhat when
+  // it is non-null. Returns inv_std per channel.
+  std::vector<float> NormalizeFrozen(const Tensor& x, float* xhat,
+                                     float* out) const;
+
   int64_t channels_;
   float momentum_;
   float eps_;

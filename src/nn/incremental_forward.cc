@@ -10,8 +10,9 @@
 namespace qcore {
 
 IncrementalForward::IncrementalForward(
-    Layer* root, const Tensor& x, const std::vector<Layer*>& mutable_leaves)
-    : x_(x) {
+    Layer* root, const Tensor& x, const std::vector<Layer*>& mutable_leaves,
+    Formula formula)
+    : x_(x), formula_(formula) {
   QCORE_CHECK(root != nullptr);
   nodes_.reserve(64);  // every zoo model; more only grows the vector
   Build(root, kNone, mutable_leaves);
@@ -62,6 +63,10 @@ size_t IncrementalForward::Build(Layer* layer, size_t parent,
   Kind kind = Kind::kLeaf;
   if (!composite) {
     if (dynamic_cast<ConvLayer*>(layer) != nullptr) kind = Kind::kConv;
+    if (formula_ == Formula::kFrozenTraining &&
+        dynamic_cast<BatchNorm*>(layer) != nullptr) {
+      kind = Kind::kFrozenBatchNorm;
+    }
     if (std::find(mutable_leaves.begin(), mutable_leaves.end(), layer) !=
         mutable_leaves.end()) {
       mutable_node_.emplace_back(layer, id);
@@ -129,14 +134,16 @@ void IncrementalForward::AddChild(Scope* scope, Layer* layer) {
 }
 
 void IncrementalForward::BuildEpilogues() {
-  // Each fused BatchNorm gets its scale/shift once, even where every
-  // branch of a concat runs it on its own slice. Sized first: the
-  // epilogues point into affine_.
+  // Each fused BatchNorm gets its terms once, even where every branch of a
+  // concat runs it on its own slice. Sized first: the epilogues point into
+  // affine_.
+  const bool eval = formula_ == Formula::kEval;
+  const int arrays = eval ? 2 : 4;
   size_t floats = 0;
   for (const Node& node : nodes_) {
     for (int i = 0; i < node.num_fused; ++i) {
       if (const auto* bn = dynamic_cast<const BatchNorm*>(node.fused[i])) {
-        floats += static_cast<size_t>(2 * bn->channels());
+        floats += static_cast<size_t>(arrays * bn->channels());
       }
     }
   }
@@ -153,21 +160,28 @@ void IncrementalForward::BuildEpilogues() {
             : static_cast<const ConvLayer*>(node.layer)->out_channels();
     for (int i = 0; i < node.num_fused; ++i) {
       const auto* bn = dynamic_cast<const BatchNorm*>(node.fused[i]);
-      const float* scale = nullptr;
+      const float* terms = nullptr;
       if (bn != nullptr) {
         QCORE_CHECK_EQ(bn->channels(), channels);
-        bn->EvalScaleShift(next, next + channels);
-        scale = next;
-        next += 2 * channels;
+        if (eval) {
+          bn->EvalScaleShift(next, next + channels);
+        } else {
+          bn->FrozenTerms(next, next + channels, next + 2 * channels,
+                          next + 3 * channels);
+        }
+        terms = next;
+        next += arrays * channels;
       }
       // A conv's own layers cover its channels; a concat's, from each
       // branch's first channel in the concat output.
       auto add = [&](Node* conv, int64_t first) {
-        if (scale == nullptr) {
+        const auto array = [&](int k) { return terms + k * channels + first; };
+        if (terms == nullptr) {
           conv->epilogue.AddRelu();
+        } else if (eval) {
+          conv->epilogue.AddScaleShift(array(0), array(1));
         } else {
-          conv->epilogue.AddScaleShift(scale + first,
-                                       scale + channels + first);
+          conv->epilogue.AddNormalize(array(0), array(1), array(2), array(3));
         }
       };
       if (node.kind == Kind::kConv) {
@@ -181,13 +195,17 @@ void IncrementalForward::BuildEpilogues() {
   }
 }
 
+size_t IncrementalForward::NodeOf(const Layer* leaf) const {
+  auto it = std::find_if(
+      mutable_node_.begin(), mutable_node_.end(),
+      [&](const auto& entry) { return entry.first == leaf; });
+  QCORE_CHECK_MSG(it != mutable_node_.end(), "leaf not declared mutable");
+  return it->second;
+}
+
 void IncrementalForward::MarkDirty(Layer* leaf) {
-  auto it = std::find_if(mutable_node_.begin(), mutable_node_.end(),
-                         [&](const auto& entry) { return entry.first == leaf; });
-  QCORE_CHECK_MSG(it != mutable_node_.end(),
-                  "MarkDirty on a leaf not declared mutable");
   // A dirty node's ancestors are dirty, so the walk stops at the first one.
-  for (size_t n = it->second; n != kNone && !nodes_[n].dirty;
+  for (size_t n = NodeOf(leaf); n != kNone && !nodes_[n].dirty;
        n = nodes_[n].parent) {
     nodes_[n].dirty = true;
   }
@@ -196,6 +214,24 @@ void IncrementalForward::MarkDirty(Layer* leaf) {
 const Tensor& IncrementalForward::Evaluate() {
   if (nodes_[0].dirty) Run(0, x_, /*new_input=*/false);
   return Result(0);
+}
+
+const Tensor& IncrementalForward::Input(const Layer* leaf) const {
+  QCORE_CHECK_MSG(!nodes_[0].dirty, "Input before Evaluate");
+  // A node's input is its Sequential predecessor's result, or else its
+  // parent's input; the root's is x.
+  for (size_t id = NodeOf(leaf);; id = nodes_[id].parent) {
+    const size_t parent = nodes_[id].parent;
+    if (parent == kNone) return x_;
+    if (nodes_[parent].kind != Kind::kSequential ||
+        nodes_[parent].first_child == id) {
+      continue;
+    }
+    size_t prev = nodes_[parent].first_child;
+    while (nodes_[prev].next_sibling != id) prev = nodes_[prev].next_sibling;
+    QCORE_CHECK(nodes_[Owner(prev)].keep);
+    return Result(prev);
+  }
 }
 
 size_t IncrementalForward::Owner(size_t id) const {
@@ -228,6 +264,11 @@ void IncrementalForward::Run(size_t id, const Tensor& in, bool new_input) {
       return;
     case Kind::kConv:
       RunConv(&node, in);
+      return;
+    case Kind::kFrozenBatchNorm:
+      node.output = Tensor();
+      node.output =
+          static_cast<const BatchNorm*>(node.layer)->FrozenForward(in);
       return;
     case Kind::kSequential: {
       // Children before the first dirty one saw the same input and

@@ -512,6 +512,32 @@ TEST(ContinualDriverTest, RunStreamReportsPerBatchStats) {
   EXPECT_GE(AverageAccuracy(stats), 0.0f);
 }
 
+// A calibration step runs no training-mode forward, so it leaves no layer
+// caches behind: a deployed model holds no activations between steps.
+TEST(ContinualDriverTest, StepLeavesNoLayerCaches) {
+  Rng rng(23);
+  std::vector<std::pair<std::unique_ptr<Sequential>, std::vector<int64_t>>>
+      families;
+  families.emplace_back(MakeInceptionTime(4, 6, &rng),
+                        std::vector<int64_t>{4, 16});
+  families.emplace_back(MakeResNetTiny(3, 6, &rng),
+                        std::vector<int64_t>{3, 8, 8});
+  for (const auto& [fp, row_shape] : families) {
+    SCOPED_TRACE(fp->name());
+    QuantizedModel qm(*fp, 4);
+    qm.DropShadows();
+    BitFlipNet bf(4, &rng);
+    bf.Quantize();
+    ContinualDriver driver(&qm, &bf, RandomRows(row_shape, 30, 6, &rng),
+                           ContinualOptions{}, &rng);
+    driver.ProcessBatch(RandomRows(row_shape, 40, 6, &rng),
+                        RandomRows(row_shape, 20, 6, &rng));
+    for (const Layer* leaf : FlattenLeafLayers(qm.model())) {
+      EXPECT_EQ(leaf->cached_input(), nullptr) << leaf->name();
+    }
+  }
+}
+
 TEST(PipelineTest, EndToEndImprovesOverFrozenModel) {
   // Full pipeline vs the NoBF/NoUpda-style frozen deployment.
   HarSpec spec = SmallSpec();

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <thread>
 
 #include "core/bitflip.h"
@@ -87,12 +86,6 @@ TEST_P(ModelZooTest, CloneReproducesOutputs) {
   Tensor y1 = model->Forward(x, false);
   Tensor y2 = copy->Forward(x, false);
   for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
-}
-
-bool BitEqual(const Tensor& a, const Tensor& b) {
-  return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
 }
 
 // Runs `body` at kernel budgets 1, 2 and 3, with every GEMM wide enough to
@@ -262,6 +255,22 @@ TEST_P(ModelZooTest, IncrementalForwardMatchesLayeredForward) {
       previous = t;
     }
     EXPECT_GT(switched_after_undo, 0);
+  });
+}
+
+// The pass that opens a calibration round (the plan under the
+// frozen-training formula, over as many row slices as the budget has
+// threads) equals the frozen training forward it replaced on each zoo
+// model, 4-bit as deployed: the logits and every quantized layer's input.
+TEST_P(ModelZooTest, PoolPassMatchesFrozenTrainingForward) {
+  Rng rng(11);
+  auto model = Build(GetParam(), &rng);
+  const Tensor x = InputFor(GetParam(), &rng, /*n=*/12);
+  MoveBatchNormState(model.get(), &rng);
+  QuantizedModel qm(*model, 4);
+  AtEveryBudget([&] {
+    ExpectPoolPassMatchesFrozenTraining(qm.model(), x,
+                                        kernels::gemm_threads());
   });
 }
 

@@ -252,72 +252,95 @@ TEST(SetBatchNormFrozenTest, WalksTree) {
   EXPECT_EQ(frozen_count, 1);
 }
 
-bool BitEqual(const Tensor& a, const Tensor& b) {
-  return a.SameShape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
-}
-
-// A composite root's eval Forward is the fused plan; it equals the layer-
-// by-layer forward bit for bit for a Residual root (a projection shortcut,
-// a body ending conv -> BatchNorm), a Residual whose ReLU runs in its join,
-// the BatchNorm-only residual of SetBatchNormFrozenTest, and a
-// ParallelConcat whose BatchNorm/ReLU run in its branches' epilogues (one
-// branch with an epilogue of its own, one ending in a one-input-channel
-// conv, whose samples run as one GEMM, at a channel offset).
-TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
-  Rng rng(17);
+// Composite roots for the plan, each on [N, 2, L] inputs: a Residual root
+// (a projection shortcut, a body ending conv -> BatchNorm), a Residual
+// whose ReLU runs in its join followed by the BatchNorm-only residual of
+// SetBatchNormFrozenTest, a ParallelConcat whose BatchNorm/ReLU run in its
+// branches' epilogues (one branch with an epilogue of its own, one ending
+// in a one-input-channel conv, whose samples run as one GEMM, at a channel
+// offset), and a chain with more BatchNorm/ReLU layers than a conv's
+// epilogue takes (the rest run as layers of their own).
+std::vector<std::unique_ptr<Layer>> CompositeRoots(Rng* rng) {
   auto conv_bn = [&](int64_t in, int64_t out, int k, bool relu) {
     auto seq = std::make_unique<Sequential>();
     seq->Add(std::make_unique<Conv1d>(in, out, k, 1, Conv1d::SamePad(k),
-                                      &rng));
+                                      rng));
     seq->Add(std::make_unique<BatchNorm>(out));
     if (relu) seq->Add(std::make_unique<Relu>());
     return seq;
   };
+  std::vector<std::unique_ptr<Layer>> roots;
   auto body = conv_bn(2, 3, 3, /*relu=*/true);
-  body->Add(std::make_unique<Conv1d>(3, 3, 3, 1, 1, &rng));
+  body->Add(std::make_unique<Conv1d>(3, 3, 3, 1, 1, rng));
   body->Add(std::make_unique<BatchNorm>(3));
-  Residual projection(std::move(body), conv_bn(2, 3, 1, /*relu=*/false));
+  roots.push_back(std::make_unique<Residual>(
+      std::move(body), conv_bn(2, 3, 1, /*relu=*/false)));
 
-  Sequential joined;
-  joined.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
-  joined.Add(std::make_unique<Residual>(conv_bn(3, 3, 5, false), nullptr));
-  joined.Add(std::make_unique<Relu>());
+  auto joined = std::make_unique<Sequential>();
+  joined->Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, rng));
+  joined->Add(std::make_unique<Residual>(conv_bn(3, 3, 5, false), nullptr));
+  joined->Add(std::make_unique<Relu>());
   auto bn_only = std::make_unique<Sequential>();
   bn_only->Add(std::make_unique<BatchNorm>(3));
-  joined.Add(std::make_unique<Residual>(std::move(bn_only), nullptr));
+  joined->Add(std::make_unique<Residual>(std::move(bn_only), nullptr));
+  roots.push_back(std::move(joined));
 
   std::vector<std::unique_ptr<Layer>> branches;
-  branches.push_back(std::make_unique<Conv1d>(2, 2, 3, 1, 1, &rng));
+  branches.push_back(std::make_unique<Conv1d>(2, 2, 3, 1, 1, rng));
   branches.push_back(conv_bn(2, 3, 1, /*relu=*/true));
   auto one_channel = std::make_unique<Sequential>();
-  one_channel->Add(std::make_unique<Conv1d>(2, 1, 1, 1, 0, &rng));
-  one_channel->Add(std::make_unique<Conv1d>(1, 3, 3, 1, 1, &rng));
+  one_channel->Add(std::make_unique<Conv1d>(2, 1, 1, 1, 0, rng));
+  one_channel->Add(std::make_unique<Conv1d>(1, 3, 3, 1, 1, rng));
   branches.push_back(std::move(one_channel));
-  Sequential concat;
-  concat.Add(std::make_unique<ParallelConcat>(std::move(branches)));
-  concat.Add(std::make_unique<BatchNorm>(8));
-  concat.Add(std::make_unique<Relu>());
+  auto concat = std::make_unique<Sequential>();
+  concat->Add(std::make_unique<ParallelConcat>(std::move(branches)));
+  concat->Add(std::make_unique<BatchNorm>(8));
+  concat->Add(std::make_unique<Relu>());
+  roots.push_back(std::move(concat));
 
-  // More BatchNorm/ReLU layers than a conv's epilogue takes: the rest run
-  // as layers of their own.
-  Sequential chain;
-  chain.Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, &rng));
+  auto chain = std::make_unique<Sequential>();
+  chain->Add(std::make_unique<Conv1d>(2, 3, 3, 1, 1, rng));
   for (int i = 0; i < 3; ++i) {
-    chain.Add(std::make_unique<BatchNorm>(3));
-    chain.Add(std::make_unique<Relu>());
+    chain->Add(std::make_unique<BatchNorm>(3));
+    chain->Add(std::make_unique<Relu>());
   }
+  roots.push_back(std::move(chain));
+  return roots;
+}
 
-  for (Layer* root :
-       std::vector<Layer*>{&projection, &joined, &concat, &chain}) {
+// A composite root's eval Forward is the fused plan; it equals the layer-
+// by-layer forward bit for bit.
+TEST(EvalPlanTest, CompositeRootsMatchLayeredForward) {
+  Rng rng(17);
+  for (const std::unique_ptr<Layer>& root : CompositeRoots(&rng)) {
     SCOPED_TRACE(root->name());
     // Running statistics, gamma and beta off their init: near it a
     // differently rounded affine can give the same bits.
-    MoveBatchNormState(root, &rng);
+    MoveBatchNormState(root.get(), &rng);
     const Tensor x = Tensor::Randn({5, 2, 7}, &rng);
-    EXPECT_TRUE(BitEqual(root->Forward(x, false), LayeredEvalForward(root, x)));
+    EXPECT_TRUE(BitEqual(root->Forward(x, false),
+                         LayeredEvalForward(root.get(), x)));
   }
+}
+
+// The plan under the frozen-training formula (the pass that opens a
+// calibration round) equals the frozen training forward on the same roots,
+// the BatchNorms it cannot fuse included (the BatchNorm-only residual and
+// the chain's last two), over 1, 2 and 3 row slices at those budgets.
+TEST(EvalPlanTest, FrozenTrainingPassMatchesTrainingForward) {
+  Rng rng(19);
+  const int saved_threads = kernels::gemm_threads();
+  for (const std::unique_ptr<Layer>& root : CompositeRoots(&rng)) {
+    SCOPED_TRACE(root->name());
+    MoveBatchNormState(root.get(), &rng);
+    const Tensor x = Tensor::Randn({5, 2, 7}, &rng);
+    for (int threads : {1, 2, 3}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      kernels::set_gemm_threads(threads);
+      ExpectPoolPassMatchesFrozenTraining(root.get(), x, threads);
+    }
+  }
+  kernels::set_gemm_threads(saved_threads);
 }
 
 TEST(EvalPlanDeathTest, ConcatBranchMustEndInConv) {

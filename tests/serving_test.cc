@@ -296,6 +296,23 @@ TEST(FleetServerTest, WithSessionQuiescedWaitsOutQueuedWork) {
   server->Drain();
 }
 
+// A served calibration runs no training-mode forward: the session's model
+// holds no layer caches afterwards, so a device keeps no activations
+// between steps.
+TEST(FleetServerTest, CalibratedSessionHoldsNoLayerCaches) {
+  FleetFixture* f = GetFixture();
+  auto server = MakeServer(f, ServerOptions(2));
+  server->RegisterDevice("dev", f->qcore);
+  server->SubmitCalibration("dev", f->batches[0], f->slices[0]).get();
+  server->WithSessionQuiesced("dev", [&](CalibrationSession& session) {
+    EXPECT_EQ(session.batches_processed(), 1u);
+    for (const Layer* leaf : FlattenLeafLayers(session.model()->model())) {
+      EXPECT_EQ(leaf->cached_input(), nullptr) << leaf->name();
+    }
+  });
+  server->Drain();
+}
+
 TEST(FleetServerTest, WithSessionQuiescedExcludesConcurrentSubmissions) {
   // Regression for the QuiesceSession redesign: the old API returned a
   // std::unique_lock from a helper (invisible to thread-safety analysis);
