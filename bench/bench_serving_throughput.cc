@@ -429,10 +429,10 @@ int main() {
     std::remove(wal_path.c_str());
     double seconds = 0.0;
     {
-      DurableSnapshotStoreOptions dopts;
+      SnapshotLogOptions dopts;
       dopts.path = wal_path;
       dopts.fsync_on_publish = fsync;
-      auto store = DurableSnapshotStore::Open(std::move(dopts));
+      auto store = SnapshotStore::Open(std::move(dopts));
       if (!store.ok()) {
         std::printf("WAL open failed: %s\n",
                     store.status().ToString().c_str());
@@ -443,9 +443,9 @@ int main() {
     }
     // Recovery check: reopen the log and compare against the in-memory run.
     {
-      DurableSnapshotStoreOptions dopts;
+      SnapshotLogOptions dopts;
       dopts.path = wal_path;
-      auto store = DurableSnapshotStore::Open(std::move(dopts));
+      auto store = SnapshotStore::Open(std::move(dopts));
       if (!store.ok()) {
         durable_recovers = false;
       } else {

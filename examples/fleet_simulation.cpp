@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   uint64_t pre_kill_latest = 0;
   size_t pre_kill_versions = 0;
   {
-    auto store = DurableSnapshotStore::Open({wal_path, false});
+    auto store = SnapshotStore::Open({wal_path, false});
     if (!store.ok()) {
       std::printf("WAL open failed: %s\n", store.status().ToString().c_str());
       return 1;
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
                 pre_kill_versions);
   }  // server and registry destroyed: only the log file remains
   {
-    auto store = DurableSnapshotStore::Open({wal_path, false});
+    auto store = SnapshotStore::Open({wal_path, false});
     if (!store.ok()) {
       std::printf("WAL reopen failed: %s\n",
                   store.status().ToString().c_str());

@@ -64,10 +64,15 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
   }
 
   if (options_.use_qcore_update) {
-    Dataset updated =
-        ResampleQCore(pool, tracker.misses(0), qcore_.size(), rng_);
-    stats.qcore_changed = updated.size();
-    qcore_ = std::move(updated);
+    const std::vector<int> rows =
+        ResampleQCoreRows(tracker.misses(0), qcore_.size(), rng_);
+    // MakeUpdatePool puts the batch after the scaled QCore, so the rows
+    // drawn from there are the stream examples the update takes in.
+    const int first_batch_row = pool.size() - batch.size();
+    for (int row : rows) {
+      if (row >= first_batch_row) ++stats.qcore_changed;
+    }
+    qcore_ = pool.Subset(rows);
   }
   stats.calibration_seconds = watch.ElapsedSeconds();
 

@@ -36,7 +36,9 @@ struct ContinualOptions {
 struct BatchStats {
   float accuracy = 0.0f;       // on the batch's test slice, after calibration
   double calibration_seconds = 0.0;
-  int qcore_changed = 0;       // examples replaced by the QCore update
+  // Stream examples the QCore update took in: rows of the new QCore drawn
+  // from the batch (0 without the update).
+  int qcore_changed = 0;
 };
 
 class ContinualDriver {

@@ -24,19 +24,23 @@ Dataset MakeUpdatePool(const Dataset& qcore, const Dataset& batch, Rng* rng) {
 
 Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
                       int size, Rng* rng) {
-  QCORE_CHECK(rng != nullptr);
   QCORE_CHECK_EQ(static_cast<int>(misses.size()), pool.size());
-  if (size <= pool.size()) {
-    return pool.Subset(SampleByMissDistribution(misses, size, rng));
-  }
+  return pool.Subset(ResampleQCoreRows(misses, size, rng));
+}
+
+std::vector<int> ResampleQCoreRows(const std::vector<int>& misses, int size,
+                                   Rng* rng) {
+  QCORE_CHECK(rng != nullptr);
+  const int pool_size = static_cast<int>(misses.size());
+  if (size <= pool_size) return SampleByMissDistribution(misses, size, rng);
   // QCore larger than the update pool (big memory budget, small stream
   // batches): keep the whole pool and top up with uniform duplicates.
-  std::vector<int> indices(static_cast<size_t>(pool.size()));
-  for (int i = 0; i < pool.size(); ++i) indices[static_cast<size_t>(i)] = i;
-  for (int i = pool.size(); i < size; ++i) {
-    indices.push_back(rng->NextInt(0, pool.size() - 1));
+  std::vector<int> indices(static_cast<size_t>(pool_size));
+  for (int i = 0; i < pool_size; ++i) indices[static_cast<size_t>(i)] = i;
+  for (int i = pool_size; i < size; ++i) {
+    indices.push_back(rng->NextInt(0, pool_size - 1));
   }
-  return pool.Subset(indices);
+  return indices;
 }
 
 }  // namespace qcore

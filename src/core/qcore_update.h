@@ -25,6 +25,11 @@ Dataset MakeUpdatePool(const Dataset& qcore, const Dataset& batch, Rng* rng);
 Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
                       int size, Rng* rng);
 
+// The pool rows ResampleQCore takes, from the same Rng draws: the pool has
+// one row per entry of `misses`.
+std::vector<int> ResampleQCoreRows(const std::vector<int>& misses, int size,
+                                   Rng* rng);
+
 }  // namespace qcore
 
 #endif  // QCORE_CORE_QCORE_UPDATE_H_

@@ -309,14 +309,14 @@ Whiteboard::Shard* Whiteboard::RegisterShard(int index) {
   return it->second.get();
 }
 
-void Whiteboard::SetWalStatsProvider(std::function<WalRow()> provider) {
+void Whiteboard::SetWalStatsProvider(std::function<WalStats()> provider) {
   MutexLock lock(mu_);
   wal_provider_ = std::move(provider);
 }
 
 WhiteboardImage Whiteboard::Read() const {
   WhiteboardImage image;
-  std::function<WalRow()> wal_provider;
+  std::function<WalStats()> wal_provider;
   {
     MutexLock lock(mu_);
     image.shards.reserve(shards_.size());
@@ -405,7 +405,7 @@ std::string WhiteboardImage::ToTable(size_t max_devices) const {
   }
   out << "wal: appends=" << wal.appends << " bytes=" << wal.appended_bytes
       << " fsyncs=" << wal.fsyncs << " compactions=" << wal.compactions
-      << " torn_tails=" << wal.torn_tails << "\n";
+      << " torn_tails=" << wal.torn_tails_recovered << "\n";
   return out.str();
 }
 
@@ -420,7 +420,7 @@ std::vector<uint8_t> WhiteboardImage::Serialize() const {
   header.WriteU64(wal.appended_bytes);
   header.WriteU64(wal.fsyncs);
   header.WriteU64(wal.compactions);
-  header.WriteU64(wal.torn_tails);
+  header.WriteU64(wal.torn_tails_recovered);
   AppendFramedRecord(header.TakeBuffer(), &out);
   for (const ShardRow& row : shards) {
     AppendFramedRecord(EncodeShardRow(row), &out);
@@ -457,7 +457,7 @@ Result<WhiteboardImage> WhiteboardImage::Deserialize(
   QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.appended_bytes));
   QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.fsyncs));
   QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.compactions));
-  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.torn_tails));
+  QCORE_RETURN_NOT_OK(ReadU64(&header, &image.wal.torn_tails_recovered));
 
   for (uint32_t i = 0; i < num_shards.value(); ++i) {
     auto frame = ReadFramedRecord(raw, &pos);

@@ -120,20 +120,25 @@ struct ShardRow {
   uint64_t last_error_ns = 0;
 };
 
-// Aggregate snapshot-WAL health, filled in by the durable store's owner.
-struct WalRow {
-  uint64_t appends = 0;
-  uint64_t appended_bytes = 0;
-  uint64_t fsyncs = 0;
-  uint64_t compactions = 0;
-  uint64_t torn_tails = 0;  // torn tails truncated-and-recovered at Open
+// Snapshot write-ahead-log health counters: kept by a logged SnapshotStore
+// (serving/snapshot_store.h; all zero without a log) and shown as the
+// whiteboard's WAL row. Defined here because obs sits below serving.
+struct WalStats {
+  uint64_t appends = 0;         // records appended since open
+  uint64_t appended_bytes = 0;  // framed bytes those appends wrote
+  uint64_t fsyncs = 0;          // explicit fsyncs (publishes + compactions)
+  uint64_t compactions = 0;     // segment rewrites (TrimBelow)
+  // Torn tails truncated off the log by Open (1 per recovering open) —
+  // the counter that turns silent crash recovery into an assertable,
+  // operator-visible event (whiteboard WAL row, chaos tests).
+  uint64_t torn_tails_recovered = 0;
 };
 
 // The snapshot-consistent image Read() produces.
 struct WhiteboardImage {
   std::vector<ShardRow> shards;    // shard-index order
   std::vector<DeviceRow> devices;  // device-id order
-  WalRow wal;
+  WalStats wal;
 
   // Derived on every call from the device rows: the sum over the devices
   // now placed on `shard`, and over every device. A device's history
@@ -237,7 +242,7 @@ class Whiteboard {
 
   // Supplies the WAL row for Read() images; the ShardedFleetServer owning
   // the board installs a provider over its registry's wal_stats().
-  void SetWalStatsProvider(std::function<WalRow()> provider);
+  void SetWalStatsProvider(std::function<WalStats()> provider);
 
   // Snapshot-consistent copy of every row.
   WhiteboardImage Read() const;
@@ -250,7 +255,7 @@ class Whiteboard {
   std::map<std::string, std::unique_ptr<Device>> devices_
       QCORE_GUARDED_BY(mu_);
   std::map<int, std::unique_ptr<Shard>> shards_ QCORE_GUARDED_BY(mu_);
-  std::function<WalRow()> wal_provider_ QCORE_GUARDED_BY(mu_);
+  std::function<WalStats()> wal_provider_ QCORE_GUARDED_BY(mu_);
 };
 
 }  // namespace qcore

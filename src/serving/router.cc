@@ -44,19 +44,11 @@ ShardedFleetServer::ShardedFleetServer(const QuantizedModel& base_model,
                                             : &owned_snapshots_),
       ring_(options_.num_shards) {
   QCORE_CHECK_GT(options_.num_shards, 0);
-  // The WAL row reflects whatever store backs the registry (all zeros over
-  // a memory store). The registry outlives the board: an external one must
-  // outlive the router, and the owned one is declared before whiteboard_.
-  whiteboard_.SetWalStatsProvider([registry = snapshots_]() {
-    const WalStats stats = registry->wal_stats();
-    WalRow row;
-    row.appends = stats.appends;
-    row.appended_bytes = stats.appended_bytes;
-    row.fsyncs = stats.fsyncs;
-    row.compactions = stats.compactions;
-    row.torn_tails = stats.torn_tails_recovered;
-    return row;
-  });
+  // The WAL row reflects the registry's store (all zeros without a log).
+  // The registry outlives the board: an external one must outlive the
+  // router, and the owned one is declared before whiteboard_.
+  whiteboard_.SetWalStatsProvider(
+      [registry = snapshots_]() { return registry->wal_stats(); });
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(MakeShard(s));

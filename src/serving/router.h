@@ -102,8 +102,8 @@ class ShardedFleetServer {
   // bit-flipping net; every registered device starts from clones of these,
   // so both must outlive the server. `shared_registry` (optional) makes
   // every shard publish into an external registry instead of the router's
-  // own federated one — e.g. a registry constructed over a
-  // DurableSnapshotStore, so the fleet's snapshots survive the process and
+  // own federated one — e.g. a registry over a store opened on a log
+  // (SnapshotStore::Open), so the fleet's snapshots survive the process and
   // restore on the next construction (the registry must outlive the
   // router).
   ShardedFleetServer(const QuantizedModel& base_model,
@@ -273,7 +273,7 @@ class ShardedFleetServer {
   AdmissionLimiter limiter_;
 
   // Federated across shards; declared before shards_ so they outlive them.
-  // Used unless the constructor received an external (e.g. durable)
+  // Used unless the constructor received an external (e.g. logged)
   // registry, which snapshots_ then points at instead.
   SnapshotRegistry owned_snapshots_;
   SnapshotRegistry* snapshots_;

@@ -20,7 +20,7 @@ constexpr uint32_t kDeltaVersion = 1;
 }  // namespace
 
 SnapshotRegistry::SnapshotRegistry()
-    : store_(std::make_unique<MemorySnapshotStore>()) {}
+    : store_(std::make_unique<SnapshotStore>()) {}
 
 SnapshotRegistry::SnapshotRegistry(std::unique_ptr<SnapshotStore> store)
     : store_(std::move(store)) {
@@ -177,8 +177,8 @@ Result<size_t> SnapshotRegistry::ImportDelta(
   }
 
   // Decode every record before mutating anything, so a corrupt delta is
-  // rejected whole instead of half-applied. (A durable store's WRITE can
-  // still fail mid-import — disk full — leaving a prefix applied; that is
+  // rejected whole instead of half-applied. (A log WRITE can still fail
+  // mid-import — disk full — leaving a prefix applied; that is
   // safe because imports are idempotent: retrying the same delta skips
   // what already landed and completes the rest.)
   std::vector<ModelSnapshot> records;

@@ -8,15 +8,15 @@
 // starts, replication.
 //
 // The registry is a thin versioning facade: it assigns monotonic versions
-// and owns the lock, while the snapshots themselves live in a pluggable
-// SnapshotStore (serving/snapshot_store.h) — in-memory by default,
-// WAL-backed via DurableSnapshotStore so a fleet's calibrated models
-// survive the process that produced them. Two distribution primitives ship
-// registry contents across process boundaries: ExportDelta serializes every
-// version after a watermark into CRC-framed records, and ImportDelta merges
-// such records into another registry (idempotently), after which
-// RegisterDevice can warm-start new sessions from the cohort-nearest
-// imported snapshot.
+// and owns the lock, while the snapshots themselves live in a SnapshotStore
+// (serving/snapshot_store.h) — in-memory only by default, or with a
+// write-ahead log when the store is opened on a path, so a fleet's
+// calibrated models survive the process that produced them. Two
+// distribution primitives ship registry contents across process
+// boundaries: ExportDelta serializes every version after a watermark into
+// CRC-framed records, and ImportDelta merges such records into another
+// registry (idempotently), after which RegisterDevice can warm-start new
+// sessions from the cohort-nearest imported snapshot.
 #ifndef QCORE_SERVING_SNAPSHOT_H_
 #define QCORE_SERVING_SNAPSHOT_H_
 
@@ -28,6 +28,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/whiteboard.h"
 #include "quant/quantized_model.h"
 
 namespace qcore {
@@ -42,26 +43,13 @@ struct ModelSnapshot {
   std::vector<uint8_t> bytes;  // QuantizedModel::SerializeTo output
 };
 
-// Write-ahead-log health counters, exposed by a durable store (all zero for
-// a memory store) and surfaced on the fleet whiteboard's WAL row.
-struct WalStats {
-  uint64_t appends = 0;         // records appended since open
-  uint64_t appended_bytes = 0;  // framed bytes those appends wrote
-  uint64_t fsyncs = 0;          // explicit fsyncs (publishes + compactions)
-  uint64_t compactions = 0;     // segment rewrites (TrimBelow)
-  // Torn tails truncated off the log by Open (1 per recovering open) —
-  // the counter that turns silent crash recovery into an assertable,
-  // operator-visible event (whiteboard WAL row, chaos tests).
-  uint64_t torn_tails_recovered = 0;
-};
-
 class SnapshotRegistry {
  public:
-  // Over a fresh MemorySnapshotStore — the pre-durability semantics.
+  // Over a fresh in-memory store with no log.
   SnapshotRegistry();
-  // Over an explicit store. A DurableSnapshotStore that recovered published
-  // versions from its log resumes numbering at max recovered version + 1,
-  // so versions stay monotonic across a process restart.
+  // Over an explicit store. A store that recovered published versions from
+  // its log resumes numbering at max recovered version + 1, so versions
+  // stay monotonic across a process restart.
   explicit SnapshotRegistry(std::unique_ptr<SnapshotStore> store);
   ~SnapshotRegistry();
 
@@ -69,9 +57,9 @@ class SnapshotRegistry {
   SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
 
   // Serializes `qm` and registers it as the next version. Thread-safe;
-  // returns the assigned version number (monotonic from 1). A durable
-  // store's write failure is fatal (checked): a registry that claimed
-  // durability it does not have would corrupt recovery.
+  // returns the assigned version number (monotonic from 1). A log write
+  // failure is fatal (checked): a registry that claimed durability it does
+  // not have would corrupt recovery.
   uint64_t Publish(const QuantizedModel& qm, const std::string& device_id,
                    uint64_t batches_seen);
 
@@ -95,12 +83,12 @@ class SnapshotRegistry {
 
   size_t size() const;
 
-  // The store's WAL counters (zeros over a memory store) — whiteboard feed.
+  // The store's WAL counters (zeros without a log) — whiteboard feed.
   WalStats wal_stats() const;
 
   // Drops all versions below `min_version` that are not a device's latest
   // (simple retention; holders keep their shared_ptrs alive regardless).
-  // A durable store compacts its log here. Returns the number of versions
+  // A logged store compacts its log here. Returns the number of versions
   // dropped.
   size_t TrimBelow(uint64_t min_version);
 
@@ -116,8 +104,8 @@ class SnapshotRegistry {
   // the next published version advances past every imported one, keeping
   // monotonicity fleet-wide. Returns the number of snapshots imported. A
   // malformed delta is rejected whole (validated before any mutation); a
-  // durable store's write failure mid-import can leave a prefix applied —
-  // recover by retrying the same delta, which skips what landed.
+  // log write failure mid-import can leave a prefix applied — recover by
+  // retrying the same delta, which skips what landed.
   Result<size_t> ImportDelta(const std::vector<uint8_t>& delta);
 
  private:

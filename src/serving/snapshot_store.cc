@@ -77,9 +77,9 @@ Result<ModelSnapshot> DecodeSnapshotRecord(
   return snap;
 }
 
-// ------------------------------------------------------- MemorySnapshotStore
+// --------------------------------------------------------------- SnapshotStore
 
-Status MemorySnapshotStore::Put(std::shared_ptr<const ModelSnapshot> snap) {
+void SnapshotStore::Apply(std::shared_ptr<const ModelSnapshot> snap) {
   QCORE_CHECK_MSG(by_version_.count(snap->version) == 0,
                   "SnapshotStore::Put: duplicate version");
   auto& latest = by_device_[snap->device_id];
@@ -89,49 +89,50 @@ Status MemorySnapshotStore::Put(std::shared_ptr<const ModelSnapshot> snap) {
     latest = snap;
   }
   by_version_[snap->version] = std::move(snap);
+}
+
+Status SnapshotStore::Put(std::shared_ptr<const ModelSnapshot> snap) {
+  // Log before apply: if the append fails the maps are untouched, so the
+  // in-memory view never claims durability the file does not have.
+  if (logged()) QCORE_RETURN_NOT_OK(AppendRecord(*snap));
+  Apply(std::move(snap));
   return Status::OK();
 }
 
-std::shared_ptr<const ModelSnapshot> MemorySnapshotStore::Latest() const {
+std::shared_ptr<const ModelSnapshot> SnapshotStore::Latest() const {
   if (by_version_.empty()) return nullptr;
   return by_version_.rbegin()->second;
 }
 
-std::shared_ptr<const ModelSnapshot> MemorySnapshotStore::LatestFor(
+std::shared_ptr<const ModelSnapshot> SnapshotStore::LatestFor(
     const std::string& device_id) const {
   auto it = by_device_.find(device_id);
   return it == by_device_.end() ? nullptr : it->second;
 }
 
-std::shared_ptr<const ModelSnapshot> MemorySnapshotStore::Get(
+std::shared_ptr<const ModelSnapshot> SnapshotStore::Get(
     uint64_t version) const {
   auto it = by_version_.find(version);
   return it == by_version_.end() ? nullptr : it->second;
 }
 
-bool MemorySnapshotStore::Has(uint64_t version) const {
-  return by_version_.count(version) > 0;
-}
-
-size_t MemorySnapshotStore::size() const { return by_version_.size(); }
-
-uint64_t MemorySnapshotStore::MaxVersion() const {
+uint64_t SnapshotStore::MaxVersion() const {
   return by_version_.empty() ? 0 : by_version_.rbegin()->first;
 }
 
-void MemorySnapshotStore::ForEach(
+void SnapshotStore::ForEach(
     const std::function<void(const std::shared_ptr<const ModelSnapshot>&)>&
         fn) const {
   for (const auto& [version, snap] : by_version_) fn(snap);
 }
 
-void MemorySnapshotStore::ForEachDeviceLatest(
+void SnapshotStore::ForEachDeviceLatest(
     const std::function<void(const std::shared_ptr<const ModelSnapshot>&)>&
         fn) const {
   for (const auto& [device, snap] : by_device_) fn(snap);
 }
 
-Result<size_t> MemorySnapshotStore::TrimBelow(uint64_t min_version) {
+Result<size_t> SnapshotStore::TrimBelow(uint64_t min_version) {
   size_t dropped = 0;
   for (auto it = by_version_.begin();
        it != by_version_.end() && it->first < min_version;) {
@@ -145,16 +146,17 @@ Result<size_t> MemorySnapshotStore::TrimBelow(uint64_t min_version) {
       ++dropped;
     }
   }
+  if (logged() && dropped > 0) QCORE_RETURN_NOT_OK(RewriteSegment());
   return dropped;
 }
 
-// ------------------------------------------------------ DurableSnapshotStore
+// ------------------------------------------------------------------- the log
 
-Result<std::unique_ptr<DurableSnapshotStore>> DurableSnapshotStore::Open(
-    DurableSnapshotStoreOptions options) {
-  QCORE_CHECK_MSG(!options.path.empty(), "DurableSnapshotStore: empty path");
-  auto store = std::unique_ptr<DurableSnapshotStore>(
-      new DurableSnapshotStore(std::move(options)));
+Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
+    SnapshotLogOptions options) {
+  QCORE_CHECK_MSG(!options.path.empty(), "SnapshotStore::Open: empty path");
+  auto store = std::make_unique<SnapshotStore>();
+  store->options_ = std::move(options);
   const std::string& path = store->options_.path;
 
   // Replay the existing log, if any. Read the whole file: snapshot logs are
@@ -216,7 +218,7 @@ Result<std::unique_ptr<DurableSnapshotStore>> DurableSnapshotStore::Open(
       }
       auto frozen = std::make_shared<const ModelSnapshot>(
           std::move(snap).value());
-      (void)store->MemorySnapshotStore::Put(std::move(frozen));
+      store->Apply(std::move(frozen));
       good = pos;
     }
     if (store->truncated_tail_bytes_ > 0 &&
@@ -246,11 +248,11 @@ Result<std::unique_ptr<DurableSnapshotStore>> DurableSnapshotStore::Open(
   return store;
 }
 
-DurableSnapshotStore::~DurableSnapshotStore() {
+SnapshotStore::~SnapshotStore() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status DurableSnapshotStore::AppendRecord(const ModelSnapshot& snap) {
+Status SnapshotStore::AppendRecord(const ModelSnapshot& snap) {
   if (file_ == nullptr) {
     // A failed compaction rename/reopen can orphan the append handle; fail
     // cleanly instead of fwrite-ing into a null FILE.
@@ -302,21 +304,7 @@ Status DurableSnapshotStore::AppendRecord(const ModelSnapshot& snap) {
   return Status::OK();
 }
 
-Status DurableSnapshotStore::Put(std::shared_ptr<const ModelSnapshot> snap) {
-  // Log before apply: if the append fails the maps are untouched, so the
-  // in-memory view never claims durability the file does not have.
-  QCORE_RETURN_NOT_OK(AppendRecord(*snap));
-  return MemorySnapshotStore::Put(std::move(snap));
-}
-
-Result<size_t> DurableSnapshotStore::TrimBelow(uint64_t min_version) {
-  auto dropped = MemorySnapshotStore::TrimBelow(min_version);
-  if (!dropped.ok() || dropped.value() == 0) return dropped;
-  QCORE_RETURN_NOT_OK(RewriteSegment());
-  return dropped;
-}
-
-Status DurableSnapshotStore::RewriteSegment() {
+Status SnapshotStore::RewriteSegment() {
   // Compaction: write the surviving snapshots into a fresh segment, fsync
   // it, and atomically rename it over the log — a crash at any point leaves
   // either the old complete log or the new complete one.

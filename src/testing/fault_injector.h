@@ -34,7 +34,7 @@ namespace qcore {
 // production code (see the README's chaos section for the per-point
 // semantics and the invariant each fault family is tested against).
 enum class FaultPoint : uint8_t {
-  // DurableSnapshotStore::AppendRecord — flip one payload bit in the frame
+  // SnapshotStore::AppendRecord — flip one payload bit in the frame
   // before it is written, so the record lands CRC-broken on disk while the
   // live process keeps serving (silent media rot, caught at next Open).
   kWalAppendBitRot = 0,
@@ -46,7 +46,7 @@ enum class FaultPoint : uint8_t {
   kWalFsyncFail,
   // AppendRecord — sleep `arg` microseconds before the write (slow disk).
   kWalAppendDelay,
-  // DurableSnapshotStore::RewriteSegment — die mid-segment-write: the
+  // SnapshotStore::RewriteSegment — die mid-segment-write: the
   // partial .compact tmp stays on disk, the old log is untouched.
   kWalCompactionCrash,
   // SnapshotRegistry::ExportDelta — truncate the outgoing delta blob

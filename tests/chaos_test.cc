@@ -4,7 +4,7 @@
 //   * Injector semantics — scripts (Nth hit, seeded probability, one-shot
 //     vs sticky), install/uninstall lifecycle, and the kFaultInjected
 //     trace event every firing records.
-//   * Storage fault families over a DurableSnapshotStore — torn append,
+//   * Storage fault families over a logged SnapshotStore — torn append,
 //     silent bit-rot, append delay — and registry-delta transport faults
 //     (truncated export, dropped import). Each asserts the documented
 //     invariant: either the surviving state is bit-identical to the
@@ -184,10 +184,10 @@ std::shared_ptr<const ModelSnapshot> MakeSnap(uint64_t version,
   return snap;
 }
 
-std::unique_ptr<DurableSnapshotStore> OpenOrDie(const std::string& path) {
-  DurableSnapshotStoreOptions options;
+std::unique_ptr<SnapshotStore> OpenOrDie(const std::string& path) {
+  SnapshotLogOptions options;
   options.path = path;
-  auto store = DurableSnapshotStore::Open(std::move(options));
+  auto store = SnapshotStore::Open(std::move(options));
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).value();
 }
@@ -204,8 +204,8 @@ std::vector<uint8_t> Slurp(const std::string& path) {
 }
 
 // Torn append: the Put fails loudly, the next Open truncates the half-frame
-// and counts the recovery (WalStats::torn_tails_recovered — the whiteboard
-// WAL row's torn_tails field), and everything before the tear replays
+// and counts the recovery (WalStats::torn_tails_recovered, shown on the
+// whiteboard's WAL row), and everything before the tear replays
 // bit-identically.
 TEST(WalFaultTest, TornAppendIsRecoveredAndCounted) {
   const std::string path = TempLog("torn");
@@ -295,7 +295,7 @@ TEST(WalFaultTest, AppendDelayChangesNothingButTime) {
 // A delta cut in transit is rejected whole — the target registry imports
 // nothing — and a clean re-export delivers everything.
 TEST(DeltaFaultTest, TruncatedExportRejectedWholeThenCleanRetry) {
-  auto store = std::make_unique<MemorySnapshotStore>();
+  auto store = std::make_unique<SnapshotStore>();
   for (uint64_t v = 1; v <= 3; ++v) {
     ASSERT_TRUE(store->Put(MakeSnap(v, v == 3 ? "b" : "a")).ok());
   }
@@ -323,7 +323,7 @@ TEST(DeltaFaultTest, TruncatedExportRejectedWholeThenCleanRetry) {
 // A delta dropped in transit fails loudly and touches nothing; resending
 // the SAME delta succeeds because imports are idempotent.
 TEST(DeltaFaultTest, DroppedImportIsIdempotentOnRetry) {
-  auto store = std::make_unique<MemorySnapshotStore>();
+  auto store = std::make_unique<SnapshotStore>();
   ASSERT_TRUE(store->Put(MakeSnap(1, "a")).ok());
   ASSERT_TRUE(store->Put(MakeSnap(2, "a")).ok());
   SnapshotRegistry source(std::move(store));
@@ -368,23 +368,9 @@ const std::vector<std::string>& Devices() {
   return devices;
 }
 
-// Everything a workload produces; runs are interchangeable iff == holds.
-struct Outcome {
-  std::vector<std::vector<std::pair<float, int>>> stats;
-  std::vector<std::vector<std::vector<int>>> predictions;
-  std::vector<std::vector<std::vector<int32_t>>> codes;
-  std::vector<uint64_t> versions;
-  std::vector<std::vector<uint8_t>> bytes;
-
-  bool operator==(const Outcome& o) const {
-    return stats == o.stats && predictions == o.predictions &&
-           codes == o.codes && versions == o.versions && bytes == o.bytes;
-  }
-};
-
 // Interleaved inference + calibration across every stream batch, then a
 // publish per device — the workload every serving fault family replays.
-Outcome RunWorkload(ShardedFleetServer* server) {
+FleetOutcome RunWorkload(ShardedFleetServer* server) {
   FleetFixture* f = GetFixture();
   const auto& devices = Devices();
   for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
@@ -398,31 +384,10 @@ Outcome RunWorkload(ShardedFleetServer* server) {
           server->SubmitCalibration(devices[d], f->batches[b], f->slices[b]));
     }
   }
-  server->Drain();
-
-  Outcome out;
-  for (const auto& d : devices) {
-    out.versions.push_back(server->PublishSnapshot(d).get());
-    out.bytes.push_back(server->snapshots().LatestFor(d)->bytes);
-  }
-  for (size_t d = 0; d < devices.size(); ++d) {
-    out.stats.emplace_back();
-    for (auto& fu : cal[d]) {
-      const BatchStats s = fu.get();
-      out.stats.back().emplace_back(s.accuracy, s.qcore_changed);
-    }
-    out.predictions.emplace_back();
-    for (auto& fu : inf[d]) {
-      out.predictions.back().push_back(fu.get().predictions);
-    }
-    server->WithSessionQuiesced(devices[d], [&](CalibrationSession& s) {
-      out.codes.push_back(s.model()->AllCodes());
-    });
-  }
-  return out;
+  return CollectFleetOutcome(server, devices, &cal, &inf);
 }
 
-Outcome RunFresh() {
+FleetOutcome RunFresh() {
   FleetFixture* f = GetFixture();
   ShardedFleetServer server(*f->base, *f->bf,
                             OneShard(ChaosServerOptions()));
@@ -435,13 +400,13 @@ Outcome RunFresh() {
 // injector proves the hooks are actually reached (hits > 0) while firing
 // nothing (no kFaultInjected events, no result perturbation).
 TEST(ChaosServingTest, NoInjectorHotPathBitIdentical) {
-  const Outcome reference = RunFresh();  // no injector ever installed
+  const FleetOutcome reference = RunFresh();  // no injector ever installed
   ASSERT_FALSE(reference.codes.empty());
 
   TraceRing::Global().Clear();
   FaultInjector unarmed(0xDEAD);
   unarmed.Install();
-  const Outcome with_hooks_live = RunFresh();
+  const FleetOutcome with_hooks_live = RunFresh();
   FaultInjector::Uninstall();
   EXPECT_TRUE(with_hooks_live == reference);
   EXPECT_EQ(unarmed.total_fired(), 0u);
@@ -453,7 +418,7 @@ TEST(ChaosServingTest, NoInjectorHotPathBitIdentical) {
     EXPECT_NE(e.kind, TraceKind::kFaultInjected);
   }
 
-  const Outcome after_uninstall = RunFresh();
+  const FleetOutcome after_uninstall = RunFresh();
   EXPECT_TRUE(after_uninstall == reference);
 }
 
@@ -461,7 +426,7 @@ TEST(ChaosServingTest, NoInjectorHotPathBitIdentical) {
 // under an aggressive schedule of all three, every result — labels, stats,
 // codes, snapshot versions and bytes — must stay bit-identical.
 TEST(ChaosServingTest, LatencyFaultFamiliesAreBitIdentical) {
-  const Outcome reference = RunFresh();
+  const FleetOutcome reference = RunFresh();
 
   FaultInjector injector(0x10C4);
   FaultScript rtt;
@@ -479,7 +444,7 @@ TEST(ChaosServingTest, LatencyFaultFamiliesAreBitIdentical) {
   barrier.arg = 300;  // every barrier hesitates
   injector.Arm(FaultPoint::kBarrierDelay, barrier);
   injector.Install();
-  const Outcome faulted = RunFresh();
+  const FleetOutcome faulted = RunFresh();
   FaultInjector::Uninstall();
 
   EXPECT_TRUE(faulted == reference);

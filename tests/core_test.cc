@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "core/bitflip.h"
 #include "core/continual.h"
@@ -468,6 +470,28 @@ TEST(ContinualDriverTest, NoUpdateKeepsQCoreContents) {
   }
 }
 
+// The bytes of each row of `d`.
+std::vector<std::string> RowBytes(const Dataset& d) {
+  const size_t row = static_cast<size_t>(d.x().size() / d.size());
+  std::vector<std::string> rows;
+  for (int i = 0; i < d.size(); ++i) {
+    rows.emplace_back(reinterpret_cast<const char*>(d.x().data() + i * row),
+                      row * sizeof(float));
+  }
+  return rows;
+}
+
+// Rows of `updated` byte-equal to no row of `old`.
+int RowsNotIn(const Dataset& updated, const Dataset& old) {
+  const std::vector<std::string> old_rows = RowBytes(old);
+  const std::set<std::string> known(old_rows.begin(), old_rows.end());
+  int fresh = 0;
+  for (const std::string& r : RowBytes(updated)) {
+    if (known.count(r) == 0) ++fresh;
+  }
+  return fresh;
+}
+
 TEST(ContinualDriverTest, UpdateAbsorbsStreamExamples) {
   CalibratedFixture f;
   ContinualOptions opts;
@@ -476,23 +500,9 @@ TEST(ContinualDriverTest, UpdateAbsorbsStreamExamples) {
   Dataset batch = SplitIntoStreamBatches(f.target.train, 10, &f.rng)[0];
   driver.ProcessBatch(batch, Dataset());
   EXPECT_EQ(driver.qcore().size(), f.build.qcore.size());
-  // At least one stream example should have entered the QCore: check that
-  // some row of the new QCore does not appear in the original.
-  bool any_new = false;
-  const int64_t row = f.build.qcore.x().size() / f.build.qcore.size();
-  for (int i = 0; i < driver.qcore().size() && !any_new; ++i) {
-    bool found = false;
-    for (int j = 0; j < f.build.qcore.size() && !found; ++j) {
-      bool equal = true;
-      for (int64_t e = 0; e < row && equal; ++e) {
-        equal = driver.qcore().x()[i * row + e] ==
-                f.build.qcore.x()[j * row + e];
-      }
-      found = equal;
-    }
-    any_new = !found;
-  }
-  EXPECT_TRUE(any_new);
+  // At least one stream example should have entered the QCore: some row of
+  // the new QCore does not appear in the original.
+  EXPECT_GT(RowsNotIn(driver.qcore(), f.build.qcore), 0);
 }
 
 TEST(ContinualDriverTest, RunStreamReportsPerBatchStats) {
@@ -510,6 +520,48 @@ TEST(ContinualDriverTest, RunStreamReportsPerBatchStats) {
     EXPECT_GT(s.calibration_seconds, 0.0);
   }
   EXPECT_GE(AverageAccuracy(stats), 0.0f);
+}
+
+// qcore_changed counts the stream examples the QCore update takes in. With
+// every row distinct, those are exactly the new QCore's rows found nowhere
+// in the old one. The count follows each step's misses, so it is not
+// constant over a stream, and it reads 0 without the update.
+TEST(ContinualDriverTest, QCoreChangedCountsRowsTakenFromTheBatch) {
+  Rng rng(31);
+  const std::vector<int64_t> row_shape = {4, 16};
+  const auto fp = MakeInceptionTime(4, 6, &rng);
+  const Dataset qcore = RandomRows(row_shape, 30, 6, &rng);
+  std::vector<Dataset> batches;
+  for (int b = 0; b < 6; ++b) {
+    batches.push_back(RandomRows(row_shape, 40, 6, &rng));
+  }
+  std::vector<std::string> rows = RowBytes(qcore);
+  for (const Dataset& batch : batches) {
+    for (std::string& r : RowBytes(batch)) rows.push_back(std::move(r));
+  }
+  ASSERT_EQ(std::set<std::string>(rows.begin(), rows.end()).size(),
+            rows.size());
+  for (bool update : {true, false}) {
+    SCOPED_TRACE(update ? "update" : "no update");
+    QuantizedModel qm(*fp, 4);
+    qm.DropShadows();
+    Rng step_rng(7);
+    BitFlipNet bf(4, &step_rng);
+    bf.Quantize();
+    ContinualOptions opts;
+    opts.use_qcore_update = update;
+    ContinualDriver driver(&qm, &bf, qcore, opts, &step_rng);
+    std::set<int> counts;
+    for (const Dataset& batch : batches) {
+      const Dataset old = driver.qcore();
+      const int changed = driver.ProcessBatch(batch, Dataset()).qcore_changed;
+      EXPECT_EQ(changed, update ? RowsNotIn(driver.qcore(), old) : 0);
+      counts.insert(changed);
+    }
+    if (update) {
+      EXPECT_GT(counts.size(), 1u);
+    }
+  }
 }
 
 // A calibration step runs no training-mode forward, so it leaves no layer

@@ -3,12 +3,14 @@
 // shadows — the expensive part of every serving scenario) on a small
 // USC-like HAR spec, plus the target domain's stream batches, test slices
 // and single-row probes. Each suite builds its own instance once, from its
-// own seeds and epoch count.
+// own seeds and epoch count, and ends its runs with CollectFleetOutcome.
 #ifndef QCORE_TESTS_FLEET_FIXTURE_H_
 #define QCORE_TESTS_FLEET_FIXTURE_H_
 
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,6 +88,54 @@ inline ShardedFleetServerOptions OneShard(FleetServerOptions shard) {
   opts.num_shards = 1;
   opts.shard = std::move(shard);
   return opts;
+}
+
+// Everything a fleet run produces, per device in device order; two runs
+// are interchangeable iff == holds.
+struct FleetOutcome {
+  // (accuracy, qcore_changed) of each calibration.
+  std::vector<std::vector<std::pair<float, int>>> stats;
+  std::vector<std::vector<std::vector<int>>> predictions;
+  std::vector<std::vector<std::vector<int32_t>>> codes;  // final codes
+  std::vector<uint64_t> versions;                        // final publishes
+  std::vector<std::vector<uint8_t>> bytes;               // their blobs
+
+  bool operator==(const FleetOutcome& o) const {
+    return stats == o.stats && predictions == o.predictions &&
+           codes == o.codes && versions == o.versions && bytes == o.bytes;
+  }
+};
+
+// Ends a run whose submissions are in: drains the server, publishes every
+// device's snapshot in device order (sequential .get(), so versions compare
+// across runs), then collects each device's calibration stats and
+// predictions from its futures (`cal[d]`, `inf[d]`, in submission order)
+// and its final codes.
+inline FleetOutcome CollectFleetOutcome(
+    ShardedFleetServer* server, const std::vector<std::string>& devices,
+    std::vector<std::vector<std::future<BatchStats>>>* cal,
+    std::vector<std::vector<std::future<InferenceResult>>>* inf) {
+  server->Drain();
+  FleetOutcome out;
+  for (const auto& d : devices) {
+    out.versions.push_back(server->PublishSnapshot(d).get());
+    out.bytes.push_back(server->snapshots().LatestFor(d)->bytes);
+  }
+  for (size_t d = 0; d < devices.size(); ++d) {
+    out.stats.emplace_back();
+    for (auto& fu : (*cal)[d]) {
+      const BatchStats s = fu.get();
+      out.stats.back().emplace_back(s.accuracy, s.qcore_changed);
+    }
+    out.predictions.emplace_back();
+    for (auto& fu : (*inf)[d]) {
+      out.predictions.back().push_back(fu.get().predictions);
+    }
+    server->WithSessionQuiesced(devices[d], [&](CalibrationSession& s) {
+      out.codes.push_back(s.model()->AllCodes());
+    });
+  }
+  return out;
 }
 
 }  // namespace qcore

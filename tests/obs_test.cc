@@ -332,15 +332,15 @@ TEST(WhiteboardTest, WarmStartOriginReported) {
             WarmStartOrigin::kCold);
 }
 
-TEST(WhiteboardTest, WalRowPopulatedOverDurableStore) {
+TEST(WhiteboardTest, WalStatsPopulatedOverLoggedStore) {
   FleetFixture* f = GetFixture();
   const std::string path = "/tmp/qcore_obs_test_snapshots.wal";
   std::remove(path.c_str());
   {
-    DurableSnapshotStoreOptions dopts;
+    SnapshotLogOptions dopts;
     dopts.path = path;
     dopts.fsync_on_publish = true;
-    auto store = DurableSnapshotStore::Open(std::move(dopts));
+    auto store = SnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry durable(std::move(store).value());
 
@@ -363,14 +363,14 @@ TEST(WhiteboardTest, WalRowPopulatedOverDurableStore) {
 
 // A torn WAL tail recovered at reopen surfaces on the whiteboard's WAL
 // row (satellite of the chaos plane: recovery is observable, not silent).
-TEST(WhiteboardTest, WalRowCountsTornTailRecovery) {
+TEST(WhiteboardTest, WalStatsCountTornTailRecovery) {
   FleetFixture* f = GetFixture();
   const std::string path = "/tmp/qcore_obs_torn_snapshots.wal";
   std::remove(path.c_str());
   {
-    DurableSnapshotStoreOptions dopts;
+    SnapshotLogOptions dopts;
     dopts.path = path;
-    auto store = DurableSnapshotStore::Open(std::move(dopts));
+    auto store = SnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry durable(std::move(store).value());
     ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(1)),
@@ -390,20 +390,20 @@ TEST(WhiteboardTest, WalRowCountsTornTailRecovery) {
     ASSERT_EQ(truncate(path.c_str(), size - 5), 0);
   }
   {
-    DurableSnapshotStoreOptions dopts;
+    SnapshotLogOptions dopts;
     dopts.path = path;
-    auto store = DurableSnapshotStore::Open(std::move(dopts));
+    auto store = SnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry recovered(std::move(store).value());
     ShardedFleetServer server(*f->base, *f->bf, OneShard(ServerOptions(1)),
                               &recovered);
     const WhiteboardImage image = server.whiteboard().Read();
-    EXPECT_EQ(image.wal.torn_tails, 1u);
+    EXPECT_EQ(image.wal.torn_tails_recovered, 1u);
     EXPECT_NE(image.ToTable().find("torn_tails=1"), std::string::npos);
     // And it survives the binary round trip (format v2).
     auto round = WhiteboardImage::Deserialize(image.Serialize());
     ASSERT_TRUE(round.ok());
-    EXPECT_EQ(round.value().wal.torn_tails, 1u);
+    EXPECT_EQ(round.value().wal.torn_tails_recovered, 1u);
   }
   std::remove(path.c_str());
 }
@@ -536,7 +536,7 @@ TEST(WhiteboardTest, ImageSerializeRoundTrips) {
   EXPECT_EQ(got.wal.appended_bytes, image.wal.appended_bytes);
   EXPECT_EQ(got.wal.fsyncs, image.wal.fsyncs);
   EXPECT_EQ(got.wal.compactions, image.wal.compactions);
-  EXPECT_EQ(got.wal.torn_tails, image.wal.torn_tails);
+  EXPECT_EQ(got.wal.torn_tails_recovered, image.wal.torn_tails_recovered);
 
   // Corruption is a Status, not a crash.
   std::vector<uint8_t> truncated(bytes.begin(),
@@ -699,9 +699,9 @@ TEST(TraceTest, SnapshotPublishChainsThroughWalAppend) {
   const std::string path = "/tmp/qcore_obs_trace_snapshots.wal";
   std::remove(path.c_str());
   {
-    DurableSnapshotStoreOptions dopts;
+    SnapshotLogOptions dopts;
     dopts.path = path;
-    auto store = DurableSnapshotStore::Open(std::move(dopts));
+    auto store = SnapshotStore::Open(std::move(dopts));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry durable(std::move(store).value());
 

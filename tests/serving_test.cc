@@ -509,22 +509,8 @@ TEST(FleetServerTest, PeriodicSnapshotsAndTrim) {
 // per-device calibration stats, identical per-request predictions,
 // identical final codes, and identical snapshot versions/bytes. Catches
 // any scheduling path where concurrency leaks into results.
-struct InterleavingOutcome {
-  std::vector<std::vector<std::pair<float, int>>> calib_stats;  // per device
-  std::vector<std::vector<std::vector<int>>> predictions;       // per device
-  std::vector<std::vector<std::vector<int32_t>>> codes;         // per device
-  std::vector<uint64_t> snapshot_versions;                      // per device
-  std::vector<std::vector<uint8_t>> snapshot_bytes;             // per device
-
-  bool operator==(const InterleavingOutcome& o) const {
-    return calib_stats == o.calib_stats && predictions == o.predictions &&
-           codes == o.codes && snapshot_versions == o.snapshot_versions &&
-           snapshot_bytes == o.snapshot_bytes;
-  }
-};
-
-InterleavingOutcome ReplayInterleaving(FleetFixture* f, uint64_t op_seed,
-                                       int num_shards, int threads) {
+FleetOutcome ReplayInterleaving(FleetFixture* f, uint64_t op_seed,
+                                int num_shards, int threads) {
   const std::vector<std::string> devices = {"p0", "p1", "p2"};
   FleetServerOptions opts;
   opts.num_threads = threads;
@@ -558,38 +544,17 @@ InterleavingOutcome ReplayInterleaving(FleetFixture* f, uint64_t op_seed,
                                   f->target.test.x().GatherRows({row})));
     }
   }
-  server->Drain();
-  // Snapshot publication order is forced (sequential .get()) so version
-  // numbers are comparable across replays.
-  InterleavingOutcome out;
-  for (const auto& d : devices) {
-    out.snapshot_versions.push_back(server->PublishSnapshot(d).get());
-    out.snapshot_bytes.push_back(
-        server->snapshots().LatestFor(d)->bytes);
-  }
-  for (size_t d = 0; d < devices.size(); ++d) {
-    out.calib_stats.emplace_back();
-    for (auto& fu : cal[d]) {
-      const BatchStats s = fu.get();
-      out.calib_stats.back().emplace_back(s.accuracy, s.qcore_changed);
-    }
-    out.predictions.emplace_back();
-    for (auto& fu : inf[d]) {
-      out.predictions.back().push_back(fu.get().predictions);
-    }
-    out.codes.push_back(CodesOf(server.get(), devices[d]));
-  }
-  return out;
+  return CollectFleetOutcome(server.get(), devices, &cal, &inf);
 }
 
 TEST(FleetServerPropertyTest, SeededInterleavingsDeterministicAcrossThreads) {
   FleetFixture* f = GetFixture();
   for (uint64_t op_seed : {1001u, 1002u, 1003u}) {
-    const InterleavingOutcome ref =
+    const FleetOutcome ref =
         ReplayInterleaving(f, op_seed, /*num_shards=*/1, /*threads=*/1);
     EXPECT_FALSE(ref.codes.empty());
     for (int threads : {2, 8}) {
-      const InterleavingOutcome got =
+      const FleetOutcome got =
           ReplayInterleaving(f, op_seed, /*num_shards=*/1, threads);
       EXPECT_TRUE(got == ref)
           << "op_seed=" << op_seed << " threads=" << threads;
@@ -597,7 +562,7 @@ TEST(FleetServerPropertyTest, SeededInterleavingsDeterministicAcrossThreads) {
     // Two shards must replay the same interleaving to the same outcome —
     // including snapshot versions, which the shards assign from one
     // federated registry.
-    const InterleavingOutcome sharded =
+    const FleetOutcome sharded =
         ReplayInterleaving(f, op_seed, /*num_shards=*/2, /*threads=*/2);
     EXPECT_TRUE(sharded == ref) << "op_seed=" << op_seed << " sharded";
   }

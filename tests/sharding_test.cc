@@ -53,26 +53,12 @@ const std::vector<std::string>& Devices() {
   return devices;
 }
 
-// Everything a run produces; two runs are interchangeable iff == holds.
-struct StreamOutcome {
-  std::vector<std::vector<std::pair<float, int>>> stats;   // per device
-  std::vector<std::vector<std::vector<int>>> predictions;  // per device
-  std::vector<std::vector<std::vector<int32_t>>> codes;    // per device
-  std::vector<uint64_t> versions;                          // final publishes
-  std::vector<std::vector<uint8_t>> bytes;                 // their blobs
-
-  bool operator==(const StreamOutcome& o) const {
-    return stats == o.stats && predictions == o.predictions &&
-           codes == o.codes && versions == o.versions && bytes == o.bytes;
-  }
-};
-
 // Fixed interleaved workload: per stream batch and device, two probe
 // inferences, one calibration, one trailing probe. `mid_action` (optional)
 // runs between stream batches 1 and 2, with futures still in flight —
 // that is where the rebalance tests inject MoveDevice/Rebalance.
-StreamOutcome DriveStream(ShardedFleetServer* server,
-                          const std::function<void()>& mid_action = nullptr) {
+FleetOutcome DriveStream(ShardedFleetServer* server,
+                         const std::function<void()>& mid_action = nullptr) {
   FleetFixture* f = GetFixture();
   const auto& devices = Devices();
   for (const auto& d : devices) server->RegisterDevice(d, f->qcore);
@@ -92,35 +78,12 @@ StreamOutcome DriveStream(ShardedFleetServer* server,
           devices[d], f->probes[(b + d) % f->probes.size()]));
     }
   }
-  server->Drain();
-
-  StreamOutcome out;
-  // Publication order is forced (sequential .get()) so version numbers are
-  // comparable across runs.
-  for (const auto& d : devices) {
-    out.versions.push_back(server->PublishSnapshot(d).get());
-    out.bytes.push_back(server->snapshots().LatestFor(d)->bytes);
-  }
-  for (size_t d = 0; d < devices.size(); ++d) {
-    out.stats.emplace_back();
-    for (auto& fu : cal[d]) {
-      const BatchStats s = fu.get();
-      out.stats.back().emplace_back(s.accuracy, s.qcore_changed);
-    }
-    out.predictions.emplace_back();
-    for (auto& fu : inf[d]) {
-      out.predictions.back().push_back(fu.get().predictions);
-    }
-    server->WithSessionQuiesced(devices[d], [&](CalibrationSession& s) {
-      out.codes.push_back(s.model()->AllCodes());
-    });
-  }
-  return out;
+  return CollectFleetOutcome(server, devices, &cal, &inf);
 }
 
-StreamOutcome RunSharded(int num_shards, int threads, bool batching,
-                         std::function<void(ShardedFleetServer&)> mid =
-                             nullptr) {
+FleetOutcome RunSharded(int num_shards, int threads, bool batching,
+                        std::function<void(ShardedFleetServer&)> mid =
+                            nullptr) {
   FleetFixture* f = GetFixture();
   ShardedFleetServerOptions opts;
   opts.num_shards = num_shards;
@@ -134,7 +97,7 @@ StreamOutcome RunSharded(int num_shards, int threads, bool batching,
 
 // The reference every run must match: one shard, inline execution, no
 // batching.
-StreamOutcome RunReference() {
+FleetOutcome RunReference() {
   return RunSharded(/*num_shards=*/1, /*threads=*/0, /*batching=*/false);
 }
 
@@ -143,7 +106,7 @@ StreamOutcome RunReference() {
 // versions are offset from a never-rebalanced run's — everything else
 // (stats, labels, codes, published model bytes) must still match exactly.
 // Version determinism for rebalanced runs is pinned separately below.
-void ExpectSameResults(const StreamOutcome& got, const StreamOutcome& want,
+void ExpectSameResults(const FleetOutcome& got, const FleetOutcome& want,
                        const std::string& label) {
   EXPECT_EQ(got.stats, want.stats) << label;
   EXPECT_EQ(got.predictions, want.predictions) << label;
@@ -154,16 +117,16 @@ void ExpectSameResults(const StreamOutcome& got, const StreamOutcome& want,
 // ------------------------------------------------- shard-count bit-identity
 
 TEST(ShardingDeterminismTest, ShardCounts124MatchReferenceBitIdentically) {
-  const StreamOutcome reference = RunReference();
+  const FleetOutcome reference = RunReference();
   ASSERT_FALSE(reference.codes.empty());
   for (int shards : {1, 2, 4}) {
-    const StreamOutcome sharded =
+    const FleetOutcome sharded =
         RunSharded(shards, /*threads=*/2, /*batching=*/false);
     EXPECT_TRUE(sharded == reference) << "shards=" << shards;
   }
   // Per-shard batchers on top must change nothing either.
   for (int shards : {1, 2, 4}) {
-    const StreamOutcome batched =
+    const FleetOutcome batched =
         RunSharded(shards, /*threads=*/2, /*batching=*/true);
     EXPECT_TRUE(batched == reference) << "batched shards=" << shards;
   }
@@ -172,7 +135,7 @@ TEST(ShardingDeterminismTest, ShardCounts124MatchReferenceBitIdentically) {
 // ------------------------------------------------------- live rebalancing
 
 TEST(ShardingDeterminismTest, MoveDeviceMidStreamIsBitIdentical) {
-  const StreamOutcome reference = RunReference();
+  const FleetOutcome reference = RunReference();
   FleetFixture* f = GetFixture();
   for (bool batching : {false, true}) {
     ShardedFleetServerOptions opts;
@@ -181,7 +144,7 @@ TEST(ShardingDeterminismTest, MoveDeviceMidStreamIsBitIdentical) {
     ShardedFleetServer server(*f->base, *f->bf, opts);
     uint64_t barrier_version = 0;
     int source_shard = -1;
-    const StreamOutcome moved = DriveStream(&server, [&]() {
+    const FleetOutcome moved = DriveStream(&server, [&]() {
       // Mid-stream, with futures in flight (and, when batching, possibly a
       // pending group — the barrier must flush it): move s0 to the other
       // shard.
@@ -204,7 +167,7 @@ TEST(ShardingDeterminismTest, MoveDeviceMidStreamIsBitIdentical) {
 }
 
 TEST(ShardingDeterminismTest, RebalanceMidStreamIsBitIdentical) {
-  const StreamOutcome reference = RunReference();
+  const FleetOutcome reference = RunReference();
   // Grow 1 -> 3 mid-stream: every device that the 3-shard ring places off
   // shard 0 migrates, streams keep flowing afterwards.
   const auto grow = [](ShardedFleetServer& s) { s.Rebalance(3); };
@@ -232,10 +195,10 @@ TEST(ShardingDeterminismTest, RebalanceMidStreamIsBitIdentical) {
 // batching is enabled (the barrier count depends only on the schedule).
 TEST(ShardingDeterminismTest, RebalancedSnapshotVersionsAreDeterministic) {
   const auto grow = [](ShardedFleetServer& s) { s.Rebalance(3); };
-  const StreamOutcome a = RunSharded(1, 2, /*batching=*/false, grow);
-  const StreamOutcome b = RunSharded(1, 2, /*batching=*/false, grow);
+  const FleetOutcome a = RunSharded(1, 2, /*batching=*/false, grow);
+  const FleetOutcome b = RunSharded(1, 2, /*batching=*/false, grow);
   EXPECT_TRUE(a == b) << "replay";
-  const StreamOutcome c = RunSharded(1, 2, /*batching=*/true, grow);
+  const FleetOutcome c = RunSharded(1, 2, /*batching=*/true, grow);
   EXPECT_EQ(a.versions, c.versions) << "batching changed version assignment";
   EXPECT_EQ(a.bytes, c.bytes);
 }
@@ -254,7 +217,7 @@ TEST(ShardingChaosTest, SeededLatencyFaultSchedulesStayBitIdentical) {
     s.Rebalance(5);
     s.Rebalance(3);
   };
-  const StreamOutcome reference =
+  const FleetOutcome reference =
       RunSharded(4, /*threads=*/2, /*batching=*/true, mid);
   ASSERT_FALSE(reference.codes.empty());
 
@@ -281,7 +244,7 @@ TEST(ShardingChaosTest, SeededLatencyFaultSchedulesStayBitIdentical) {
     injector.Arm(FaultPoint::kBarrierDelay, barrier);
 
     injector.Install();
-    const StreamOutcome faulted =
+    const FleetOutcome faulted =
         RunSharded(4, /*threads=*/2, /*batching=*/true, mid);
     FaultInjector::Uninstall();
 
@@ -325,7 +288,7 @@ TEST(ShardedFleetServerTest, PlacementFollowsTheRingAndCoversShards) {
 // stay bit-identical throughout (migration is still the barrier-snapshot
 // protocol, wherever the device lands).
 TEST(ShardedFleetServerTest, PlacementPinSurvivesRebalance) {
-  const StreamOutcome reference = RunReference();
+  const FleetOutcome reference = RunReference();
   FleetFixture* f = GetFixture();
   ShardedFleetServerOptions opts;
   opts.num_shards = 2;
@@ -335,7 +298,7 @@ TEST(ShardedFleetServerTest, PlacementPinSurvivesRebalance) {
   // the ring) demonstrably decides placement after the rebalance.
   const int ring3_home = HashRing(3).ShardFor("s0");
   const int pin_target = ring3_home == 0 ? 1 : 0;
-  const StreamOutcome moved = DriveStream(&server, [&]() {
+  const FleetOutcome moved = DriveStream(&server, [&]() {
     server.MoveDevice("s0", pin_target);
     server.Rebalance(3);
   });

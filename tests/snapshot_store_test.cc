@@ -55,12 +55,12 @@ std::shared_ptr<const ModelSnapshot> MakeSnap(uint64_t version,
   return snap;
 }
 
-std::unique_ptr<DurableSnapshotStore> OpenOrDie(const std::string& path,
-                                                bool fsync = false) {
-  DurableSnapshotStoreOptions options;
+std::unique_ptr<SnapshotStore> OpenOrDie(const std::string& path,
+                                         bool fsync = false) {
+  SnapshotLogOptions options;
   options.path = path;
   options.fsync_on_publish = fsync;
-  auto store = DurableSnapshotStore::Open(std::move(options));
+  auto store = SnapshotStore::Open(std::move(options));
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).value();
 }
@@ -80,7 +80,7 @@ TEST(SnapshotRecordTest, EncodeDecodeRoundTrip) {
   EXPECT_FALSE(DecodeSnapshotRecord(payload).ok());
 }
 
-TEST(DurableSnapshotStoreTest, PersistsAcrossReopenBitIdentically) {
+TEST(SnapshotLogTest, PersistsAcrossReopenBitIdentically) {
   const std::string path = TempLog("reopen");
   std::vector<std::shared_ptr<const ModelSnapshot>> published;
   {
@@ -119,7 +119,7 @@ TEST(DurableSnapshotStoreTest, PersistsAcrossReopenBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(DurableSnapshotStoreTest, TornTailIsTruncatedAndAppendableAfter) {
+TEST(SnapshotLogTest, TornTailIsTruncatedAndAppendableAfter) {
   const std::string path = TempLog("torn");
   long full_size = 0;
   {
@@ -156,7 +156,7 @@ TEST(DurableSnapshotStoreTest, TornTailIsTruncatedAndAppendableAfter) {
   std::remove(path.c_str());
 }
 
-TEST(DurableSnapshotStoreTest, CorruptByteMidFileDropsTheSuffix) {
+TEST(SnapshotLogTest, CorruptByteMidFileDropsTheSuffix) {
   const std::string path = TempLog("bitrot");
   long second_record_offset = 0;
   {
@@ -187,7 +187,7 @@ TEST(DurableSnapshotStoreTest, CorruptByteMidFileDropsTheSuffix) {
   std::remove(path.c_str());
 }
 
-TEST(DurableSnapshotStoreTest, CompactionPreservesLatestAcrossReopen) {
+TEST(SnapshotLogTest, CompactionPreservesLatestAcrossReopen) {
   const std::string path = TempLog("compact");
   long before_compaction = 0;
   {
@@ -202,7 +202,7 @@ TEST(DurableSnapshotStoreTest, CompactionPreservesLatestAcrossReopen) {
     std::fclose(f);
 
     // Trim everything except device-latest (v5 for "odd", v6 for "even");
-    // the durable store rewrites the segment.
+    // the logged store rewrites the segment.
     auto dropped = store->TrimBelow(100);
     ASSERT_TRUE(dropped.ok());
     EXPECT_EQ(dropped.value(), 4u);
@@ -230,7 +230,7 @@ TEST(DurableSnapshotStoreTest, CompactionPreservesLatestAcrossReopen) {
 // bytes reach the log, the in-memory maps are untouched — and the same
 // Put retried lands cleanly, so the reopened log replays every version
 // bit-identically.
-TEST(DurableSnapshotStoreTest, InjectedFsyncFailureIsAtomicAndRetryable) {
+TEST(SnapshotLogTest, InjectedFsyncFailureIsAtomicAndRetryable) {
   const std::string path = TempLog("fsyncfail");
   const auto file_size = [&]() {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -278,7 +278,7 @@ TEST(DurableSnapshotStoreTest, InjectedFsyncFailureIsAtomicAndRetryable) {
 // mix. The store stays appendable, a reopen replays everything the old
 // log holds (the in-memory trim is lost, which is the safe direction),
 // and the next compaction truncates the leftover tmp and completes.
-TEST(DurableSnapshotStoreTest, CompactionCrashLeavesOldLogComplete) {
+TEST(SnapshotLogTest, CompactionCrashLeavesOldLogComplete) {
   const std::string path = TempLog("compactcrash");
   const std::string tmp = path + ".compact";
   {
@@ -325,7 +325,7 @@ TEST(DurableSnapshotStoreTest, CompactionCrashLeavesOldLogComplete) {
   std::remove(path.c_str());
 }
 
-TEST(DurableSnapshotStoreTest, BadHeaderIsCorruptionNotTruncation) {
+TEST(SnapshotLogTest, BadHeaderIsCorruptionNotTruncation) {
   const std::string path = TempLog("badmagic");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -333,11 +333,60 @@ TEST(DurableSnapshotStoreTest, BadHeaderIsCorruptionNotTruncation) {
     std::fwrite(&junk, sizeof(junk), 1, f);
     std::fclose(f);
   }
-  DurableSnapshotStoreOptions options;
+  SnapshotLogOptions options;
   options.path = path;
-  auto store = DurableSnapshotStore::Open(std::move(options));
+  auto store = SnapshotStore::Open(std::move(options));
   EXPECT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// (version, bytes) of a snapshot, or (0, {}) for none.
+std::pair<uint64_t, std::vector<uint8_t>> Id(
+    const std::shared_ptr<const ModelSnapshot>& snap) {
+  if (snap == nullptr) return {0, {}};
+  return {snap->version, snap->bytes};
+}
+
+// The log changes what survives the process, never what the store answers:
+// one Put/TrimBelow sequence on an in-memory store and on a logged one, and
+// a reopen of that log, answer every query alike.
+TEST(SnapshotStoreTest, InMemoryLoggedAndReopenedStoresAnswerAlike) {
+  const std::string path = TempLog("alike");
+  SnapshotStore memory;
+  auto logged = OpenOrDie(path);
+  for (SnapshotStore* store : {&memory, logged.get()}) {
+    uint64_t version = 1;
+    for (int round = 0; round < 3; ++round) {
+      for (const char* device : {"a", "b", "c"}) {
+        ASSERT_TRUE(store->Put(MakeSnap(version++, device)).ok());
+      }
+    }
+    // A delta can land an older version after a device's newer one.
+    ASSERT_TRUE(store->Put(MakeSnap(12, "a")).ok());
+    ASSERT_TRUE(store->Put(MakeSnap(11, "a")).ok());
+    auto dropped = store->TrimBelow(6);
+    ASSERT_TRUE(dropped.ok());
+    EXPECT_EQ(dropped.value(), 5u);
+    ASSERT_TRUE(store->Put(MakeSnap(13, "b")).ok());
+    dropped = store->TrimBelow(12);  // keeps only c's latest below 12
+    ASSERT_TRUE(dropped.ok());
+    EXPECT_EQ(dropped.value(), 4u);
+  }
+  auto reopened = OpenOrDie(path);
+  for (const SnapshotStore* store : {logged.get(), reopened.get()}) {
+    EXPECT_EQ(store->size(), memory.size());
+    EXPECT_EQ(Id(store->Latest()), Id(memory.Latest()));
+    for (const char* device : {"a", "b", "c", "none"}) {
+      EXPECT_EQ(Id(store->LatestFor(device)), Id(memory.LatestFor(device)))
+          << device;
+    }
+    for (uint64_t v = 0; v <= 14; ++v) {
+      EXPECT_EQ(Id(store->Get(v)), Id(memory.Get(v))) << "v" << v;
+    }
+  }
+  EXPECT_EQ(memory.size(), 3u);  // v9, v12, v13
+  EXPECT_EQ(memory.LatestFor("a")->version, 12u);
   std::remove(path.c_str());
 }
 
@@ -346,7 +395,7 @@ TEST(DurableSnapshotStoreTest, BadHeaderIsCorruptionNotTruncation) {
 // A registry constructed over a pre-populated store resumes versioning
 // after the recovered maximum — the monotonicity half of crash recovery.
 TEST(SnapshotRegistryTest, ResumesVersioningAfterRecoveredStore) {
-  auto store = std::make_unique<MemorySnapshotStore>();
+  auto store = std::make_unique<SnapshotStore>();
   ASSERT_TRUE(store->Put(MakeSnap(7, "dev")).ok());
   SnapshotRegistry registry(std::move(store));
   EXPECT_EQ(registry.size(), 1u);
@@ -359,7 +408,7 @@ TEST(SnapshotRegistryTest, ResumesVersioningAfterRecoveredStore) {
 }
 
 TEST(SnapshotRegistryTest, ExportImportDeltaRoundTrip) {
-  auto store = std::make_unique<MemorySnapshotStore>();
+  auto store = std::make_unique<SnapshotStore>();
   for (uint64_t v = 1; v <= 3; ++v) {
     ASSERT_TRUE(store->Put(MakeSnap(v, v == 3 ? "b" : "a")).ok());
   }
@@ -391,7 +440,7 @@ TEST(SnapshotRegistryTest, ExportImportDeltaRoundTrip) {
 }
 
 TEST(SnapshotRegistryTest, NearestForPrefersOwnThenCohortNeighbor) {
-  auto store = std::make_unique<MemorySnapshotStore>();
+  auto store = std::make_unique<SnapshotStore>();
   ASSERT_TRUE(store->Put(MakeSnap(1, "peer-a")).ok());
   ASSERT_TRUE(store->Put(MakeSnap(2, "peer-b")).ok());
   ASSERT_TRUE(store->Put(MakeSnap(3, "peer-a")).ok());
@@ -429,9 +478,9 @@ FleetServerOptions RecoveryServerOptions() {
 // By pointer: the registry owns a mutex, so it is neither copyable nor
 // movable.
 std::unique_ptr<SnapshotRegistry> OpenRegistry(const std::string& path) {
-  DurableSnapshotStoreOptions options;
+  SnapshotLogOptions options;
   options.path = path;
-  auto store = DurableSnapshotStore::Open(std::move(options));
+  auto store = SnapshotStore::Open(std::move(options));
   QCORE_CHECK_MSG(store.ok(), "cannot open snapshot log");
   return std::make_unique<SnapshotRegistry>(std::move(store).value());
 }
@@ -568,7 +617,7 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
   // An incompatible nearest snapshot (e.g. a foreign fleet's model merged
   // into a shared registry) falls back to a cold start instead of
   // crashing: RestoreInto fails atomically, leaving the base clone.
-  auto foreign_store = std::make_unique<MemorySnapshotStore>();
+  auto foreign_store = std::make_unique<SnapshotStore>();
   ASSERT_TRUE(foreign_store->Put(MakeSnap(1, "alien", 32)).ok());
   SnapshotRegistry foreign(std::move(foreign_store));
   ShardedFleetServer fallback_server(*f->base, *f->bf, OneShard(opts),
@@ -584,10 +633,10 @@ TEST(CrashRecoveryTest, NewDeviceWarmStartsFromCohortNearestSnapshot) {
 TEST(CrashRecoveryTest, FsyncOptionDoesNotChangeLogContents) {
   FleetFixture* f = GetFixture();
   auto run = [&](bool fsync, const std::string& path) {
-    DurableSnapshotStoreOptions options;
+    SnapshotLogOptions options;
     options.path = path;
     options.fsync_on_publish = fsync;
-    auto store = DurableSnapshotStore::Open(std::move(options));
+    auto store = SnapshotStore::Open(std::move(options));
     ASSERT_TRUE(store.ok());
     SnapshotRegistry registry(std::move(store).value());
     ShardedFleetServer server(*f->base, *f->bf,
